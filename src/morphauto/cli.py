@@ -191,6 +191,13 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morphauto",
@@ -201,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run the full decision pipeline on a .morph file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--depth", type=int, default=10_000, help="certificate verification depth")
-    p.add_argument("--kmax", type=int, default=8, help="largest block length to try")
+    p.add_argument("--depth", type=_positive_int, default=10_000, help="certificate verification depth")
+    p.add_argument("--kmax", type=_positive_int, default=8, help="largest block length to try")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("uniformize", help="emit the uniform certificate of the eigenvector criterion")
@@ -225,26 +232,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="compare the coded fixed points of two specs")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("-n", type=int, default=10_000)
+    p.add_argument("-n", type=_positive_int, default=10_000)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("generate", help="print a prefix of the coded fixed point")
     p.add_argument("file")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_positive_int, required=True)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("complexity", help="factor-complexity profile of the fixed point")
     p.add_argument("file")
-    p.add_argument("--nmax", type=int, default=30)
-    p.add_argument("-N", "--prefix-length", type=int, default=10_000, dest="prefix_length")
+    p.add_argument("--nmax", type=_positive_int, default=30)
+    p.add_argument("-N", "--prefix-length", type=_positive_int, default=10_000, dest="prefix_length")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_complexity)
 
     p = sub.add_parser("corpus", help="list or replay the bundled regression corpus")
     p.add_argument("--run", action="store_true")
     p.add_argument("--dir")
-    p.add_argument("--depth", type=int, default=10_000)
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--depth", type=_positive_int, default=10_000)
+    p.add_argument("--kmax", type=_positive_int, default=8)
     p.set_defaults(func=cmd_corpus)
 
     return parser

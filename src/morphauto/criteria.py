@@ -1,11 +1,12 @@
 """Automaticity decision procedures and the orchestrating analyzer.
 
 The pipeline tries, in order: already uniform; left-eigenvector criterion;
-anagram decomposition; induced k-block morphisms; the irrational-dominant
-obstruction.  The first success fixes the verdict, every stage's outcome is
-recorded, and every Automatic verdict ships a certificate that is replayed
-against the input prefix before it is returned.  When nothing applies the
-verdict is an honest Unknown carrying complexity evidence.
+induced k-block morphisms; the irrational-dominant obstruction.  The
+anagram decomposition runs as a cross-check of the eigenvector stage.  The
+first success fixes the verdict, every stage's outcome is recorded, and
+every Automatic verdict ships a certificate that is replayed against the
+input prefix before it is returned.  When nothing applies the verdict is an
+honest Unknown carrying complexity evidence.
 """
 
 from __future__ import annotations
@@ -248,8 +249,6 @@ class Verdict:
                 how = f"uniform morphism of length {self.q}"
             elif self.provenance == "eigenvector":
                 how = f"left-eigenvector criterion, q={self.q}"
-            elif self.provenance == "anagram":
-                how = f"anagram decomposition, d={self.q}"
             elif self.provenance == "block":
                 cert = self.certificate
                 how = f"{cert.block.k}-block morphism {cert.block.rules_text()}"
@@ -451,7 +450,8 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
                 )
             )
 
-    # 3. anagram decomposition
+    # 3. anagram decomposition, a cross-check: when it holds, L*M = d*L, so
+    # the eigenvector stage has already decided with q = d
     if erasing:
         stages.append(StageOutcome("anagram", "skipped", "erasing morphism"))
     else:
@@ -468,13 +468,10 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
                     cert.to_json(),
                 )
             )
-            if verdict is None and cert.degree >= 2:
-                rep = _with_external_coding(
-                    reshuffle_uniformize(m, spec.seed, cert.degree), spec.coding
+            if cert.degree >= 2 and q != cert.degree:
+                raise InternalCheckError(
+                    f"anagram degree {cert.degree} but eigenvector stage gave q={q}"
                 )
-                uniform_cert = minimize_uniform(rep)
-                _verify_certificate(spec, uniform_cert, opts.depth)
-                verdict = Verdict.automatic(cert.degree, uniform_cert, "anagram", opts.depth)
 
     # 4. induced block morphisms
     block_hit = None
@@ -532,6 +529,16 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
     # 5. irrational dominant eigenvalue
     if erasing:
         stages.append(StageOutcome("irrationality", "skipped", "erasing morphism"))
+    elif spec.coding is not None and not spec.coding.is_injective:
+        # a coding that merges letters can make the coded word's letter
+        # frequencies rational even when the Perron root is irrational
+        stages.append(
+            StageOutcome(
+                "irrationality",
+                "skipped",
+                "non-injective coding: the obstruction holds for the uncoded fixed point only",
+            )
+        )
     else:
         report = irrationality_verdict(m, opts.tol)
         if report is None:

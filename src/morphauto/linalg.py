@@ -1,10 +1,11 @@
 """Exact integer and rational linear algebra for incidence matrices.
 
 Everything here is decided exactly: characteristic polynomials come from the
-Faddeev-LeVerrier recursion over big integers, eigenvalue questions reduce
-to integer root tests plus Sturm-sequence root isolation over rationals,
-and spectral-radius brackets use directed dyadic rounding so no verdict
-ever depends on floating point.
+Faddeev-LeVerrier recursion over big integers, whether the spectral radius
+is a given integer c is read off the signs of the leading principal minors
+of cI - B for each irreducible diagonal block B (one fraction-free
+elimination), and spectral-radius brackets use directed dyadic rounding so
+no verdict ever depends on floating point.
 
 Convention: for a morphism s, ``incidence(s).matrix[i][j]`` counts the
 occurrences of letter i in the image of letter j, so columns are indexed by
@@ -156,19 +157,6 @@ class InternalArithmeticError(AssertionError):
     pass
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _deflate(coeffs: tuple[int, ...], root: int) -> tuple[int, ...]:
     # synthetic division by (x - root); remainder must be zero
     out = [coeffs[0]]
@@ -184,8 +172,9 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
 
     Rational roots of a monic integer polynomial are integers, so this is
     the full list of rational eigenvalues when ``p`` is a characteristic
-    polynomial.  Candidates are the divisors of the constant term, plus 0
-    when the constant term vanishes.
+    polynomial.  Candidates are 0 and the divisors of the constant term no
+    larger than B = 2 * max_i 2^ceil(bits(c_i) / i), which bounds every root
+    from above by Fujiwara's bound 2 * max_i |c_i|^(1/i).
     """
     coeffs = p.coeffs
     found: dict[int, int] = {}
@@ -196,7 +185,15 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
     if zero_mult:
         found[0] = zero_mult
     if len(coeffs) > 1:
-        for d in _divisors(coeffs[-1]):
+        const = abs(coeffs[-1])
+        bound = 2 * max(1 << -(-abs(c).bit_length() // i) for i, c in enumerate(coeffs[1:], 1))
+        divisors = set()
+        for d in range(1, min(bound, math.isqrt(const)) + 1):
+            if const % d == 0:
+                divisors.add(d)
+                if const // d <= bound:
+                    divisors.add(const // d)
+        for d in divisors:
             for cand in (d, -d):
                 mult = 0
                 work = coeffs
@@ -298,6 +295,12 @@ def _strongly_connected_components(matrix) -> list[list[int]]:
     return comps
 
 
+def _diagonal_blocks(matrix):
+    """The irreducible diagonal blocks, one per strongly connected component."""
+    for comp in _strongly_connected_components(matrix):
+        yield tuple(tuple(matrix[i][j] for j in comp) for i in comp)
+
+
 _PREC = 96  # working precision (bits) for scaled powers and root extraction
 
 
@@ -389,8 +392,7 @@ def radius_bracket(matrix, tol) -> RadiusBracket:
         raise ValueError("tolerance must be positive")
     lo = hi = Fraction(0)
     loose = False
-    for comp in _strongly_connected_components(matrix):
-        block = tuple(tuple(matrix[i][j] for j in comp) for i in comp)
+    for block in _diagonal_blocks(matrix):
         b_lo, b_hi, b_loose = _irreducible_bracket(block, tol)
         lo, hi = max(lo, b_lo), max(hi, b_hi)
         loose = loose or b_loose
@@ -398,85 +400,34 @@ def radius_bracket(matrix, tol) -> RadiusBracket:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences (rational coefficients, leading term first)
+# exact comparison of the spectral radius with an integer
 
-def _fp_normalize(p):
-    i = 0
-    while i < len(p) and p[i] == 0:
-        i += 1
-    return p[i:]
+def _radius_sign(block, c: int) -> int:
+    """The sign of rho(B) - c for an irreducible nonnegative block B.
 
-
-def _fp_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in p:
-        acc = acc * x + c
-    return acc
-
-
-def _fp_derivative(p):
-    n = len(p) - 1
-    return _fp_normalize([c * (n - i) for i, c in enumerate(p[:-1])])
-
-
-def _fp_divmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    for i in range(len(q)):
-        factor = num[i] / den[0]
-        q[i] = factor
-        for j, d in enumerate(den):
-            num[i + j] -= factor * d
-    return q, _fp_normalize(num)
-
-
-def _sturm_chain(p):
-    chain = [_fp_normalize(p)]
-    d = _fp_derivative(chain[0])
-    if d:
-        chain.append(d)
-    while len(chain[-1]) > 1:
-        _, rem = _fp_divmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _fp_eval(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _count_real_roots(p, a: Fraction, b: Fraction) -> int:
-    """Distinct real roots of p in the half-open interval (a, b]."""
-    chain = _sturm_chain(p)
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def _fp_gcd(a, b):
-    a, b = _fp_normalize(list(a)), _fp_normalize(list(b))
-    while b:
-        _, r = _fp_divmod(a, b)
-        a, b = b, r
-    return [c / a[0] for c in a] if a else a
-
-
-def _squarefree(p):
-    d = _fp_derivative(p)
-    if not d:
-        return p
-    g = _fp_gcd(p, d)
-    if len(g) <= 1:
-        return p
-    q, rem = _fp_divmod(p, g)
-    if rem:
-        raise InternalArithmeticError("square-free division failed")
-    return _fp_normalize(q)
+    A = cI - B is a Z-matrix, and it is a nonsingular M-matrix (c > rho(B))
+    exactly when its leading principal minors D_1..D_n are all positive
+    (Berman-Plemmons, ch. 6).  D_k <= 0 for some k < n means c <= rho of a
+    proper principal block, which is < rho(B) since B is irreducible.  With
+    D_1..D_(n-1) > 0 the Schur complement of the leading block is strictly
+    increasing in c and vanishes at rho(B), so D_n has the sign of c - rho(B).
+    Bareiss elimination without pivoting produces the D_k as its pivots.
+    """
+    n = len(block)
+    a = [[(c if i == j else 0) - block[i][j] for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n - 1):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return 1
+        row_k = a[k]
+        for row in a[k + 1 :]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - factor * row_k[j]) // prev
+        prev = pivot
+    last = a[n - 1][n - 1]
+    return (last < 0) - (last > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -508,28 +459,23 @@ class SpectralReport:
 def spectral_report(matrix, tol=Fraction(1, 10**6)) -> SpectralReport:
     """Decide exactly whether the spectral radius is an integer.
 
-    For a nonnegative matrix the radius is itself an eigenvalue, hence the
-    largest real root of the characteristic polynomial.  It is an integer
-    exactly when the largest integer root n satisfies p(n) = 0 and the
-    square-free part of p has no real root beyond n; the latter is a Sturm
-    count on (n, max-row-sum + 1], which is exact rational arithmetic.
+    For a nonnegative matrix the radius is itself an eigenvalue, so if it
+    is an integer it is the largest non-negative integer root c of the
+    characteristic polynomial.  As c is an eigenvalue, rho >= c; so rho = c
+    exactly when no irreducible diagonal block has a radius above c.
     """
     _check_nonnegative(matrix)
     p = char_poly(matrix)
     roots = integer_roots(p)
     bracket = radius_bracket(matrix, tol)
-    if not roots:
+    candidate = max((root for root, _ in roots if root >= 0), default=None)
+    if candidate is None or any(
+        _radius_sign(block, candidate) > 0 for block in _diagonal_blocks(matrix)
+    ):
         return SpectralReport(p, roots, bracket, False, None)
-    candidate = max(root for root, _ in roots)
-    sf = _squarefree([Fraction(c) for c in p.coeffs])
-    deflated, rem = _fp_divmod(sf, [Fraction(1), Fraction(-candidate)])
-    if rem:
-        raise InternalArithmeticError("square-free part lost an integer root")
-    upper = Fraction(max(sum(row) for row in matrix) + 1)
-    beyond = _count_real_roots(deflated, Fraction(candidate), upper) if len(deflated) > 1 else 0
-    if beyond == 0:
-        return SpectralReport(p, roots, bracket, True, candidate)
-    return SpectralReport(p, roots, bracket, False, None)
+    if candidate not in bracket:
+        raise InternalArithmeticError(f"integer radius {candidate} lies outside its bracket")
+    return SpectralReport(p, roots, bracket, True, candidate)
 
 
 def perron_frequencies(matrix) -> tuple[Fraction, ...] | None:
@@ -538,11 +484,16 @@ def perron_frequencies(matrix) -> tuple[Fraction, ...] | None:
     _check_nonnegative(matrix)
     if not is_primitive(matrix):
         return None
-    report = spectral_report(matrix)
-    if not report.dominant_is_integer:
-        return None
-    q = report.dominant_value
     n = len(matrix)
+    # rho lies between the smallest and the largest column sum; the first
+    # integer q there with rho <= q is rho itself when rho is an integer
+    sums = [sum(row[j] for row in matrix) for j in range(n)]
+    for q in range(min(sums), max(sums) + 1):
+        sign = _radius_sign(matrix, q)
+        if sign <= 0:
+            break
+    if sign != 0:
+        return None
     rows = [[Fraction(matrix[i][j] - (q if i == j else 0)) for j in range(n)] for i in range(n)]
     # rational row echelon; the nullspace of M - qI is one dimensional
     pivots: list[tuple[int, int]] = []

@@ -246,6 +246,10 @@ class Coding:
             self.target.letters[self.table[i]] == tok for i, tok in enumerate(self.source.letters)
         )
 
+    @property
+    def is_injective(self) -> bool:
+        return len(set(self.table)) == len(self.table)
+
     def apply(self, word: Word) -> Word:
         return tuple(self.table[c] for c in word)
 

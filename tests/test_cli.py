@@ -63,6 +63,26 @@ class TestAnalyzeCommand:
         assert main(["analyze", "/nonexistent/nowhere.morph"]) == 2
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "{fib}", "--depth", "-5"],
+            ["analyze", "{fib}", "--kmax", "0"],
+            ["compare", "{fib}", "{fib}", "-n", "0"],
+            ["generate", "{fib}", "-n", "-1"],
+            ["complexity", "{fib}", "--nmax", "0"],
+            ["complexity", "{fib}", "-N", "0"],
+            ["corpus", "--run", "--depth", "0"],
+        ],
+    )
+    def test_non_positive_counts_exit_2(self, corpus_path, capsys, argv):
+        fib = morph(corpus_path, "fibonacci")
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(fib=fib) for arg in argv])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+
 class TestUniformize:
     def test_istrail_minimized_round_trip(self, corpus_path, capsys, tmp_path, berstel, istrail):
         out_path = tmp_path / "istrail_uniform.morph"

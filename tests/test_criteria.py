@@ -6,6 +6,7 @@ from morphauto import (
     Alphabet,
     Morphism,
     MorphicSpec,
+    InternalCheckError,
     SpecError,
     analyze,
     anagram_decomposition,
@@ -225,6 +226,22 @@ class TestAnalyze:
             cert = anagram_decomposition(m)
             if cert is not None and cert.degree >= 2:
                 assert eigenvector_criterion(m) == cert.degree, path.name
+
+    def test_non_injective_coding_skips_irrationality(self):
+        # the Fibonacci word sent through a constant coding is 000...: the
+        # obstruction for the uncoded word says nothing about it
+        spec = parse_morphism("letters: a b\na -> ab\nb -> a\ncoding: a->0, b->0")
+        report = analyze(spec)
+        assert report.verdict.kind != "not_automatic"
+        stage = next(s for s in report.stages if s.name == "irrationality")
+        assert stage.status == "skipped" and "non-injective coding" in stage.detail
+
+    def test_anagram_without_eigenvector_is_an_internal_error(self, anagram7, monkeypatch):
+        from morphauto import criteria
+
+        monkeypatch.setattr(criteria, "eigenvector_criterion", lambda m: None)
+        with pytest.raises(InternalCheckError, match="anagram degree 7"):
+            analyze(anagram7)
 
     def test_report_json_shape(self, lysenok):
         report = analyze(lysenok)

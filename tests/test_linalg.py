@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from morphauto import (
     radius_bracket,
     spectral_report,
 )
+from morphauto.linalg import _radius_sign
 
 from oracles import bisect_root, naive_bool_power_positive, naive_charpoly
 
@@ -97,6 +99,20 @@ class TestIntegerRoots:
     def test_xzy_has_none(self, xzy):
         p = char_poly(incidence(xzy.morphism).matrix)
         assert integer_roots(p) == ()
+
+    def test_huge_constant_term(self):
+        # (x - 2)^50 (x + 3)^5 (x - 7) (x^2 - x - 1): trial division up to
+        # sqrt|c_0| would take ~2^31 steps; the root bound keeps it to a few
+        coeffs = [1]
+        for factor in [(1, -2)] * 50 + [(1, 3)] * 5 + [(1, -7), (1, -1, -1)]:
+            out = [0] * (len(coeffs) + len(factor) - 1)
+            for i, a in enumerate(coeffs):
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+            coeffs = out
+        p = IntPolynomial(tuple(coeffs))
+        assert abs(p.coeffs[-1]) >= 2**60
+        assert integer_roots(p) == ((-3, 5), (2, 50), (7, 1))
 
 
 class TestLeftEigencheck:
@@ -215,6 +231,49 @@ class TestSpectralReport:
         assert rep.dominant_is_integer is False
 
 
+FIB_PLUS_ONE = ((1, 1, 0), (1, 0, 0), (0, 0, 1))
+TWO_PLUS_FIB = ((2, 0, 0), (0, 1, 1), (0, 1, 0))
+
+
+def _permuted(m, perm):
+    return tuple(tuple(m[perm[i]][perm[j]] for j in range(len(m))) for i in range(len(m)))
+
+
+class TestRadiusSign:
+    def test_grig_aca_aba_between_two_and_three(self, grig_aca_aba):
+        m = incidence(grig_aca_aba.morphism).matrix  # rho ~ 2.76
+        assert _radius_sign(m, 2) == 1
+        assert _radius_sign(m, 3) == -1
+
+    def test_integer_radius_gives_zero(self, istrail):
+        m = incidence(istrail.morphism).matrix
+        assert [_radius_sign(m, c) for c in (1, 2, 3)] == [1, 0, -1]
+
+    def test_scalar_block(self):
+        assert [_radius_sign(((0,),), c) for c in (0, 1)] == [0, -1]
+
+    def test_fibonacci_block_plus_one_is_not_integer(self):
+        # charpoly (x^2 - x - 1)(x - 1): 1 is a root, the radius is phi
+        rep = spectral_report(FIB_PLUS_ONE)
+        assert dict(rep.integer_roots) == {1: 1}
+        assert not rep.dominant_is_integer and rep.dominant_value is None
+
+    def test_two_plus_fibonacci_block_is_two(self):
+        assert spectral_report(TWO_PLUS_FIB).dominant_value == 2
+
+    def test_coupled_and_permuted_forms(self):
+        # block upper-triangular with coupling between the blocks, then
+        # conjugated by every permutation: the radius stays max(2, phi) = 2
+        # and max(phi, 1) = phi respectively
+        for coupling in (1, 3):
+            two_fib = ((2, coupling, coupling), (0, 1, 1), (0, 1, 0))
+            fib_one = ((1, 1, coupling), (1, 0, 0), (0, 0, 1))
+            for perm in itertools.permutations(range(3)):
+                rep = spectral_report(_permuted(two_fib, perm))
+                assert rep.dominant_value == 2 and rep.dominant_is_integer
+                assert not spectral_report(_permuted(fib_one, perm)).dominant_is_integer
+
+
 class TestPerron:
     def test_period_doubling(self, period_doubling):
         m = incidence(period_doubling.morphism).matrix
@@ -238,6 +297,21 @@ class TestPerron:
         assert v == (Fraction(1, 2), Fraction(1, 7), Fraction(2, 7), Fraction(1, 14))
         for i in range(4):
             assert sum(m[i][j] * v[j] for j in range(4)) == 2 * v[i]
+
+    def test_large_constant_column_sums(self):
+        # r = 24, every image has length 3; the cycle j -> j+1 plus the
+        # self-loop at 0 make the matrix primitive, so rho = 3
+        r = 24
+        m = [[0] * r for _ in range(r)]
+        for j in range(r):
+            for i in ((j + 1) % r, 0, (5 * j + 2) % r):
+                m[i][j] += 1
+        m = tuple(map(tuple, m))
+        assert is_primitive(m)
+        v = perron_frequencies(m)
+        assert sum(v) == 1 and all(x > 0 for x in v)
+        for i in range(r):
+            assert sum(m[i][j] * v[j] for j in range(r)) == 3 * v[i]
 
 
 class TestAgainstFloatOracle:

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from morphauto import (
+    AnalyzeOptions,
     Alphabet,
     Coding,
     Morphism,
@@ -20,6 +21,7 @@ from morphauto import (
     parikh_vector,
     parse_morphism,
     prefix_equal,
+    analyze,
     reshuffle_uniformize,
 )
 from morphauto.constructions import representation_from_spec
@@ -215,3 +217,15 @@ def test_morph_text_round_trip(data):
         coding = Coding(alphabet, target, table)
     spec = MorphicSpec(morphism, seed, coding)
     assert parse_morphism(spec.to_morph_text(comments=["round trip"])) == spec
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(alphabets(min_size=2).flatmap(lambda a: morphisms_on(a, min_image=1)))
+def test_constant_coding_is_never_not_automatic(morphism):
+    # a constant coded word is periodic, hence automatic in every base
+    images = ((0,) + morphism.images[0],) + morphism.images[1:]
+    alphabet = morphism.alphabet
+    coding = Coding(alphabet, Alphabet(("0",)), (0,) * len(alphabet))
+    spec = MorphicSpec(Morphism(alphabet, images), 0, coding)
+    options = AnalyzeOptions(depth=200, kmax=3, evidence_nmax=4, evidence_prefix=200)
+    assert analyze(spec, options).verdict.kind != "not_automatic"
