@@ -550,6 +550,11 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
                 )
             )
         else:
+            if verdict is not None:
+                raise InternalCheckError(
+                    f"stage {verdict.provenance} certified an automatic sequence, but the "
+                    "irrationality stage found an irrational dominant eigenvalue"
+                )
             stages.append(
                 StageOutcome(
                     "irrationality",
@@ -558,7 +563,7 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
                     report.to_json(),
                 )
             )
-            verdict = verdict or Verdict.not_automatic(report, "irrationality")
+            verdict = Verdict.not_automatic(report, "irrationality")
 
     # 6. evidence for an honest Unknown
     if verdict is None:

@@ -1,11 +1,13 @@
 """Exact integer and rational linear algebra for incidence matrices.
 
-Everything here is decided exactly: characteristic polynomials come from the
-Faddeev-LeVerrier recursion over big integers, whether the spectral radius
-is a given integer c is read off the signs of the leading principal minors
-of cI - B for each irreducible diagonal block B (one fraction-free
-elimination), and spectral-radius brackets use directed dyadic rounding so
-no verdict ever depends on floating point.
+Everything here is decided exactly, so no verdict ever depends on floating
+point.  Characteristic polynomials are reduced to Hessenberg form modulo a
+few Mersenne primes and lifted by the Chinese remainder theorem under a
+coefficient bound, with the trace as an exact check.  Whether the spectral
+radius is a given integer c is read off the signs of the leading principal
+minors of cI - B for each irreducible diagonal block B (one fraction-free
+elimination).  Spectral-radius brackets are Collatz-Wielandt bounds, which
+hold for every positive vector, so the vectors may be rounded freely.
 
 Convention: for a morphism s, ``incidence(s).matrix[i][j]`` counts the
 occurrences of letter i in the image of letter j, so columns are indexed by
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .words import Morphism, parikh_vector
 
@@ -31,10 +34,8 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)) for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def mat_pow(m, k: int):
@@ -134,22 +135,92 @@ class IntPolynomial:
         return " ".join(parts) if parts else "0"
 
 
-def char_poly(matrix) -> IntPolynomial:
-    """det(xI - M) by the Faddeev-LeVerrier recursion, exactly over Z."""
+# Mersenne primes 2^e - 1, taken in this order until their product exceeds
+# twice the coefficient bound; together they cover about 159000 bits
+_CRT_PRIMES = tuple(
+    (1 << e) - 1
+    for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+              11213, 19937, 21701, 23209, 44497)
+)
+
+
+def _char_poly_mod(matrix, p: int) -> list[int]:
+    """det(xI - M) mod p, lowest coefficient first.
+
+    M is brought to upper Hessenberg form H by elimination similarities
+    (Gauss transforms with row swaps), then the characteristic polynomials
+    p_m of the leading m x m blocks of H follow from
+    p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_i.
+    """
     n = len(matrix)
-    coeffs = [1]
-    aux = matrix
-    for k in range(1, n + 1):
-        trace = sum(aux[i][i] for i in range(n))
-        if trace % k:
-            raise InternalArithmeticError("Faddeev-LeVerrier division failed")
-        c = -(trace // k)
-        coeffs.append(c)
-        if k < n:
-            shifted = tuple(
-                tuple(aux[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
-            )
-            aux = mat_mul(matrix, shifted)
+    h = [[entry % p for entry in row] for row in matrix]
+    for k in range(n - 2):
+        pivot = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if pivot is None:
+            continue
+        if pivot != k + 1:
+            h[k + 1], h[pivot] = h[pivot], h[k + 1]
+            for row in h:
+                row[k + 1], row[pivot] = row[pivot], row[k + 1]
+        top = h[k + 1][k:]
+        inv = pow(top[0], -1, p)
+        # rows i > k+1 lose u_i times row k+1; the inverse similarity then
+        # adds u_i times column i to column k+1
+        factors = [h[i][k] * inv % p for i in range(k + 2, n)]
+        for i, u in enumerate(factors, k + 2):
+            if u:
+                h[i][k:] = [(a - u * b) % p for a, b in zip(h[i][k:], top)]
+        if any(factors):
+            for row in h:
+                row[k + 1] = (row[k + 1] + sum(map(mul, factors, row[k + 2 :]))) % p
+    polys = [[1]]
+    for m in range(n):
+        new = [0] + polys[m]
+        for t, c in enumerate(polys[m]):
+            new[t] -= h[m][m] * c
+        chain = 1
+        for i in range(m - 1, -1, -1):
+            chain = chain * h[i + 1][i] % p
+            if not chain:
+                break
+            coef = h[i][m] * chain % p
+            for t, c in enumerate(polys[i]):
+                new[t] -= coef * c
+        polys.append([c % p for c in new])
+    return polys[n]
+
+
+def char_poly(matrix) -> IntPolynomial:
+    """det(xI - M), exactly over Z.
+
+    L, the largest absolute column sum, bounds every eigenvalue, so
+    |c_k| <= C(n, k) L^k <= (1 + L)^n.  Residues modulo Mersenne primes
+    whose product exceeds twice that bound determine every coefficient by
+    the Chinese remainder theorem and a symmetric lift.
+    """
+    n = len(matrix)
+    lsum = max((sum(abs(row[j]) for row in matrix) for j in range(n)), default=0)
+    bound = 2 * (1 + lsum) ** n
+    primes, modulus = [], 1
+    for p in _CRT_PRIMES:
+        if modulus > bound:
+            break
+        primes.append(p)
+        modulus *= p
+    if modulus <= bound:
+        raise InternalArithmeticError(
+            f"charpoly coefficient bound needs more than {modulus.bit_length()} bits of primes"
+        )
+    coeffs, done = [0] * (n + 1), 1
+    for p in primes:
+        # Garner step: keep c mod done, make it r mod p
+        inv = pow(done, -1, p)
+        residues = _char_poly_mod(matrix, p)
+        coeffs = [c + done * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
+        done *= p
+    coeffs = [c - modulus if 2 * c > modulus else c for c in reversed(coeffs)]
+    if n and coeffs[1] != -sum(matrix[i][i] for i in range(n)):
+        raise InternalArithmeticError("characteristic polynomial fails the trace check")
     return IntPolynomial(tuple(coeffs))
 
 
@@ -230,30 +301,42 @@ def left_eigencheck(vector, matrix) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # primitivity
 
+def _support_rows(matrix) -> list[int]:
+    """Row i as a bitmask with bit j set when entry (i, j) is positive."""
+    return [sum(1 << j for j, entry in enumerate(row) if entry > 0) for row in matrix]
+
+
 def is_primitive(matrix) -> bool:
     """Wielandt test: M is primitive iff M^(r^2 - 2r + 2) is positive.
 
-    Entries are saturated to booleans after every multiplication, so only
-    positivity propagates and nothing can overflow.
+    Only positivity matters, so each row is a bitmask of its positive
+    entries and row i of a boolean product XY is the OR of the rows of Y
+    selected by row i of X.
     """
     _check_nonnegative(matrix)
     r = len(matrix)
-    a = tuple(tuple(entry > 0 for entry in row) for row in matrix)
-    exponent = r * r - 2 * r + 2
+    full = (1 << r) - 1
 
     def bool_mul(x, y):
-        return tuple(
-            tuple(any(x[i][t] and y[t][j] for t in range(r)) for j in range(r)) for i in range(r)
-        )
+        out = []
+        for bits in x:
+            acc = 0
+            while bits:
+                low = bits & -bits
+                acc |= y[low.bit_length() - 1]
+                bits ^= low
+            out.append(acc)
+        return out
 
-    result = tuple(tuple(i == j for j in range(r)) for i in range(r))
-    base, k = a, exponent
+    base = _support_rows(matrix)
+    result = [1 << i for i in range(r)]
+    k = r * r - 2 * r + 2
     while k:
         if k & 1:
             result = bool_mul(result, base)
         base = bool_mul(base, base)
         k >>= 1
-    return all(all(row) for row in result)
+    return all(row == full for row in result)
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +357,20 @@ class RadiusBracket:
 
 
 def _strongly_connected_components(matrix) -> list[list[int]]:
-    # Reachability closure; fine for the small dimensions seen here.
+    # Warshall's reachability closure on bitmask rows
     r = len(matrix)
-    reach = [[matrix[i][j] > 0 or i == j for j in range(r)] for i in range(r)]
+    reach = [bits | 1 << i for i, bits in enumerate(_support_rows(matrix))]
     for k in range(r):
         for i in range(r):
-            if reach[i][k]:
-                row_i, row_k = reach[i], reach[k]
-                for j in range(r):
-                    if row_k[j]:
-                        row_i[j] = True
-    seen: set[int] = set()
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    seen = 0
     comps: list[list[int]] = []
     for i in range(r):
-        if i in seen:
+        if seen >> i & 1:
             continue
-        comp = [j for j in range(r) if reach[i][j] and reach[j][i]]
-        seen.update(comp)
+        comp = [j for j in range(r) if reach[i] >> j & 1 and reach[j] >> i & 1]
+        seen |= sum(1 << j for j in comp)
         comps.append(comp)
     return comps
 
@@ -301,82 +381,57 @@ def _diagonal_blocks(matrix):
         yield tuple(tuple(matrix[i][j] for j in comp) for i in comp)
 
 
-_PREC = 96  # working precision (bits) for scaled powers and root extraction
+_PREC = 96  # bits kept in the largest entry of each iterate and each square
 
 
-def _sqrt_down(f: Fraction) -> Fraction:
-    scaled = (f.numerator << (2 * _PREC)) // f.denominator
-    return Fraction(math.isqrt(scaled), 1 << _PREC)
-
-
-def _sqrt_up(f: Fraction) -> Fraction:
-    num = f.numerator << (2 * _PREC)
-    scaled = -((-num) // f.denominator)  # ceil division
-    root = math.isqrt(scaled)
-    if root * root < scaled:
-        root += 1
-    return Fraction(root, 1 << _PREC)
-
-
-def _iterated_sqrt_scaled(mantissa: Fraction, exponent: int, times: int, down: bool) -> Fraction:
-    """(mantissa * 2**exponent) ** (1 / 2**times), rounded in one direction.
-
-    The exponent is halved symbolically at every step so the huge power of
-    two accumulated by repeated squaring is never materialised.
-    """
-    for _ in range(times):
-        if exponent % 2:
-            mantissa *= 2
-            exponent -= 1
-        mantissa = _sqrt_down(mantissa) if down else _sqrt_up(mantissa)
-        exponent //= 2
-    return mantissa * Fraction(2) ** exponent
-
-
-def _shift_floor(m, s):
-    return tuple(tuple(entry >> s for entry in row) for row in m)
-
-
-def _shift_ceil(m, s):
-    add = (1 << s) - 1
-    return tuple(tuple((entry + add) >> s for entry in row) for row in m)
+def _round_up(rows):
+    """Divide every entry by one power of two, rounding up, so the largest
+    keeps _PREC bits; positive entries stay positive."""
+    shift = max(0, max(map(max, rows)).bit_length() - _PREC)
+    if not shift:
+        return rows
+    return tuple(tuple(-(-entry >> shift) for entry in row) for row in rows)
 
 
 def _irreducible_bracket(block, tol: Fraction, max_squarings: int = 64):
-    """Bracket the spectral radius of one irreducible diagonal block.
+    """Bracket the spectral radius of one irreducible diagonal block B.
 
-    Row sums of M^(2^k) pinch the radius from both sides; powers are kept as
-    integer matrices with a tracked power-of-two scale, rounded down for the
-    lower bound matrix and up for the upper one, so both bounds stay valid.
+    Collatz-Wielandt: every positive vector x gives
+    min_i (Bx)_i / x_i <= rho(B) <= max_i (Bx)_i / x_i, so rounding x only
+    changes how tight the bracket is.  x starts at all ones and is
+    multiplied by P = B + I, which is primitive because B is irreducible,
+    so the direction of x tends to the Perron vector even for periodic B.
+    P is squared every n steps, so that a small spectral gap costs
+    logarithmically many squarings rather than many products.
     """
     n = len(block)
-    if n == 1:
-        v = Fraction(block[0][0])
-        return v, v, False
-    p_lo = p_hi = block
-    e_lo = e_hi = 0
-    squarings = 0
-    best = None
+    power = tuple(
+        tuple(entry + (i == j) for j, entry in enumerate(row)) for i, row in enumerate(block)
+    )
+    x = (1,) * n
+    lo, hi = Fraction(0), None
+    squarings = steps = 0
     while True:
-        lo = _iterated_sqrt_scaled(
-            Fraction(min(sum(row) for row in p_lo)), e_lo, squarings, down=True
-        )
-        hi = _iterated_sqrt_scaled(
-            Fraction(max(sum(row) for row in p_hi)), e_hi, squarings, down=False
-        )
-        best = (lo, hi)
+        bx = [sum(map(mul, row, x)) for row in block]
+        # the smallest and largest ratio bx_i / x_i, compared exactly
+        i_lo = i_hi = 0
+        for i in range(1, n):
+            if bx[i] * x[i_lo] < bx[i_lo] * x[i]:
+                i_lo = i
+            elif bx[i] * x[i_hi] > bx[i_hi] * x[i]:
+                i_hi = i
+        lo = max(lo, Fraction(bx[i_lo], x[i_lo]))
+        top = Fraction(bx[i_hi], x[i_hi])
+        hi = top if hi is None else min(hi, top)
         if hi - lo <= tol:
             return lo, hi, False
-        if squarings >= max_squarings:
-            return best[0], best[1], True
-        p_lo, p_hi = mat_mul(p_lo, p_lo), mat_mul(p_hi, p_hi)
-        e_lo, e_hi = 2 * e_lo, 2 * e_hi
-        top = max(max(row) for row in p_hi)
-        shift = max(0, top.bit_length() - _PREC)
-        if shift:
-            p_lo, e_lo = _shift_floor(p_lo, shift), e_lo + shift
-            p_hi, e_hi = _shift_ceil(p_hi, shift), e_hi + shift
-        squarings += 1
+        steps += 1
+        if steps % n == 0:
+            if squarings >= max_squarings:
+                return lo, hi, True
+            power = _round_up(mat_mul(power, power))
+            squarings += 1
+        x = _round_up((tuple(sum(map(mul, row, x)) for row in power),))[0]
 
 
 def radius_bracket(matrix, tol) -> RadiusBracket:
@@ -384,7 +439,7 @@ def radius_bracket(matrix, tol) -> RadiusBracket:
 
     The support digraph is split into strongly connected components; the
     radius is the maximum over the diagonal blocks, each of which is
-    irreducible and therefore pinched by row sums of its repeated squares.
+    irreducible and therefore pinched by Collatz-Wielandt bounds.
     """
     _check_nonnegative(matrix)
     tol = Fraction(tol)

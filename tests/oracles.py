@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive and shares no code path with the
 package: token-level string rewriting, cofactor-expansion determinants,
-set-based factor counting.
+the Faddeev-LeVerrier recursion, set-based factor counting.
 """
 
 from fractions import Fraction
@@ -84,6 +84,26 @@ def naive_charpoly(matrix) -> list[int]:
     ]
     asc = _det_poly(entries)
     return list(reversed(asc))
+
+
+def faddeev_leverrier_charpoly(matrix) -> list[int]:
+    """det(xI - M), leading coefficient first, by the Faddeev-LeVerrier
+    recursion: A_1 = M, c_k = -tr(A_k) / k, A_(k+1) = M (A_k + c_k I)."""
+    n = len(matrix)
+    coeffs = [1]
+    aux = [list(row) for row in matrix]
+    for k in range(1, n + 1):
+        trace = sum(aux[i][i] for i in range(n))
+        assert trace % k == 0, "oracle: Faddeev-LeVerrier division failed"
+        c = -(trace // k)
+        coeffs.append(c)
+        if k < n:
+            shifted = [[aux[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+            aux = [
+                [sum(matrix[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+    return coeffs
 
 
 def naive_bool_power_positive(matrix, exponent: int) -> bool:

@@ -243,6 +243,19 @@ class TestAnalyze:
         with pytest.raises(InternalCheckError, match="anagram degree 7"):
             analyze(anagram7)
 
+    def test_irrational_root_next_to_automatic_is_an_internal_error(
+        self, istrail, xzy, monkeypatch
+    ):
+        # istrail is certified by the eigenvector stage; a patched
+        # irrationality stage that also succeeds contradicts it
+        from morphauto import criteria
+
+        irrational = irrationality_verdict(xzy.morphism)
+        assert irrational is not None
+        monkeypatch.setattr(criteria, "irrationality_verdict", lambda m, tol: irrational)
+        with pytest.raises(InternalCheckError, match="stage eigenvector certified"):
+            analyze(istrail)
+
     def test_report_json_shape(self, lysenok):
         report = analyze(lysenok)
         data = report.to_json(lysenok)

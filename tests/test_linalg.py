@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,14 @@ from morphauto import (
     radius_bracket,
     spectral_report,
 )
-from morphauto.linalg import _radius_sign
+from morphauto.linalg import InternalArithmeticError, _radius_sign
 
-from oracles import bisect_root, naive_bool_power_positive, naive_charpoly
+from oracles import (
+    bisect_root,
+    faddeev_leverrier_charpoly,
+    naive_bool_power_positive,
+    naive_charpoly,
+)
 
 
 class TestIncidence:
@@ -78,6 +84,28 @@ class TestCharPoly:
         cubed = incidence(base.power(3)).matrix
         assert char_poly(cubed).coeffs == (1, -7, 12, -8)
         assert list(char_poly(cubed).coeffs) == naive_charpoly(cubed)
+
+    def test_against_faddeev_leverrier(self):
+        # signed entries, so the lift must produce negative and positive
+        # coefficients; the 2^200 entries need several primes of the table
+        rng = random.Random(31337)
+        for n, span in [(1, 5), (2, 5), (3, 9), (5, 3), (8, 2**200), (13, 4), (21, 3), (32, 2)]:
+            for _ in range(3):
+                m = tuple(tuple(rng.randint(-span, span) for _ in range(n)) for _ in range(n))
+                assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+
+    def test_singular_and_hessenberg_shapes(self):
+        # zero columns below the diagonal make the Hessenberg reduction skip
+        # steps; a nilpotent shift and a repeated row make it hit zero pivots
+        shift = tuple(tuple(int(j == i + 1) for j in range(6)) for i in range(6))
+        assert char_poly(shift).coeffs == (1, 0, 0, 0, 0, 0, 0)
+        for m in (((1, 2, 3), (1, 2, 3), (4, 5, 6)), ((0, 0, 7), (0, 0, 0), (1, 0, 0))):
+            assert list(char_poly(m).coeffs) == naive_charpoly(m)
+
+    def test_bound_beyond_the_prime_table_raises(self):
+        # |c_1| <= 2^200000 needs more bits than the whole prime table holds
+        with pytest.raises(InternalArithmeticError, match="bound"):
+            char_poly(((2**200000, 0), (0, 1)))
 
 
 class TestIntegerRoots:
@@ -163,6 +191,13 @@ class TestPrimitivity:
         assert is_primitive(((5,),))
         assert not is_primitive(((0,),))
 
+    def test_random_against_oracle_exponent(self):
+        rng = random.Random(2718)
+        for _ in range(300):
+            r = rng.randint(1, 6)
+            m = tuple(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(r)) for _ in range(r))
+            assert is_primitive(m) == naive_bool_power_positive(m, r * r - 2 * r + 2)
+
 
 class TestRadiusBracket:
     def test_tm_cube_is_exact(self, tm_cube):
@@ -196,6 +231,44 @@ class TestRadiusBracket:
         for tol in (Fraction(1, 10), Fraction(1, 10**9)):
             br = radius_bracket(m, tol)
             assert br.width <= tol and not br.loose
+
+    def test_random_block_triangular_brackets_hold_exactly(self):
+        # known irreducible blocks, some periodic, coupled above the
+        # diagonal and permuted; rho is the largest block radius
+        rng = random.Random(4242)
+        tol = Fraction(1, 10**6)
+        for _ in range(150):
+            blocks, size = [], rng.randint(1, 10)
+            while sum(map(len, blocks)) < size:
+                blocks.append(_random_irreducible_block(rng))
+            m = _permuted(_block_triangular(blocks, rng), _shuffled(rng, sum(map(len, blocks))))
+            br = radius_bracket(m, tol)
+            assert br.width <= tol and not br.loose
+            _assert_bracket_holds(br, blocks)
+
+    def test_small_gap_cycles(self):
+        # the r-cycle is periodic with rho = 1; a self-loop makes it
+        # primitive with a spectral gap that shrinks as r grows
+        tol = Fraction(1, 10**6)
+        for r in (2, 3, 5, 8, 13, 21, 32):
+            cycle = tuple(tuple(int(i == (j + 1) % r) for j in range(r)) for i in range(r))
+            looped = tuple(
+                tuple(entry + (i == j == 0) for j, entry in enumerate(row))
+                for i, row in enumerate(cycle)
+            )
+            for m in (cycle, looped):
+                br = radius_bracket(m, tol)
+                assert br.width <= tol and not br.loose
+                _assert_bracket_holds(br, [m])
+
+    def test_perron_vector_beyond_working_precision_stays_sound(self):
+        # the Perron vector's entries differ by about 2^120, more than the
+        # iterate keeps: the bracket is loose but holds, and the iterate's
+        # small entries are rounded up rather than to zero
+        m = ((2**120, 1), (1, 0))
+        br = radius_bracket(m, Fraction(1, 10**6))
+        assert br.loose
+        _assert_bracket_holds(br, [m])
 
 
 class TestSpectralReport:
@@ -237,6 +310,64 @@ TWO_PLUS_FIB = ((2, 0, 0), (0, 1, 1), (0, 1, 0))
 
 def _permuted(m, perm):
     return tuple(tuple(m[perm[i]][perm[j]] for j in range(len(m))) for i in range(len(m)))
+
+
+def _shuffled(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def _random_irreducible_block(rng):
+    n = rng.randint(1, 4)
+    kind = rng.choice(("dense", "cycle", "bipartite"))
+    if n == 1:
+        return ((rng.randint(0, 3),),)
+    if kind == "bipartite":
+        # [[0, A], [B, 0]] with A, B positive: irreducible of period 2
+        h = n // 2 + 1
+        rows = [[0] * (2 * h) for _ in range(2 * h)]
+        for i in range(h):
+            for j in range(h):
+                rows[i][h + j] = rng.randint(1, 3)
+                rows[h + i][j] = rng.randint(1, 3)
+        return tuple(map(tuple, rows))
+    # a weighted n-cycle (period n, rho = the geometric mean of the
+    # weights) or that cycle plus random entries
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        rows[(j + 1) % n][j] = rng.randint(1, 3)
+        if kind == "dense":
+            for i in range(n):
+                rows[i][j] += rng.choice((0, 0, 1, 2))
+    return tuple(map(tuple, rows))
+
+
+def _block_triangular(blocks, rng):
+    n = sum(map(len, blocks))
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        k = len(block)
+        for i in range(k):
+            for j in range(k):
+                rows[start + i][start + j] = block[i][j]
+            for j in range(start + k, n):
+                rows[start + i][j] = rng.choice((0, 0, 1, 5))
+        start += k
+    return tuple(map(tuple, rows))
+
+
+def _assert_bracket_holds(br, blocks):
+    """lo <= rho <= hi, decided exactly: rho >= p/q iff some block B has
+    rho(qB) >= p, and rho <= p/q iff every block has rho(qB) <= p."""
+
+    def signs(value):
+        q, p = value.denominator, value.numerator
+        return [_radius_sign(tuple(tuple(q * e for e in row) for row in b), p) for b in blocks]
+
+    assert max(signs(br.lo)) >= 0
+    assert max(signs(br.hi)) <= 0
 
 
 class TestRadiusSign:
