@@ -17,7 +17,6 @@ from .constructions import (
     BlockConstructionError,
     CriterionNotSatisfied,
     CupParams,
-    UniformRepresentation,
     block_morphism,
     cup_transform,
     minimize_uniform,
@@ -64,8 +63,7 @@ def cmd_uniformize(args) -> int:
     except CriterionNotSatisfied as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CRITERION
-    if spec.coding is not None:
-        rep = UniformRepresentation(rep.morphism, spec.coding.after(rep.coding), rep.seed)
+    rep = rep.with_outer_coding(spec.coding)
     if args.minimize:
         rep = minimize_uniform(rep)
     text = rep.to_morph_text(
@@ -146,9 +144,9 @@ def corpus_dir() -> Path:
 
 def _corpus_entries(directory: Path):
     for morph_path in sorted(directory.glob("*.morph")):
-        expected_path = morph_path.with_suffix("").with_suffix(".expected.json")
+        expected_path = morph_path.parent / (morph_path.stem + ".expected.json")
         if not expected_path.exists():
-            expected_path = morph_path.parent / (morph_path.stem + ".expected.json")
+            raise ValueError(f"{morph_path.name} has no expectation file {expected_path.name}")
         yield morph_path.stem, morph_path, expected_path
 
 

@@ -52,8 +52,21 @@ class UniformRepresentation:
     def q(self) -> int:
         return self.morphism.uniform_length
 
+    @property
+    def output_alphabet(self) -> Alphabet:
+        return self.coding.target
+
     def to_spec(self) -> MorphicSpec:
         return MorphicSpec(self.morphism, self.seed, self.coding)
+
+    def with_outer_coding(self, outer: Coding | None) -> "UniformRepresentation":
+        """The same representation with ``outer`` applied after its coding."""
+        if outer is None:
+            return self
+        return UniformRepresentation(self.morphism, outer.after(self.coding), self.seed)
+
+    def coded_prefix(self, n: int) -> Word:
+        return self.to_spec().coded_prefix(n)
 
     def prefix(self, n: int) -> tuple[str, ...]:
         return self.to_spec().prefix(n)
@@ -251,8 +264,7 @@ class BlockMorphism:
         return tuple(out[:n])
 
     def prefix(self, n: int) -> tuple[str, ...]:
-        letters = self.source.alphabet.letters
-        return tuple(letters[c] for c in self.flatten_prefix(n))
+        return self.source.alphabet.tokens(self.flatten_prefix(n))
 
     def rules_text(self) -> str:
         a = self.morphism.alphabet

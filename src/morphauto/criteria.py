@@ -1,12 +1,18 @@
 """Automaticity decision procedures and the orchestrating analyzer.
 
-The pipeline tries, in order: already uniform; left-eigenvector criterion;
-induced k-block morphisms; the irrational-dominant obstruction.  The
-anagram decomposition runs as a cross-check of the eigenvector stage.  The
-first success fixes the verdict, every stage's outcome is recorded, and
-every Automatic verdict ships a certificate that is replayed against the
-input prefix before it is returned.  When nothing applies the verdict is an
-honest Unknown carrying complexity evidence.
+``analyze`` runs a table of stages in order: already uniform; the
+left-eigenvector criterion, which also runs the anagram decomposition as
+its cross-check (an anagram degree d >= 2 must equal its q); induced
+k-block morphisms; the irrational-dominant obstruction.  Every stage's
+outcome is recorded.  A stage that needs a non-erasing morphism is recorded
+as skipped on an erasing one.  The first verdict wins: a later Automatic
+stage records its success without building a certificate, and any later
+stage that returns a verdict of its own is a contradiction and raises
+``InternalCheckError``.  Every Automatic verdict ships a certificate that is
+replayed before it is returned: it must write over the same output alphabet
+as the input and produce the same coded letter indices up to the
+verification depth.  When no stage decides, the verdict is an honest
+Unknown carrying complexity evidence.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from fractions import Fraction
 from .constructions import (
     BlockConstructionError,
     BlockMorphism,
-    UniformRepresentation,
     block_morphism,
     minimize_uniform,
     representation_from_spec,
@@ -33,6 +38,7 @@ from .linalg import (
 )
 from .sequences import ComplexityProfile, factor_complexity, sturmian_witness
 from .words import (
+    Alphabet,
     Coding,
     InternalCheckError,
     Morphism,
@@ -180,12 +186,16 @@ class BlockCertificate:
     base: int
     coding: Coding | None
 
-    def prefix(self, n: int) -> tuple[str, ...]:
+    @property
+    def output_alphabet(self) -> Alphabet:
+        return self.block.source.alphabet if self.coding is None else self.coding.target
+
+    def coded_prefix(self, n: int) -> Word:
         word = self.block.flatten_prefix(n)
-        if self.coding is not None:
-            word = self.coding.apply(word)
-            return tuple(self.coding.target.letters[c] for c in word)
-        return tuple(self.block.source.alphabet.letters[c] for c in word)
+        return word if self.coding is None else self.coding.apply(word)
+
+    def prefix(self, n: int) -> tuple[str, ...]:
+        return self.output_alphabet.tokens(self.coded_prefix(n))
 
 
 @dataclass(frozen=True)
@@ -345,14 +355,12 @@ class AnalysisReport:
 # the orchestrator
 
 def _verify_certificate(spec: MorphicSpec, certificate, depth: int) -> None:
-    if spec.prefix(depth) != certificate.prefix(depth):
+    """Replay a certificate: the same output alphabet, and the same coded
+    letter indices on the first ``depth`` letters."""
+    if certificate.output_alphabet != spec.output_alphabet:
+        raise InternalCheckError("certificate writes over another output alphabet")
+    if spec.coded_prefix(depth) != certificate.coded_prefix(depth):
         raise InternalCheckError("certificate disagrees with the input fixed point")
-
-
-def _with_external_coding(rep: UniformRepresentation, coding: Coding | None) -> UniformRepresentation:
-    if coding is None:
-        return rep
-    return UniformRepresentation(rep.morphism, coding.after(rep.coding), rep.seed)
 
 
 def _common_base(q: int, k: int) -> int | None:
@@ -387,6 +395,129 @@ def _invariant_subalphabets(m: Morphism) -> list[tuple[int, ...]]:
     return found
 
 
+# Each stage takes (spec, options, decided) and returns its outcomes and an
+# optional verdict.  ``decided`` says a verdict is already fixed: an
+# Automatic stage then records its success without building a certificate.
+
+def _uniform_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+    k = spec.morphism.uniform_length
+    if k is None or k < 2:
+        return [StageOutcome("uniform", "no", "image lengths differ")], None
+    outcome = StageOutcome("uniform", "success", f"all images have length {k}")
+    if decided:
+        return [outcome], None
+    return [outcome], Verdict.automatic(k, representation_from_spec(spec), "uniform", opts.depth)
+
+
+def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+    """The left-eigenvector criterion, the gcd note on two letters, and the
+    anagram decomposition as a cross-check: when it holds, L*M = d*L, so
+    this stage has found q = d."""
+    m = spec.morphism
+    q = eigenvector_criterion(m)
+    verdict = None
+    if q is None:
+        product = tuple(sum(m.lengths[c] for c in img) for img in m.images)
+        detail = f"L*M = {product} is not a rational multiple >= 2 of L = {m.lengths}"
+        outcomes = [StageOutcome("eigenvector", "no", detail)]
+    else:
+        detail = f"length vector is a left eigenvector with eigenvalue {q}"
+        outcomes = [StageOutcome("eigenvector", "success", detail, {"q": q})]
+        if not decided:
+            rep = reshuffle_uniformize(m, spec.seed, q).with_outer_coding(spec.coding)
+            verdict = Verdict.automatic(q, minimize_uniform(rep), "eigenvector", opts.depth)
+    # the obstruction needs both letters to occur in the images
+    if len(m.alphabet) == 2 and {c for img in m.images for c in img} == {0, 1} and gcd_obstruction(m):
+        outcomes.append(
+            StageOutcome(
+                "gcd-obstruction",
+                "info",
+                "coprime image lengths: the eigenvector criterion cannot hold",
+            )
+        )
+    cert = anagram_decomposition(m)
+    if cert is None:
+        outcomes.append(StageOutcome("anagram", "no", "no block length yields anagram blocks"))
+        return outcomes, verdict
+    if cert.degree >= 2 and q != cert.degree:
+        raise InternalCheckError(f"anagram degree {cert.degree} but eigenvector stage gave q={q}")
+    outcomes.append(
+        StageOutcome(
+            "anagram",
+            "success",
+            f"blocks of length {cert.block_length} over W = "
+            f"{{{', '.join(cert.anagram_tokens())}}}, degree d={cert.degree}",
+            cert.to_json(),
+        )
+    )
+    return outcomes, verdict
+
+
+def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+    partial = None
+    failures = []
+    for k in range(2, opts.kmax + 1):
+        try:
+            blk = block_morphism(spec, k)
+        except BlockConstructionError as exc:
+            failures.append(f"k={k}: {exc}")
+            continue
+        q = blk.morphism.uniform_length
+        if q is None or q < 2:
+            failures.append(f"k={k}: induced morphism not uniform")
+            continue
+        base = _common_base(q, k)
+        if base is None:
+            if partial is None:
+                partial = StageOutcome(
+                    "block",
+                    "info",
+                    f"partial: k={k} gives a {q}-uniform block morphism but no "
+                    "common power base; block sequence automaticity only",
+                    {"k": k, "uniform_length": q, "rules": blk.rules_text()},
+                )
+            continue
+        outcome = StageOutcome(
+            "block",
+            "success",
+            f"k={k}: induced morphism {blk.rules_text()} is {q}-uniform; common base {base}",
+            {"k": k, "uniform_length": q, "base": base, "rules": blk.rules_text()},
+        )
+        if decided:
+            return [outcome], None
+        cert = BlockCertificate(blk, base, spec.coding)
+        return [outcome], Verdict.automatic(base, cert, "block", opts.depth)
+    return [partial or StageOutcome("block", "no", "; ".join(failures) or "no block structure")], None
+
+
+def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+    if spec.coding is not None and not spec.coding.is_injective:
+        # a coding that merges letters can make the coded word's letter
+        # frequencies rational even when the Perron root is irrational
+        detail = "non-injective coding: the obstruction holds for the uncoded fixed point only"
+        return [StageOutcome("irrationality", "skipped", detail)], None
+    report = irrationality_verdict(spec.morphism, opts.tol)
+    if report is None:
+        detail = "needs a primitive, non-uniform morphism with irrational dominant eigenvalue"
+        return [StageOutcome("irrationality", "no", detail)], None
+    outcome = StageOutcome(
+        "irrationality",
+        "success",
+        f"primitive, charpoly {report.char_poly} has no integer dominant root",
+        report.to_json(),
+    )
+    return [outcome], Verdict.not_automatic(report, "irrationality")
+
+
+# (stage names it records, stage function, needs a non-erasing morphism)
+_STAGES = (
+    (("uniform",), _uniform_stage, False),
+    (("eigenvector", "anagram"), _eigenvector_stage, True),
+    (("block",), _block_stage, False),
+    (("irrationality",), _irrationality_stage, True),
+)
+
+
 def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> AnalysisReport:
     opts = options or AnalyzeOptions()
     m = spec.morphism
@@ -397,175 +528,24 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
 
     stages: list[StageOutcome] = []
     verdict: Verdict | None = None
-
-    # 1. already uniform
-    k_uniform = m.uniform_length
-    if k_uniform is not None and k_uniform >= 2:
-        cert = representation_from_spec(spec)
-        _verify_certificate(spec, cert, opts.depth)
-        stages.append(
-            StageOutcome("uniform", "success", f"all images have length {k_uniform}")
-        )
-        verdict = verdict or Verdict.automatic(k_uniform, cert, "uniform", opts.depth)
-    else:
-        stages.append(StageOutcome("uniform", "no", "image lengths differ"))
-
-    # 2. left-eigenvector criterion
-    erasing = m.is_erasing
-    if erasing:
-        stages.append(StageOutcome("eigenvector", "skipped", "erasing morphism"))
-    else:
-        inc = incidence(m)
-        q = eigenvector_criterion(m)
-        if q is None:
-            product = [sum(inc.length_vector[i] * inc.matrix[i][j] for i in range(inc.dim)) for j in range(inc.dim)]
-            stages.append(
-                StageOutcome(
-                    "eigenvector",
-                    "no",
-                    f"L*M = {tuple(product)} is not a rational multiple >= 2 of L = {inc.length_vector}",
-                )
-            )
-        else:
-            stages.append(
-                StageOutcome(
-                    "eigenvector",
-                    "success",
-                    f"length vector is a left eigenvector with eigenvalue {q}",
-                    {"q": q},
-                )
-            )
-            if verdict is None:
-                rep = _with_external_coding(reshuffle_uniformize(m, spec.seed, q), spec.coding)
-                cert = minimize_uniform(rep)
-                _verify_certificate(spec, cert, opts.depth)
-                verdict = Verdict.automatic(q, cert, "eigenvector", opts.depth)
-        every_letter_occurs = all(any(row) for row in inc.matrix)
-        if len(m.alphabet) == 2 and every_letter_occurs and gcd_obstruction(m):
-            stages.append(
-                StageOutcome(
-                    "gcd-obstruction",
-                    "info",
-                    "coprime image lengths: the eigenvector criterion cannot hold",
-                )
-            )
-
-    # 3. anagram decomposition, a cross-check: when it holds, L*M = d*L, so
-    # the eigenvector stage has already decided with q = d
-    if erasing:
-        stages.append(StageOutcome("anagram", "skipped", "erasing morphism"))
-    else:
-        cert = anagram_decomposition(m)
-        if cert is None:
-            stages.append(StageOutcome("anagram", "no", "no block length yields anagram blocks"))
-        else:
-            stages.append(
-                StageOutcome(
-                    "anagram",
-                    "success",
-                    f"blocks of length {cert.block_length} over W = "
-                    f"{{{', '.join(cert.anagram_tokens())}}}, degree d={cert.degree}",
-                    cert.to_json(),
-                )
-            )
-            if cert.degree >= 2 and q != cert.degree:
-                raise InternalCheckError(
-                    f"anagram degree {cert.degree} but eigenvector stage gave q={q}"
-                )
-
-    # 4. induced block morphisms
-    block_hit = None
-    partial = None
-    failures = []
-    for k in range(2, opts.kmax + 1):
-        try:
-            blk = block_morphism(spec, k)
-        except BlockConstructionError as exc:
-            failures.append(f"k={k}: {exc}")
+    for names, run, needs_non_erasing in _STAGES:
+        if needs_non_erasing and m.is_erasing:
+            stages.extend(StageOutcome(name, "skipped", "erasing morphism") for name in names)
             continue
-        q_block = blk.morphism.uniform_length
-        if q_block is None or q_block < 2:
-            failures.append(f"k={k}: induced morphism not uniform")
+        outcomes, claim = run(spec, opts, verdict is not None)
+        stages.extend(outcomes)
+        if claim is None:
             continue
-        base = _common_base(q_block, k)
-        if base is None:
-            if partial is None:
-                partial = (k, q_block, blk)
-            failures.append(
-                f"k={k}: {q_block}-uniform block morphism but no common base with k"
+        if verdict is not None:
+            raise InternalCheckError(
+                f"stage {verdict.provenance} certified {verdict.kind}, "
+                f"but stage {claim.provenance} decided {claim.kind}"
             )
-            continue
-        block_hit = (k, q_block, base, blk)
-        break
-    if block_hit is not None:
-        k, q_block, base, blk = block_hit
-        stages.append(
-            StageOutcome(
-                "block",
-                "success",
-                f"k={k}: induced morphism {blk.rules_text()} is {q_block}-uniform; "
-                f"common base {base}",
-                {"k": k, "uniform_length": q_block, "base": base, "rules": blk.rules_text()},
-            )
-        )
-        if verdict is None:
-            cert = BlockCertificate(blk, base, spec.coding)
-            _verify_certificate(spec, cert, opts.depth)
-            verdict = Verdict.automatic(base, cert, "block", opts.depth)
-    elif partial is not None:
-        k, q_block, blk = partial
-        stages.append(
-            StageOutcome(
-                "block",
-                "info",
-                f"partial: k={k} gives a {q_block}-uniform block morphism but no "
-                "common power base; block sequence automaticity only",
-                {"k": k, "uniform_length": q_block, "rules": blk.rules_text()},
-            )
-        )
-    else:
-        stages.append(StageOutcome("block", "no", "; ".join(failures) or "no block structure"))
+        if claim.kind == AUTOMATIC:
+            _verify_certificate(spec, claim.certificate, opts.depth)
+        verdict = claim
 
-    # 5. irrational dominant eigenvalue
-    if erasing:
-        stages.append(StageOutcome("irrationality", "skipped", "erasing morphism"))
-    elif spec.coding is not None and not spec.coding.is_injective:
-        # a coding that merges letters can make the coded word's letter
-        # frequencies rational even when the Perron root is irrational
-        stages.append(
-            StageOutcome(
-                "irrationality",
-                "skipped",
-                "non-injective coding: the obstruction holds for the uncoded fixed point only",
-            )
-        )
-    else:
-        report = irrationality_verdict(m, opts.tol)
-        if report is None:
-            stages.append(
-                StageOutcome(
-                    "irrationality",
-                    "no",
-                    "needs a primitive, non-uniform morphism with irrational dominant eigenvalue",
-                )
-            )
-        else:
-            if verdict is not None:
-                raise InternalCheckError(
-                    f"stage {verdict.provenance} certified an automatic sequence, but the "
-                    "irrationality stage found an irrational dominant eigenvalue"
-                )
-            stages.append(
-                StageOutcome(
-                    "irrationality",
-                    "success",
-                    f"primitive, charpoly {report.char_poly} has no integer dominant root",
-                    report.to_json(),
-                )
-            )
-            verdict = Verdict.not_automatic(report, "irrationality")
-
-    # 6. evidence for an honest Unknown
+    # evidence for an honest Unknown
     if verdict is None:
         profile = factor_complexity(spec, opts.evidence_nmax, opts.evidence_prefix)
         witnesses = []

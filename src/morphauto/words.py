@@ -97,6 +97,9 @@ class Alphabet:
         sep = "" if self.single_char else " "
         return sep.join(self.letters[i] for i in word)
 
+    def tokens(self, word: Word) -> tuple[str, ...]:
+        return tuple(self.letters[i] for i in word)
+
 
 def parikh_vector(word: Word, alphabet: Alphabet | int) -> tuple[int, ...]:
     """Occurrence count of every letter in ``word``, in alphabet order."""
@@ -309,13 +312,14 @@ class MorphicSpec:
             i += 1
         return tuple(buf[:n])
 
+    def coded_prefix(self, n: int) -> Word:
+        """First ``n`` output letters, as indices into the output alphabet."""
+        w = self.uncoded_prefix(n)
+        return w if self.coding is None else self.coding.apply(w)
+
     def prefix(self, n: int) -> tuple[str, ...]:
         """First ``n`` output letters, as tokens of the output alphabet."""
-        w = self.uncoded_prefix(n)
-        if self.coding is not None:
-            w = self.coding.apply(w)
-        letters = self.output_alphabet.letters
-        return tuple(letters[c] for c in w)
+        return self.output_alphabet.tokens(self.coded_prefix(n))
 
     def to_morph_text(self, comments: Iterable[str] = ()) -> str:
         """Serialise back to the ``.morph`` format (re-ingestible)."""

@@ -159,7 +159,7 @@ class TestCorpusCommand:
         # every automatic entry
         assert main(["corpus", "--run"]) == 0
         out = capsys.readouterr().out
-        assert "all 35 corpus entries match" in out
+        assert "all 37 corpus entries match" in out
 
     def test_listing(self, capsys):
         assert main(["corpus"]) == 0
@@ -175,6 +175,22 @@ class TestCorpusCommand:
         assert main(["corpus", "--run", "--dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "FAIL lysenok" in out and "automatic != expected not_automatic" in out
+
+    def test_expectation_is_paired_by_full_stem(self, tmp_path, corpus_path, capsys):
+        # lysenok.v2.morph must not pick up lysenok.expected.json
+        for source, name in (("lysenok", "lysenok"), ("thue_morse", "lysenok.v2")):
+            for suffix in (".morph", ".expected.json"):
+                text = (corpus_path / f"{source}{suffix}").read_text(encoding="utf-8")
+                (tmp_path / f"{name}{suffix}").write_text(text, encoding="utf-8")
+        assert main(["corpus", "--run", "--dir", str(tmp_path)]) == 0
+        assert "all 2 corpus entries match" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("run", [[], ["--run"]])
+    def test_missing_expectation_exit_2(self, tmp_path, corpus_path, capsys, run):
+        text = (corpus_path / "fibonacci.morph").read_text(encoding="utf-8")
+        (tmp_path / "lonely.morph").write_text(text, encoding="utf-8")
+        assert main(["corpus", *run, "--dir", str(tmp_path)]) == 2
+        assert "no expectation file lonely.expected.json" in capsys.readouterr().err
 
     def test_empty_corpus_warns(self, tmp_path, capsys):
         assert main(["corpus", "--run", "--dir", str(tmp_path)]) == 0

@@ -4,6 +4,7 @@ import pytest
 
 from morphauto import (
     Alphabet,
+    Coding,
     Morphism,
     MorphicSpec,
     InternalCheckError,
@@ -15,6 +16,50 @@ from morphauto import (
     irrationality_verdict,
     parse_morphism,
 )
+from morphauto.constructions import UniformRepresentation
+from morphauto.criteria import _verify_certificate
+
+# The (name, status) of every stage analyze records on each corpus entry, in
+# order: this pins skips, cross-checks and info stages, not only verdicts.
+CORPUS_STAGES = {
+    "a284775": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
+    "a284878": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a284905": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a284912": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a284935": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
+    "a285159": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
+    "a285162": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
+    "a285249": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a285252": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a285255": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a285258": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a285305": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a285345": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
+    "ab_omega": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:no evidence:info",
+    "abc_cycle_cube": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
+    "acaba": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
+    "anagram7": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "bartholdi": "uniform:no eigenvector:no anagram:no block:no irrationality:no evidence:info",
+    "benli": "uniform:no eigenvector:no anagram:no block:no irrationality:no evidence:info",
+    "berstel": "uniform:success eigenvector:success anagram:no block:success irrationality:skipped",
+    "fib_bc": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
+    "fib_cd": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
+    "fib_constant": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:skipped evidence:info",
+    "fibonacci": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
+    "grig_aba": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
+    "grig_aca_aba": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
+    "istrail": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
+    "lysenok": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
+    "lysenok_psi": "uniform:success eigenvector:success anagram:no block:success irrationality:no",
+    "muntyan_cube": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
+    "muntyan_pd": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
+    "nekra_blocks": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
+    "nekrashevych_cube": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
+    "period_doubling": "uniform:success eigenvector:success anagram:no block:success irrationality:no",
+    "thue_morse": "uniform:success eigenvector:success anagram:success block:success irrationality:no",
+    "tm_cube": "uniform:success eigenvector:success anagram:success block:success irrationality:no",
+    "xzy": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
+}
 
 
 class TestEigenvectorCriterion:
@@ -264,3 +309,27 @@ class TestAnalyze:
         assert {s["name"] for s in data["stages"]} >= {"uniform", "block"}
         assert data["input"]["incidence"]["matrix"][0] == ["2", "0", "0", "0"]
         assert data["input"]["incidence"]["length_vector"] == ["3", "1", "1", "1"]
+
+    def test_corpus_stage_records(self, corpus_path):
+        names = sorted(path.stem for path in corpus_path.glob("*.morph"))
+        assert names == sorted(CORPUS_STAGES)
+        for name in names:
+            spec = parse_morphism((corpus_path / f"{name}.morph").read_text(encoding="utf-8"))
+            record = " ".join(f"{s.name}:{s.status}" for s in analyze(spec).stages)
+            assert record == CORPUS_STAGES[name], name
+
+
+class TestVerifyCertificate:
+    def test_certificate_of_another_sequence(self, thue_morse, period_doubling):
+        cert = analyze(period_doubling).verdict.certificate
+        with pytest.raises(InternalCheckError, match="disagrees"):
+            _verify_certificate(thue_morse, cert, 5000)
+
+    def test_same_indices_over_a_relabelled_alphabet(self, thue_morse):
+        # the coded letter indices agree, the letters they stand for do not
+        cert = analyze(thue_morse).verdict.certificate
+        swapped = Coding(cert.coding.source, Alphabet(("1", "0")), cert.coding.table)
+        relabelled = UniformRepresentation(cert.morphism, swapped, cert.seed)
+        assert relabelled.coded_prefix(5000) == thue_morse.coded_prefix(5000)
+        with pytest.raises(InternalCheckError, match="output alphabet"):
+            _verify_certificate(thue_morse, relabelled, 5000)
