@@ -1,9 +1,12 @@
-"""Prefix generation helpers, factor complexity and letter frequencies.
+"""Prefix comparison, factor complexity and letter frequencies.
 
 This is the evidence layer: finite-prefix computations that verify
 certificates and attach empirical witnesses to otherwise undecided inputs.
-Complexity counts over a finite prefix are lower bounds on the true factor
-complexity and are labelled as such.
+``factor_complexity``, ``sturmian_witness`` and ``empirical_frequencies``
+accept anything with a ``coded_prefix(n)`` method (morphic specs, uniform
+representations, block certificates) and work on that word of output-letter
+indices.  Complexity counts over a finite prefix are lower bounds on the
+true factor complexity and are labelled as such.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import MorphicSpec
+from .words import parikh_vector
 
 VALIDITY_FACTOR = 4  # required ratio between prefix length and window size
 
@@ -55,6 +58,15 @@ def factor_complexity(spec, n_max: int = 30, prefix_length: int = 10_000) -> Com
 
     The prefix must be at least four times as long as the window, a margin
     against the worst undercounting near the end of the prefix.
+
+    The counts come from the distinct windows ``word[i : i + n_max]`` of the
+    coded prefix (the last ``n_max - 1`` of them are shorter): every factor
+    of length n is the n-prefix of the window at its start, and that window
+    is at least n long.  A fixed point of a morphism, coded or not, has
+    O(n_max^2) distinct factors of length n_max (Pansiot 1984), so there
+    are few windows, and the cost is one pass over the prefix plus
+    O(n_max^2) per distinct window.  Each p(n) is still only a lower bound:
+    it counts the factors that occur in this prefix.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -63,30 +75,31 @@ def factor_complexity(spec, n_max: int = 30, prefix_length: int = 10_000) -> Com
             f"prefix length {prefix_length} is too short for windows up to {n_max}; "
             f"need at least {VALIDITY_FACTOR * n_max}"
         )
-    word = spec.prefix(prefix_length)
-    counts = []
-    for n in range(1, n_max + 1):
-        counts.append(len({word[i : i + n] for i in range(len(word) - n + 1)}))
-    return ComplexityProfile(n_max, tuple(counts), prefix_length)
+    word = spec.coded_prefix(prefix_length)
+    windows = {word[i : i + n_max] for i in range(len(word))}
+    counts = tuple(
+        len({w[:n] for w in windows if len(w) >= n}) for n in range(1, n_max + 1)
+    )
+    return ComplexityProfile(n_max, counts, prefix_length)
 
 
 def sturmian_witness(
     spec, n_max: int = 30, prefix_length: int = 10_000
 ) -> tuple[bool, ComplexityProfile]:
-    """Evidence (not proof) of Sturmian complexity: p(n) == n + 1 up to n_max."""
+    """Evidence (not proof) of Sturmian complexity: p(n) == n + 1 up to n_max.
+
+    The profile is ``factor_complexity(spec, n_max, prefix_length)``, so the
+    witness speaks for that prefix only.
+    """
     profile = factor_complexity(spec, n_max, prefix_length)
     ok = all(profile.p(n) == n + 1 for n in range(1, n_max + 1))
     return ok, profile
 
 
-def empirical_frequencies(spec: MorphicSpec, prefix_length: int) -> tuple[Fraction, ...]:
+def empirical_frequencies(spec, prefix_length: int) -> tuple[Fraction, ...]:
     """Letter counts over a prefix, divided by its length, in output-alphabet
     order."""
     if prefix_length < 1:
         raise ValueError("prefix length must be positive")
-    word = spec.prefix(prefix_length)
-    letters = spec.output_alphabet.letters
-    counts = {tok: 0 for tok in letters}
-    for tok in word:
-        counts[tok] += 1
-    return tuple(Fraction(counts[tok], prefix_length) for tok in letters)
+    counts = parikh_vector(spec.coded_prefix(prefix_length), spec.output_alphabet)
+    return tuple(Fraction(c, prefix_length) for c in counts)

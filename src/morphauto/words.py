@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
+from operator import length_hint
 
 Word = tuple[int, ...]
 
@@ -254,7 +256,8 @@ class Coding:
         return len(set(self.table)) == len(self.table)
 
     def apply(self, word: Word) -> Word:
-        return tuple(self.table[c] for c in word)
+        table = self.table
+        return tuple([table[c] for c in word])
 
     def after(self, inner: "Coding") -> "Coding":
         """self composed after inner (inner's target feeds self's source)."""
@@ -293,8 +296,12 @@ class MorphicSpec:
     def uncoded_prefix(self, n: int) -> Word:
         """First ``n`` letters of the fixed point, before any coding.
 
-        Expansion is lazy: a single growing buffer is expanded letter by
-        letter, never materialising a full power of the morphism.
+        Expansion is lazy: a single growing buffer is expanded in place,
+        never materialising a full power of the morphism.  A list iterator
+        also yields the letters appended to its list while it runs, so
+        ``pending`` walks the letters still to expand.  Each step expands as
+        many of them as cannot overshoot ``n`` (at least one), so the buffer
+        never holds more than ``n`` plus the longest image.
         """
         if n <= 0:
             return ()
@@ -303,13 +310,17 @@ class MorphicSpec:
             raise SpecError(
                 f"seed {self.seed_token!r} is not prolongable; the spec has no infinite fixed point"
             )
-        buf = list(m.image(self.seed))
-        i = 1
+        images = m.images
+        longest = max(m.lengths)
+        buf = list(images[self.seed])
+        extend = buf.extend
+        pending = iter(buf)
+        next(pending)  # position 0 is the seed, whose image is the buffer
         while len(buf) < n:
-            if i >= len(buf):
+            if not length_hint(pending):
                 raise InternalCheckError("fixed-point expansion stalled")
-            buf.extend(m.image(buf[i]))
-            i += 1
+            for letter in islice(pending, max(1, (n - len(buf)) // longest)):
+                extend(images[letter])
         return tuple(buf[:n])
 
     def coded_prefix(self, n: int) -> Word:

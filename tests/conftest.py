@@ -101,6 +101,11 @@ def fib_cd():
 
 
 @pytest.fixture(scope="session")
+def fib_constant():
+    return load("fib_constant")
+
+
+@pytest.fixture(scope="session")
 def benli():
     return load("benli")
 

@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -317,6 +319,15 @@ class TestAnalyze:
             spec = parse_morphism((corpus_path / f"{name}.morph").read_text(encoding="utf-8"))
             record = " ".join(f"{s.name}:{s.status}" for s in analyze(spec).stages)
             assert record == CORPUS_STAGES[name], name
+
+    @pytest.mark.parametrize("name", ["ab_omega", "bartholdi", "benli", "fib_constant"])
+    def test_unknown_reports_are_pinned(self, corpus_path, name):
+        # Full reports, every profile count and subalphabet witness included,
+        # recorded before factor complexity was computed from distinct windows.
+        pinned = json.loads((Path(__file__).parent / "unknown_reports.json").read_text())
+        spec = parse_morphism((corpus_path / f"{name}.morph").read_text(encoding="utf-8"))
+        report = json.loads(json.dumps(analyze(spec).to_json(spec)))
+        assert report == pinned[name]
 
 
 class TestVerifyCertificate:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from morphauto import (
     empirical_frequencies,
@@ -14,6 +16,7 @@ from morphauto import (
 from morphauto.constructions import minimize_uniform, reshuffle_uniformize
 
 from oracles import golden_ratio_frequencies, naive_factor_count, naive_iterate, rules_of
+from strategies import PROPERTY, prolongable_specs
 
 
 class TestPrefixEqual:
@@ -62,6 +65,41 @@ class TestFactorComplexity:
             assert profile.p(n) <= size * profile.p(n - 1)
 
 
+class TestFactorComplexityOracle:
+    @PROPERTY
+    @given(prolongable_specs(), st.data())
+    def test_matches_brute_force_count(self, drawn, data):
+        # Prefixes of at most 200 letters: 200 rewriting rounds of a
+        # prolongable seed always reach them.
+        prefix_length = data.draw(st.integers(4, 200))
+        largest = prefix_length // 4
+        n_max = data.draw(st.one_of(st.just(largest), st.integers(1, largest)))
+        word = drawn.code(naive_iterate(drawn.rules, drawn.seed, prefix_length))
+        profile = factor_complexity(drawn.spec, n_max, prefix_length)
+        assert profile.counts == tuple(naive_factor_count(word, n) for n in range(1, n_max + 1))
+        with pytest.raises(ValueError, match="too short"):
+            factor_complexity(drawn.spec, largest + 1, prefix_length)
+
+    def test_multi_character_tokens(self):
+        text = "letters: x1 x2 yy\nx1 -> x1 x2 yy\nx2 -> yy x1\nyy -> x2\nseed: x1\n"
+        rules = {"x1": ["x1", "x2", "yy"], "x2": ["yy", "x1"], "yy": ["x2"]}
+        word = naive_iterate(rules, "x1", 2000)
+        coded = [{"x1": "p0", "x2": "p0", "yy": "q1"}[t] for t in word]
+        plain = parse_morphism(text)
+        merged = parse_morphism(text + "coding: x1->p0, x2->p0, yy->q1\n")
+        for spec, oracle_word in ((plain, word), (merged, coded)):
+            profile = factor_complexity(spec, n_max=25, prefix_length=2000)
+            assert profile.counts == tuple(
+                naive_factor_count(oracle_word, n) for n in range(1, 26)
+            )
+
+    def test_constant_coded_word(self, fib_constant):
+        profile = factor_complexity(fib_constant, n_max=30, prefix_length=10_000)
+        assert profile.counts == (1,) * 30
+        ok, _ = sturmian_witness(fib_constant, 30, 10_000)
+        assert not ok
+
+
 class TestSturmianWitness:
     def test_fib_bc(self, fib_bc):
         ok, profile = sturmian_witness(fib_bc, 30, 10_000)
@@ -107,6 +145,16 @@ class TestEmpiricalFrequencies:
                 emp = empirical_frequencies(spec, n)
                 bound = Fraction(16, n)
                 assert max(abs(e - p) for e, p in zip(emp, perron)) <= bound
+
+    @PROPERTY
+    @given(prolongable_specs(), st.integers(1, 200))
+    def test_matches_letter_count(self, drawn, n):
+        word = drawn.code(naive_iterate(drawn.rules, drawn.seed, n))
+        # output-alphabet order: the letters, or the targets as the coding line names them
+        order = list(dict.fromkeys(drawn.code(list(drawn.rules))))
+        assert empirical_frequencies(drawn.spec, n) == tuple(
+            Fraction(word.count(tok), n) for tok in order
+        )
 
     def test_sums_to_one(self, lysenok, berstel):
         for spec in (lysenok, berstel):

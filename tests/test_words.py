@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from morphauto import (
     Alphabet,
+    InternalCheckError,
     MorphParseError,
     Morphism,
     SpecError,
@@ -10,6 +13,7 @@ from morphauto import (
 )
 
 from oracles import naive_apply, naive_iterate, rules_of
+from strategies import PROPERTY, prolongable_specs
 
 
 LYSENOK_TEXT = "letters: a b c d\na -> aca\nb -> d\nc -> b\nd -> c\nseed: a"
@@ -217,6 +221,27 @@ class TestFixedPoint:
 
     def test_zero_length_prefix(self, lysenok):
         assert lysenok.prefix(0) == ()
+
+    @PROPERTY
+    @given(prolongable_specs(), st.data())
+    def test_matches_naive_rewriting(self, drawn, data):
+        # A seed that recurs in its own image at least doubles the word per
+        # rewriting round; any other prolongable seed is only sure to add a
+        # letter per round, and the oracle stops after 200 rounds.
+        n = data.draw(st.integers(1, 5000 if drawn.doubling else 200))
+        spec = drawn.spec
+        expected = naive_iterate(drawn.rules, drawn.seed, n)
+        assert list(spec.morphism.alphabet.tokens(spec.uncoded_prefix(n))) == expected
+        assert list(spec.prefix(n)) == drawn.code(expected)
+
+    def test_stalled_expansion_raises(self, monkeypatch):
+        # b is erased, so the fixed point of a -> ab stops at "ab"; with the
+        # prolongability check forced to pass, expansion must still refuse.
+        spec = parse_morphism("letters: a b\na -> a b\nb ->\nseed: a")
+        assert not spec.morphism.is_prolongable(spec.seed)
+        monkeypatch.setattr(Morphism, "is_prolongable", lambda self, letter: True)
+        with pytest.raises(InternalCheckError, match="stalled"):
+            spec.uncoded_prefix(5)
 
 
 class TestParikh:
