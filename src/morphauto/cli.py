@@ -143,6 +143,8 @@ def corpus_dir() -> Path:
 
 
 def _corpus_entries(directory: Path):
+    if not directory.is_dir():
+        raise ValueError(f"corpus directory {directory} does not exist or is not a directory")
     for morph_path in sorted(directory.glob("*.morph")):
         expected_path = morph_path.parent / (morph_path.stem + ".expected.json")
         if not expected_path.exists():

@@ -11,8 +11,9 @@ stage that returns a verdict of its own is a contradiction and raises
 ``InternalCheckError``.  Every Automatic verdict ships a certificate that is
 replayed before it is returned: it must write over the same output alphabet
 as the input and produce the same coded letter indices up to the
-verification depth.  When no stage decides, the verdict is an honest
-Unknown carrying complexity evidence.
+verification depth.  The ``uniform`` stage's certificate is the input
+itself, so its replay is the alphabet check alone.  When no stage decides,
+the verdict is an honest Unknown carrying complexity evidence.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 from .constructions import (
     BlockConstructionError,
     BlockMorphism,
+    UniformRepresentation,
     block_morphism,
     minimize_uniform,
     representation_from_spec,
@@ -356,9 +358,21 @@ class AnalysisReport:
 
 def _verify_certificate(spec: MorphicSpec, certificate, depth: int) -> None:
     """Replay a certificate: the same output alphabet, and the same coded
-    letter indices on the first ``depth`` letters."""
+    letter indices on the first ``depth`` letters.  A certificate that is
+    the input's own representation (its morphism, seed and coding, an
+    identity coding standing for none) generates the same word by
+    construction, so it passes the alphabet check without expanding either
+    prefix."""
     if certificate.output_alphabet != spec.output_alphabet:
         raise InternalCheckError("certificate writes over another output alphabet")
+    # a certificate with the spec's morphism proves that morphism uniform,
+    # so representation_from_spec can be built
+    if (
+        isinstance(certificate, UniformRepresentation)
+        and certificate.morphism == spec.morphism
+        and certificate == representation_from_spec(spec)
+    ):
+        return
     if spec.coded_prefix(depth) != certificate.coded_prefix(depth):
         raise InternalCheckError("certificate disagrees with the input fixed point")
 

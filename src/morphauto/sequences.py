@@ -3,14 +3,17 @@
 This is the evidence layer: finite-prefix computations that verify
 certificates and attach empirical witnesses to otherwise undecided inputs.
 ``factor_complexity``, ``sturmian_witness`` and ``empirical_frequencies``
-accept anything with a ``coded_prefix(n)`` method (morphic specs, uniform
-representations, block certificates) and work on that word of output-letter
-indices.  Complexity counts over a finite prefix are lower bounds on the
-true factor complexity and are labelled as such.
+accept anything with ``coded_prefix(n)`` and ``output_alphabet`` (morphic
+specs, uniform representations, block certificates) and work on that word
+of output-letter indices.  Factor complexity packs the word into a byte
+string, one fixed-width item per letter, and counts byte windows.
+Complexity counts over a finite prefix are lower bounds on the true factor
+complexity and are labelled as such.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,14 +62,21 @@ def factor_complexity(spec, n_max: int = 30, prefix_length: int = 10_000) -> Com
     The prefix must be at least four times as long as the window, a margin
     against the worst undercounting near the end of the prefix.
 
-    The counts come from the distinct windows ``word[i : i + n_max]`` of the
-    coded prefix (the last ``n_max - 1`` of them are shorter): every factor
-    of length n is the n-prefix of the window at its start, and that window
-    is at least n long.  A fixed point of a morphism, coded or not, has
-    O(n_max^2) distinct factors of length n_max (Pansiot 1984), so there
-    are few windows, and the cost is one pass over the prefix plus
-    O(n_max^2) per distinct window.  Each p(n) is still only a lower bound:
-    it counts the factors that occur in this prefix.
+    The coded prefix is packed into bytes with ``array(code, word)``, where
+    ``code`` is the first of "BHILQ" whose item size s holds an index into
+    the output alphabet (s = 1 up to 256 letters).  Every letter then takes
+    exactly s bytes, so two byte slices that start and end on item
+    boundaries are equal exactly when the words they hold are equal.
+
+    The counts come from the distinct windows of n_max letters at every
+    letter position (the last ``n_max - 1`` of them are shorter): every
+    factor of length n is the n-letter prefix of the window at its start,
+    and that window is at least n letters long.  A fixed point of a
+    morphism, coded or not, has O(n_max^2) distinct factors of length n_max
+    (Pansiot 1984), so there are few windows, and the cost is one pass of
+    byte slices over the prefix plus O(n_max^2) per distinct window.  Each
+    p(n) is still only a lower bound: it counts the factors that occur in
+    this prefix.
     """
     if n_max < 1:
         raise ValueError("n_max must be positive")
@@ -76,9 +86,13 @@ def factor_complexity(spec, n_max: int = 30, prefix_length: int = 10_000) -> Com
             f"need at least {VALIDITY_FACTOR * n_max}"
         )
     word = spec.coded_prefix(prefix_length)
-    windows = {word[i : i + n_max] for i in range(len(word))}
+    letters = len(spec.output_alphabet)
+    code = next(c for c in "BHILQ" if 256 ** array(c).itemsize >= letters)
+    s = array(code).itemsize
+    packed = array(code, word).tobytes()
+    windows = {packed[i : i + n_max * s] for i in range(0, len(packed), s)}
     counts = tuple(
-        len({w[:n] for w in windows if len(w) >= n}) for n in range(1, n_max + 1)
+        len({w[: n * s] for w in windows if len(w) >= n * s}) for n in range(1, n_max + 1)
     )
     return ComplexityProfile(n_max, counts, prefix_length)
 

@@ -196,6 +196,17 @@ class TestCorpusCommand:
         assert main(["corpus", "--run", "--dir", str(tmp_path)]) == 0
         assert "warning" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("run", [[], ["--run"]])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_directory_that_is_not_one_exit_2(self, tmp_path, corpus_path, capsys, run, kind):
+        path = tmp_path / "typo"
+        if kind == "file":
+            path.write_text((corpus_path / "fibonacci.morph").read_text(encoding="utf-8"))
+        assert main(["corpus", *run, "--dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: corpus directory {path} " in captured.err
+        assert "warning" not in captured.out
+
 
 class TestRoundTrip:
     def test_every_emitted_certificate_reverifies(self, corpus_path, tmp_path):

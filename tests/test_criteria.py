@@ -18,7 +18,7 @@ from morphauto import (
     irrationality_verdict,
     parse_morphism,
 )
-from morphauto.constructions import UniformRepresentation
+from morphauto.constructions import UniformRepresentation, representation_from_spec
 from morphauto.criteria import _verify_certificate
 
 # The (name, status) of every stage analyze records on each corpus entry, in
@@ -62,6 +62,21 @@ CORPUS_STAGES = {
     "tm_cube": "uniform:success eigenvector:success anagram:success block:success irrationality:no",
     "xzy": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
 }
+
+
+# The full report of every corpus entry (``to_json``, keys sorted): every
+# stage, certificate, profile count and subalphabet witness.  The four
+# Unknown entries were recorded before factor complexity was computed from
+# distinct windows, the rest before it packed the prefix into bytes and
+# before the uniform stage's certificate stopped replaying itself.
+PINNED_REPORTS = json.loads((Path(__file__).parent / "corpus_reports.json").read_text())
+UNKNOWN_ENTRIES = ["ab_omega", "bartholdi", "benli", "fib_constant"]
+
+
+def assert_report_pinned(corpus_path, name):
+    spec = parse_morphism((corpus_path / f"{name}.morph").read_text(encoding="utf-8"))
+    report = json.dumps(analyze(spec).to_json(spec), sort_keys=True)
+    assert report == json.dumps(PINNED_REPORTS[name], sort_keys=True)
 
 
 class TestEigenvectorCriterion:
@@ -320,14 +335,13 @@ class TestAnalyze:
             record = " ".join(f"{s.name}:{s.status}" for s in analyze(spec).stages)
             assert record == CORPUS_STAGES[name], name
 
-    @pytest.mark.parametrize("name", ["ab_omega", "bartholdi", "benli", "fib_constant"])
+    @pytest.mark.parametrize("name", UNKNOWN_ENTRIES)
     def test_unknown_reports_are_pinned(self, corpus_path, name):
-        # Full reports, every profile count and subalphabet witness included,
-        # recorded before factor complexity was computed from distinct windows.
-        pinned = json.loads((Path(__file__).parent / "unknown_reports.json").read_text())
-        spec = parse_morphism((corpus_path / f"{name}.morph").read_text(encoding="utf-8"))
-        report = json.loads(json.dumps(analyze(spec).to_json(spec)))
-        assert report == pinned[name]
+        assert_report_pinned(corpus_path, name)
+
+    @pytest.mark.parametrize("name", sorted(set(CORPUS_STAGES) - set(UNKNOWN_ENTRIES)))
+    def test_decided_reports_are_pinned(self, corpus_path, name):
+        assert_report_pinned(corpus_path, name)
 
 
 class TestVerifyCertificate:
@@ -344,3 +358,46 @@ class TestVerifyCertificate:
         assert relabelled.coded_prefix(5000) == thue_morse.coded_prefix(5000)
         with pytest.raises(InternalCheckError, match="output alphabet"):
             _verify_certificate(thue_morse, relabelled, 5000)
+
+    @pytest.fixture
+    def letters_generated(self, monkeypatch):
+        """The lengths of every uncoded prefix generated while it is in use."""
+        lengths = []
+        original = MorphicSpec.uncoded_prefix
+
+        def counting(spec, n):
+            word = original(spec, n)
+            lengths.append(len(word))
+            return word
+
+        monkeypatch.setattr(MorphicSpec, "uncoded_prefix", counting)
+        return lengths
+
+    @pytest.mark.parametrize("name", ["thue_morse", "berstel"])
+    def test_the_input_itself_is_not_expanded(self, request, letters_generated, name):
+        # uncoded and coded inputs: the uniform stage's certificate
+        spec = request.getfixturevalue(name)
+        _verify_certificate(spec, representation_from_spec(spec), 10_000)
+        assert letters_generated == []
+
+    def test_another_seed_is_replayed(self, thue_morse, letters_generated):
+        own = representation_from_spec(thue_morse)
+        other = UniformRepresentation(own.morphism, own.coding, 1)
+        with pytest.raises(InternalCheckError, match="disagrees"):
+            _verify_certificate(thue_morse, other, 5000)
+        assert letters_generated == [5000, 5000]
+
+    @pytest.mark.parametrize("name", ["thue_morse", "berstel"])
+    def test_another_coding_is_replayed(self, request, letters_generated, name):
+        # the same morphism and seed, the output letters 0 and 1 swapped
+        spec = request.getfixturevalue(name)
+        own = representation_from_spec(spec)
+        swap = {0: 1, 1: 0}
+        table = tuple(swap.get(c, c) for c in own.coding.table)
+        other = UniformRepresentation(
+            own.morphism, Coding(own.coding.source, own.coding.target, table), own.seed
+        )
+        assert other.output_alphabet == spec.output_alphabet
+        with pytest.raises(InternalCheckError, match="disagrees"):
+            _verify_certificate(spec, other, 5000)
+        assert letters_generated == [5000, 5000]

@@ -93,6 +93,37 @@ class TestFactorComplexityOracle:
                 naive_factor_count(oracle_word, n) for n in range(1, 26)
             )
 
+    @pytest.mark.parametrize(
+        "size, targets", [(255, None), (256, None), (257, None), (600, None), (700, 257)]
+    )
+    def test_large_output_alphabets(self, size, targets):
+        # Letters are packed one, two, ... bytes wide by the size of the
+        # output alphabet: 256 letters still fit one byte, 257 do not.
+        letters = [f"x{i}" for i in range(size)]
+        rules = {
+            f"x{i}": [f"x{2 * i % size}", f"x{(5 * i + 1) % size}"]
+            + ([f"x{(7 * i + 3) % size}"] if i % 3 == 0 else [])
+            for i in range(size)
+        }
+        text = f"letters: {' '.join(letters)}\n"
+        text += "".join(f"{tok} -> {' '.join(img)}\n" for tok, img in rules.items())
+        text += "seed: x0\n"
+        coding = None
+        if targets is not None:
+            coding = {tok: f"y{i % targets}" for i, tok in enumerate(letters)}
+            text += "coding: " + ", ".join(f"{k}->{v}" for k, v in coding.items()) + "\n"
+        spec = parse_morphism(text)
+        assert len(spec.output_alphabet) == (targets or size)
+        word = naive_iterate(rules, "x0", 3000)
+        if coding is not None:
+            word = [coding[t] for t in word]
+        # indices i and i + 256 both occur, so counting letters modulo 256
+        # (one byte per letter whatever the alphabet) would merge factors
+        occurring = {spec.output_alphabet.index(t) for t in word}
+        assert any(i + 256 in occurring for i in occurring) == (len(spec.output_alphabet) > 256)
+        profile = factor_complexity(spec, n_max=12, prefix_length=3000)
+        assert profile.counts == tuple(naive_factor_count(word, n) for n in range(1, 13))
+
     def test_constant_coded_word(self, fib_constant):
         profile = factor_complexity(fib_constant, n_max=30, prefix_length=10_000)
         assert profile.counts == (1,) * 30
