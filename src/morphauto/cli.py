@@ -25,7 +25,7 @@ from .constructions import (
     verify_back,
 )
 from .criteria import AnalyzeOptions, analyze
-from .sequences import factor_complexity, prefix_equal
+from .sequences import factor_complexity
 from .words import MorphParseError, MorphicSpec, SpecError, parse_morphism
 
 EXIT_OK = 0
@@ -106,11 +106,10 @@ def cmd_cup(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    first, second = _load(args.first), _load(args.second)
-    if prefix_equal(first, second, args.n):
+    a, b = _load(args.first).prefix(args.n), _load(args.second).prefix(args.n)
+    if a == b:
         print(f"equal on the first {args.n} letters")
         return EXIT_OK
-    a, b = first.prefix(args.n), second.prefix(args.n)
     where = next(i for i in range(args.n) if a[i] != b[i])
     print(f"differ at position {where}: {a[where]} vs {b[where]}")
     return EXIT_MISMATCH

@@ -278,7 +278,10 @@ def _block_token(alphabet: Alphabet, block: Word) -> str:
     return sep.join(alphabet.letters[c] for c in block)
 
 
-def block_morphism(spec: MorphicSpec, k: int, max_blocks: int | None = None) -> BlockMorphism:
+_MAX_BLOCKS = 20_000  # the closure bound, when r^k is larger
+
+
+def block_morphism(spec: MorphicSpec, k: int) -> BlockMorphism:
     """Discover the k-blocks at positions 0 mod k of the fixed point.
 
     Closure: start from the first k letters; for every discovered block b
@@ -289,7 +292,7 @@ def block_morphism(spec: MorphicSpec, k: int, max_blocks: int | None = None) -> 
     if k < 2:
         raise ValueError("block length must be at least 2")
     m = spec.morphism
-    limit = max_blocks if max_blocks is not None else min(len(m.alphabet) ** k, 20_000)
+    limit = min(len(m.alphabet) ** k, _MAX_BLOCKS)
     seed_block = spec.uncoded_prefix(k)
     blocks: dict[Word, int] = {seed_block: 0}
     order: list[Word] = [seed_block]
@@ -348,9 +351,10 @@ def _fresh_token(taken, base: str) -> str:
     return tok
 
 
-def cup_transform(
-    u: UniformRepresentation, params: CupParams | None = None, check_depth: int = 512
-) -> MorphicSpec:
+_CUP_CHECK_DEPTH = 512  # letters of the fixed point compared after the rewrite
+
+
+def cup_transform(u: UniformRepresentation, params: CupParams | None = None) -> MorphicSpec:
     """Represent the fixed point of a uniform morphism non-uniformly.
 
     Two fresh letters b', c' replace one occurrence of the pair b c inside
@@ -388,7 +392,7 @@ def cup_transform(
         alpha, u.morphism.alphabet, tuple(range(len(letters))) + (b, c)
     )
     spec = MorphicSpec(Morphism(alpha, tuple(images)), u.seed, projection)
-    if spec.prefix(check_depth) != u.prefix(check_depth):
+    if spec.prefix(_CUP_CHECK_DEPTH) != u.prefix(_CUP_CHECK_DEPTH):
         raise InternalCheckError("cup transform changed the coded fixed point")
     return spec
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constructions import (
     BlockConstructionError,
@@ -159,7 +158,7 @@ def anagram_decomposition(m: Morphism) -> AnagramCertificate | None:
     return None
 
 
-def irrationality_verdict(m: Morphism, tol=Fraction(1, 10**6)) -> SpectralReport | None:
+def irrationality_verdict(m: Morphism) -> SpectralReport | None:
     """The exact non-automaticity test: a primitive non-uniform morphism
     whose dominant eigenvalue is irrational has no automatic fixed point.
     Returns the spectral report as the machine-checkable reason."""
@@ -170,7 +169,7 @@ def irrationality_verdict(m: Morphism, tol=Fraction(1, 10**6)) -> SpectralReport
     matrix = incidence(m).matrix
     if not is_primitive(matrix):
         return None
-    report = spectral_report(matrix, tol)
+    report = spectral_report(matrix)
     if report.dominant_is_integer:
         return None
     return report
@@ -261,11 +260,9 @@ class Verdict:
                 how = f"uniform morphism of length {self.q}"
             elif self.provenance == "eigenvector":
                 how = f"left-eigenvector criterion, q={self.q}"
-            elif self.provenance == "block":
+            else:  # block
                 cert = self.certificate
                 how = f"{cert.block.k}-block morphism {cert.block.rules_text()}"
-            else:
-                how = self.provenance
             return f"Automatic({self.q}) via {how}"
         if self.kind == NOT_AUTOMATIC:
             return (
@@ -316,7 +313,6 @@ class AnalyzeOptions:
     kmax: int = 8
     evidence_nmax: int = 30
     evidence_prefix: int = 10_000
-    tol: Fraction = Fraction(1, 10**6)
 
 
 @dataclass(frozen=True)
@@ -510,7 +506,7 @@ def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool)
         # frequencies rational even when the Perron root is irrational
         detail = "non-injective coding: the obstruction holds for the uncoded fixed point only"
         return [StageOutcome("irrationality", "skipped", detail)], None
-    report = irrationality_verdict(spec.morphism, opts.tol)
+    report = irrationality_verdict(spec.morphism)
     if report is None:
         detail = "needs a primitive, non-uniform morphism with irrational dominant eigenvalue"
         return [StageOutcome("irrationality", "no", detail)], None

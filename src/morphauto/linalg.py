@@ -6,8 +6,13 @@ few Mersenne primes and lifted by the Chinese remainder theorem under a
 coefficient bound, with the trace as an exact check.  Whether the spectral
 radius is a given integer c is read off the signs of the leading principal
 minors of cI - B for each irreducible diagonal block B (one fraction-free
-elimination).  Spectral-radius brackets are Collatz-Wielandt bounds, which
-hold for every positive vector, so the vectors may be rounded freely.
+elimination), and when it is, the Perron vector is back-substituted in the
+rows of that same elimination.  Spectral-radius brackets are
+Collatz-Wielandt bounds, which hold for every positive vector, so the
+vectors may be rounded freely.  The diagonal blocks are the strongly
+connected components of the support digraph (a bitmask Warshall closure),
+and a matrix is primitive when that split finds one component and a
+breadth-first search finds its period to be 1.
 
 Convention: for a morphism s, ``incidence(s).matrix[i][j]`` counts the
 occurrences of letter i in the image of letter j, so columns are indexed by
@@ -29,29 +34,9 @@ Matrix = tuple[tuple[int, ...], ...]
 # ---------------------------------------------------------------------------
 # matrices
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def mat_mul(a, b):
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def mat_pow(m, k: int):
-    n = len(m)
-    result = identity_matrix(n)
-    base = m
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
-
-
-def row_times_matrix(row, m):
-    return tuple(sum(row[i] * m[i][j] for i in range(len(row))) for j in range(len(m[0])))
 
 
 def _check_nonnegative(m) -> None:
@@ -290,7 +275,7 @@ def left_eigencheck(vector, matrix) -> Fraction | None:
         raise ValueError("dimension mismatch")
     if any(v <= 0 for v in vector):
         raise ValueError("left eigenvector check requires a positive vector")
-    product = row_times_matrix(vector, matrix)
+    (product,) = mat_mul((vector,), matrix)
     lam = Fraction(product[0], vector[0])
     for vm, v in zip(product, vector):
         if Fraction(vm, v) != lam:
@@ -299,61 +284,11 @@ def left_eigencheck(vector, matrix) -> Fraction | None:
 
 
 # ---------------------------------------------------------------------------
-# primitivity
+# the support digraph: components and primitivity
 
 def _support_rows(matrix) -> list[int]:
     """Row i as a bitmask with bit j set when entry (i, j) is positive."""
     return [sum(1 << j for j, entry in enumerate(row) if entry > 0) for row in matrix]
-
-
-def is_primitive(matrix) -> bool:
-    """Wielandt test: M is primitive iff M^(r^2 - 2r + 2) is positive.
-
-    Only positivity matters, so each row is a bitmask of its positive
-    entries and row i of a boolean product XY is the OR of the rows of Y
-    selected by row i of X.
-    """
-    _check_nonnegative(matrix)
-    r = len(matrix)
-    full = (1 << r) - 1
-
-    def bool_mul(x, y):
-        out = []
-        for bits in x:
-            acc = 0
-            while bits:
-                low = bits & -bits
-                acc |= y[low.bit_length() - 1]
-                bits ^= low
-            out.append(acc)
-        return out
-
-    base = _support_rows(matrix)
-    result = [1 << i for i in range(r)]
-    k = r * r - 2 * r + 2
-    while k:
-        if k & 1:
-            result = bool_mul(result, base)
-        base = bool_mul(base, base)
-        k >>= 1
-    return all(row == full for row in result)
-
-
-# ---------------------------------------------------------------------------
-# spectral radius bracketing
-
-@dataclass(frozen=True)
-class RadiusBracket:
-    lo: Fraction
-    hi: Fraction
-    loose: bool = False
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __contains__(self, value) -> bool:
-        return self.lo <= value <= self.hi
 
 
 def _strongly_connected_components(matrix) -> list[list[int]]:
@@ -381,7 +316,51 @@ def _diagonal_blocks(matrix):
         yield tuple(tuple(matrix[i][j] for j in comp) for i in comp)
 
 
+def is_primitive(matrix) -> bool:
+    """M is primitive iff it is irreducible with period 1 (Horn-Johnson §8.5).
+
+    Irreducible: the support digraph, with an edge u -> v when entry (u, v)
+    is positive, is one strongly connected component.  Its period is then
+    the gcd of level[u] + 1 - level[v] over all edges u -> v, where level
+    is the breadth-first distance from letter 0.
+    """
+    _check_nonnegative(matrix)
+    if len(_strongly_connected_components(matrix)) != 1:
+        return False
+    rows = _support_rows(matrix)
+    level = [0] + [None] * (len(rows) - 1)
+    queue = [0]
+    period = 0
+    for u in queue:
+        for v in range(len(rows)):
+            if rows[u] >> v & 1:
+                if level[v] is None:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+                period = math.gcd(period, level[u] + 1 - level[v])
+    return period == 1
+
+
+# ---------------------------------------------------------------------------
+# spectral radius bracketing
+
+@dataclass(frozen=True)
+class RadiusBracket:
+    lo: Fraction
+    hi: Fraction
+    loose: bool = False
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def __contains__(self, value) -> bool:
+        return self.lo <= value <= self.hi
+
+
 _PREC = 96  # bits kept in the largest entry of each iterate and each square
+_MAX_SQUARINGS = 64  # squarings of B + I before a block still too wide is loose
+_BRACKET_TOL = Fraction(1, 10**6)  # the width spectral_report asks for
 
 
 def _round_up(rows):
@@ -393,7 +372,7 @@ def _round_up(rows):
     return tuple(tuple(-(-entry >> shift) for entry in row) for row in rows)
 
 
-def _irreducible_bracket(block, tol: Fraction, max_squarings: int = 64):
+def _irreducible_bracket(block, tol: Fraction):
     """Bracket the spectral radius of one irreducible diagonal block B.
 
     Collatz-Wielandt: every positive vector x gives
@@ -427,7 +406,7 @@ def _irreducible_bracket(block, tol: Fraction, max_squarings: int = 64):
             return lo, hi, False
         steps += 1
         if steps % n == 0:
-            if squarings >= max_squarings:
+            if squarings >= _MAX_SQUARINGS:
                 return lo, hi, True
             power = _round_up(mat_mul(power, power))
             squarings += 1
@@ -457,8 +436,9 @@ def radius_bracket(matrix, tol) -> RadiusBracket:
 # ---------------------------------------------------------------------------
 # exact comparison of the spectral radius with an integer
 
-def _radius_sign(block, c: int) -> int:
-    """The sign of rho(B) - c for an irreducible nonnegative block B.
+def _radius_elimination(block, c: int) -> tuple[int, list[list[int]]]:
+    """The sign of rho(B) - c for an irreducible nonnegative block B, and
+    the rows of cI - B after the elimination that decided it.
 
     A = cI - B is a Z-matrix, and it is a nonsingular M-matrix (c > rho(B))
     exactly when its leading principal minors D_1..D_n are all positive
@@ -466,7 +446,9 @@ def _radius_sign(block, c: int) -> int:
     proper principal block, which is < rho(B) since B is irreducible.  With
     D_1..D_(n-1) > 0 the Schur complement of the leading block is strictly
     increasing in c and vanishes at rho(B), so D_n has the sign of c - rho(B).
-    Bareiss elimination without pivoting produces the D_k as its pivots.
+    Bareiss elimination without pivoting produces the D_k as its pivots;
+    row k of its result, from column k on, is a nonzero multiple of row k
+    of cI - B minus a combination of rows 0..k-1.
     """
     n = len(block)
     a = [[(c if i == j else 0) - block[i][j] for j in range(n)] for i in range(n)]
@@ -474,7 +456,7 @@ def _radius_sign(block, c: int) -> int:
     for k in range(n - 1):
         pivot = a[k][k]
         if pivot <= 0:
-            return 1
+            return 1, a
         row_k = a[k]
         for row in a[k + 1 :]:
             factor = row[k]
@@ -482,7 +464,12 @@ def _radius_sign(block, c: int) -> int:
                 row[j] = (pivot * row[j] - factor * row_k[j]) // prev
         prev = pivot
     last = a[n - 1][n - 1]
-    return (last < 0) - (last > 0)
+    return (last < 0) - (last > 0), a
+
+
+def _radius_sign(block, c: int) -> int:
+    """The sign of rho(B) - c for an irreducible nonnegative block B."""
+    return _radius_elimination(block, c)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +498,7 @@ class SpectralReport:
         }
 
 
-def spectral_report(matrix, tol=Fraction(1, 10**6)) -> SpectralReport:
+def spectral_report(matrix) -> SpectralReport:
     """Decide exactly whether the spectral radius is an integer.
 
     For a nonnegative matrix the radius is itself an eigenvalue, so if it
@@ -522,7 +509,7 @@ def spectral_report(matrix, tol=Fraction(1, 10**6)) -> SpectralReport:
     _check_nonnegative(matrix)
     p = char_poly(matrix)
     roots = integer_roots(p)
-    bracket = radius_bracket(matrix, tol)
+    bracket = radius_bracket(matrix, _BRACKET_TOL)
     candidate = max((root for root, _ in roots if root >= 0), default=None)
     if candidate is None or any(
         _radius_sign(block, candidate) > 0 for block in _diagonal_blocks(matrix)
@@ -535,45 +522,29 @@ def spectral_report(matrix, tol=Fraction(1, 10**6)) -> SpectralReport:
 
 def perron_frequencies(matrix) -> tuple[Fraction, ...] | None:
     """Exact normalized right Perron eigenvector, for primitive matrices
-    whose dominant eigenvalue is an integer; None otherwise."""
+    whose dominant eigenvalue is an integer; None otherwise.
+
+    rho lies between the smallest and the largest column sum, and the first
+    integer q there with rho <= q is rho itself when rho is an integer.
+    The elimination that shows rho = q leaves the pivots D_1..D_(n-1) > 0
+    and D_n = 0, so M - qI has rank n - 1 and its kernel, the Perron
+    direction, follows by back-substitution in those rows with v_n = 1.
+    """
     _check_nonnegative(matrix)
     if not is_primitive(matrix):
         return None
     n = len(matrix)
-    # rho lies between the smallest and the largest column sum; the first
-    # integer q there with rho <= q is rho itself when rho is an integer
     sums = [sum(row[j] for row in matrix) for j in range(n)]
     for q in range(min(sums), max(sums) + 1):
-        sign = _radius_sign(matrix, q)
+        sign, rows = _radius_elimination(matrix, q)
         if sign <= 0:
             break
     if sign != 0:
         return None
-    rows = [[Fraction(matrix[i][j] - (q if i == j else 0)) for j in range(n)] for i in range(n)]
-    # rational row echelon; the nullspace of M - qI is one dimensional
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        lead = rows[row][col]
-        rows[row] = [c / lead for c in rows[row]]
-        for r in range(n):
-            if r != row and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
-        pivots.append((row, col))
-        row += 1
-    free_cols = [c for c in range(n) if c not in {col for _, col in pivots}]
-    if len(free_cols) != 1:
-        raise InternalArithmeticError("Perron eigenspace is not one dimensional")
-    free = free_cols[0]
     v = [Fraction(0)] * n
-    v[free] = Fraction(1)
-    for r, col in pivots:
-        v[col] = -rows[r][free]
+    v[n - 1] = Fraction(1)
+    for k in range(n - 2, -1, -1):
+        v[k] = -sum(rows[k][j] * v[j] for j in range(k + 1, n)) / rows[k][k]
     total = sum(v)
     if total == 0:
         raise InternalArithmeticError("degenerate Perron eigenvector")

@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from morphauto import iso_equivalent, parse_morphism, prefix_equal
+from morphauto import InternalCheckError, iso_equivalent, parse_morphism, prefix_equal
 from morphauto.cli import main
 from morphauto.constructions import representation_from_spec
 
@@ -61,6 +61,22 @@ class TestAnalyzeCommand:
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent/nowhere.morph"]) == 2
+
+    def test_duplicate_declaration_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.morph"
+        bad.write_text("letters: a\na -> aa\nseed: a\nseed: a\n", encoding="utf-8")
+        assert main(["analyze", str(bad)]) == 2
+        assert "error: line 4: duplicate seed declaration" in capsys.readouterr().err
+
+    def test_internal_check_failure_exit_3(self, corpus_path, capsys, monkeypatch):
+        from morphauto import cli
+
+        def broken(spec, options):
+            raise InternalCheckError("certificate disagrees with the input fixed point")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        assert main(["analyze", morph(corpus_path, "istrail")]) == 3
+        assert "internal error: certificate disagrees" in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -175,6 +191,22 @@ class TestCorpusCommand:
         assert main(["corpus", "--run", "--dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "FAIL lysenok" in out and "automatic != expected not_automatic" in out
+
+    @pytest.mark.parametrize(
+        "field, wrong, message",
+        [("q", 3, "q 2 != expected 3"), ("stage", "block", "stage eigenvector != expected block")],
+    )
+    def test_q_or_stage_mismatch_exit_1(self, tmp_path, corpus_path, capsys, field, wrong, message):
+        expected = json.loads((corpus_path / "istrail.expected.json").read_text(encoding="utf-8"))
+        expected[field] = wrong
+        (tmp_path / "istrail.morph").write_text(
+            (corpus_path / "istrail.morph").read_text(encoding="utf-8"), encoding="utf-8"
+        )
+        (tmp_path / "istrail.expected.json").write_text(json.dumps(expected), encoding="utf-8")
+        assert main(["corpus", "--run", "--dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL istrail: {message}" in out
+        assert "1 of 1 corpus entries mismatched" in out
 
     def test_expectation_is_paired_by_full_stem(self, tmp_path, corpus_path, capsys):
         # lysenok.v2.morph must not pick up lysenok.expected.json

@@ -314,7 +314,7 @@ class TestAnalyze:
 
         irrational = irrationality_verdict(xzy.morphism)
         assert irrational is not None
-        monkeypatch.setattr(criteria, "irrationality_verdict", lambda m, tol: irrational)
+        monkeypatch.setattr(criteria, "irrationality_verdict", lambda m: irrational)
         with pytest.raises(InternalCheckError, match="stage eigenvector certified"):
             analyze(istrail)
 

@@ -199,6 +199,45 @@ class TestPrimitivity:
             assert is_primitive(m) == naive_bool_power_positive(m, r * r - 2 * r + 2)
 
 
+def _from_edges(r, edges):
+    """The 0/1 matrix with entry (u, v) set for every edge u -> v."""
+    return tuple(tuple(int((u, v) in edges) for v in range(r)) for u in range(r))
+
+
+def _wielandt(m):
+    r = len(m)
+    return naive_bool_power_positive(m, r * r - 2 * r + 2)
+
+
+class TestPrimitivityByPeriod:
+    @pytest.mark.parametrize("a, b, primitive", [(2, 4, False), (2, 3, True), (3, 6, False), (4, 5, True)])
+    def test_two_cycles_through_letter_zero(self, a, b, primitive):
+        # cycles of lengths a and b that share letter 0 have period gcd(a, b)
+        r = a + b - 1
+        first = [0, *range(1, a)]
+        second = [0, *range(a, r)]
+        edges = {(c[i], c[(i + 1) % len(c)]) for c in (first, second) for i in range(len(c))}
+        rng = random.Random(a * 100 + b)
+        for perm in [list(range(r))] + [_shuffled(rng, r) for _ in range(4)]:
+            m = _from_edges(r, {(perm[u], perm[v]) for u, v in edges})
+            assert is_primitive(m) == _wielandt(m) == primitive
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7, 8, 12, 16, 32])
+    @pytest.mark.parametrize("loop", [False, True])
+    def test_cycle_with_and_without_a_self_loop(self, r, loop):
+        # an r-cycle has period r; one self-loop makes it primitive
+        edges = {(i, (i + 1) % r) for i in range(r)} | ({(r // 2, r // 2)} if loop else set())
+        m = _from_edges(r, edges)
+        assert is_primitive(m) == _wielandt(m) == loop
+
+    def test_reducible_with_a_primitive_component_reachable_from_zero(self):
+        # letter 0 has a self-loop and leads into the primitive component
+        # {1, 2, 3}, but nothing leads back: every level gap has gcd 1, yet
+        # the matrix is reducible
+        m = _from_edges(4, {(0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (2, 1)})
+        assert is_primitive(m) == _wielandt(m) is False
+
+
 class TestRadiusBracket:
     def test_tm_cube_is_exact(self, tm_cube):
         br = radius_bracket(incidence(tm_cube.morphism).matrix, Fraction(1, 10**6))
@@ -445,6 +484,26 @@ class TestPerron:
             assert sum(m[i][j] * v[j] for j in range(r)) == 3 * v[i]
 
 
+    def test_random_constant_column_sums(self):
+        # column sums all q make rho = q; primitivity makes v unique and positive
+        rng = random.Random(4242)
+        checked = 0
+        while checked < 150:
+            r, q = rng.randint(1, 12), rng.randint(1, 5)
+            m = [[0] * r for _ in range(r)]
+            for j in range(r):
+                for _ in range(q):
+                    m[rng.randrange(r)][j] += 1
+            m = tuple(map(tuple, m))
+            if not _wielandt(m):
+                continue
+            v = perron_frequencies(m)
+            assert sum(v) == 1 and all(x > 0 for x in v)
+            for i in range(r):
+                assert sum(m[i][j] * v[j] for j in range(r)) == q * v[i]
+            checked += 1
+
+
 class TestAgainstFloatOracle:
     def test_bracket_contains_numpy_radius(self):
         # independent route: float eigensolver; the exact bracket must
@@ -475,7 +534,8 @@ class TestMultiplicativity:
         assert left == right
 
     def test_incidence_of_power(self, acaba):
-        from morphauto.linalg import mat_pow
+        from morphauto.linalg import mat_mul
 
         m = acaba.morphism
-        assert incidence(m.power(3)).matrix == mat_pow(incidence(m).matrix, 3)
+        a = incidence(m).matrix
+        assert incidence(m.power(3)).matrix == mat_mul(mat_mul(a, a), a)

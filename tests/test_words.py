@@ -18,6 +18,25 @@ from strategies import PROPERTY, prolongable_specs
 
 LYSENOK_TEXT = "letters: a b c d\na -> aca\nb -> d\nc -> b\nd -> c\nseed: a"
 
+# (id, text, message fragment, 1-based line or None for a whole-file error)
+MALFORMED = [
+    ("duplicate-letters", "letters: a\nletters: a\na -> a", "duplicate letters declaration", 2),
+    ("duplicate-seed", "letters: a\na -> aa\nseed: a\nseed: a", "duplicate seed declaration", 4),
+    ("duplicate-coding", "letters: a\na -> aa\ncoding: a->x\ncoding: a->x", "duplicate coding declaration", 4),
+    ("letter-declared-twice", "letters: a b a", "duplicate letter in declaration", 1),
+    ("empty-letters", "# no letters follow\nletters:\n", "empty letters declaration", 2),
+    ("seed-of-two-letters", "letters: a b\na -> ab\nb -> a\nseed: a b", "seed wants exactly one letter", 4),
+    ("coding-pair-without-arrow", "letters: a\na -> aa\ncoding: a x", "bad coding pair 'a x'", 3),
+    ("coding-pair-with-empty-side", "letters: a\na -> aa\ncoding: a->", "bad coding pair 'a->'", 3),
+    ("rule-before-letters", "a -> aa\nletters: a", "rule before letters declaration", 1),
+    ("rule-for-undeclared-letter", "letters: a\na -> aa\nb -> a", "rule for undeclared letter 'b'", 3),
+    ("unrecognised-line", "letters: a\na -> aa\nhello", "unrecognised line 'hello'", 3),
+    ("no-letters", "# nothing here\n", "missing letters declaration", None),
+    ("undeclared-seed", "letters: a\na -> aa\nseed: z", "seed 'z' is not a declared letter", None),
+    ("coding-of-undeclared-letter", "letters: a\na -> aa\ncoding: a->x, z->y", "coding maps undeclared letter 'z'", None),
+    ("letter-coded-twice", "letters: a\na -> aa\ncoding: a->x, a->y", "coding maps 'a' twice", None),
+]
+
 
 class TestParse:
     def test_lysenok(self):
@@ -81,6 +100,19 @@ class TestParse:
             spec = parse_morphism(path.read_text(encoding="utf-8"))
             again = parse_morphism(spec.to_morph_text())
             assert again == spec, path.name
+
+    @pytest.mark.parametrize(
+        "text, fragment, line",
+        [
+            pytest.param(text, fragment, line, id=name)
+            for name, text, fragment, line in MALFORMED
+        ],
+    )
+    def test_malformed_text_names_its_line(self, text, fragment, line):
+        with pytest.raises(MorphParseError) as err:
+            parse_morphism(text)
+        assert fragment in str(err.value)
+        assert err.value.line == line
 
 
 class TestApply:
