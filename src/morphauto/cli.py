@@ -47,7 +47,7 @@ def cmd_analyze(args) -> int:
     spec = _load(args.file)
     report = analyze(spec, AnalyzeOptions(depth=args.depth, kmax=args.kmax))
     if args.json:
-        print(json.dumps(report.to_json(spec), indent=2))
+        print(json.dumps(report.to_json(), indent=2))
         return EXIT_OK
     print(report.verdict.describe())
     print("stages:")
@@ -117,9 +117,7 @@ def cmd_compare(args) -> int:
 
 def cmd_generate(args) -> int:
     spec = _load(args.file)
-    word = spec.prefix(args.n)
-    sep = "" if all(len(tok) == 1 for tok in spec.output_alphabet.letters) else " "
-    print(sep.join(word))
+    print(spec.output_alphabet.render(spec.coded_prefix(args.n)))
     return EXIT_OK
 
 

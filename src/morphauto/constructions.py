@@ -150,17 +150,7 @@ def minimize_uniform(u: UniformRepresentation) -> UniformRepresentation:
     by position, on the classes of their images.  The coded fixed point is
     unchanged; the result is a fixpoint of the construction."""
     m, coding = u.morphism, u.coding
-
-    reachable = [u.seed]
-    seen = {u.seed}
-    pos = 0
-    while pos < len(reachable):
-        for child in m.image(reachable[pos]):
-            if child not in seen:
-                seen.add(child)
-                reachable.append(child)
-        pos += 1
-    order = sorted(seen)
+    order = m.closure((u.seed,))
 
     def renumber(key_of):
         fresh: dict = {}

@@ -1,25 +1,28 @@
 """Automaticity decision procedures and the orchestrating analyzer.
 
-``analyze`` runs a table of stages in order: already uniform; the
-left-eigenvector criterion, which also runs the anagram decomposition as
-its cross-check (an anagram degree d >= 2 must equal its q); induced
-k-block morphisms; the irrational-dominant obstruction.  Every stage's
+``analyze`` checks that the seed is prolongable and runs a table of
+stages in order: already uniform; the left-eigenvector criterion, which
+also runs the anagram decomposition as its cross-check (an anagram degree
+d >= 2 must equal its q); induced k-block morphisms; the irrational-dominant
+obstruction; and last the complexity evidence, which runs only when no
+earlier stage has decided and returns an honest Unknown.  Every stage's
 outcome is recorded.  A stage that needs a non-erasing morphism is recorded
 as skipped on an erasing one.  The first verdict wins: a later Automatic
 stage records its success without building a certificate, and any later
 stage that returns a verdict of its own is a contradiction and raises
-``InternalCheckError``.  Every Automatic verdict ships a certificate that is
-replayed before it is returned: it must write over the same output alphabet
-as the input and produce the same coded letter indices up to the
-verification depth.  The ``uniform`` stage's certificate is the input
-itself, so its replay is the alphabet check alone.  When no stage decides,
-the verdict is an honest Unknown carrying complexity evidence.
+``InternalCheckError``.  Each verdict carries its own one-line summary.
+Every Automatic verdict ships a certificate that is replayed before it is
+returned: it must write over the same output alphabet as the input and
+produce the same coded letter indices up to the verification depth.  The
+``uniform`` stage's certificate is the input itself, so its replay is the
+alphabet check alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .constructions import (
     BlockConstructionError,
@@ -184,7 +187,6 @@ class BlockCertificate:
     uniform block morphism reproduces the input sequence."""
 
     block: BlockMorphism
-    base: int
     coding: Coding | None
 
     @property
@@ -236,6 +238,7 @@ UNKNOWN = "unknown"
 class Verdict:
     kind: str
     provenance: str
+    summary: str
     q: int | None = None
     certificate: object | None = None
     spectral: SpectralReport | None = None
@@ -243,45 +246,33 @@ class Verdict:
     verified_depth: int | None = None
 
     @classmethod
-    def automatic(cls, q, certificate, provenance, depth):
-        return cls(AUTOMATIC, provenance, q=q, certificate=certificate, verified_depth=depth)
+    def automatic(cls, q, certificate, provenance, depth, how):
+        summary = f"Automatic({q}) via {how}"
+        return cls(AUTOMATIC, provenance, summary, q=q, certificate=certificate, verified_depth=depth)
 
     @classmethod
     def not_automatic(cls, report, provenance):
-        return cls(NOT_AUTOMATIC, provenance, spectral=report)
+        summary = (
+            f"NotAutomatic: primitive, dominant eigenvalue irrational, charpoly {report.char_poly}"
+        )
+        return cls(NOT_AUTOMATIC, provenance, summary, spectral=report)
 
     @classmethod
     def unknown(cls, evidence, provenance):
-        return cls(UNKNOWN, provenance, evidence=evidence)
+        summary = "Unknown: no criterion decided; evidence attached"
+        hits = [w for w in evidence.witnesses if w.sturmian]
+        if hits:
+            summary += (
+                f" (sturmian witness on {{{', '.join(hits[0].letters)}}}:"
+                " p(n)=n+1 on the tested window)"
+            )
+        return cls(UNKNOWN, provenance, summary, evidence=evidence)
 
     def describe(self) -> str:
-        if self.kind == AUTOMATIC:
-            if self.provenance == "uniform":
-                how = f"uniform morphism of length {self.q}"
-            elif self.provenance == "eigenvector":
-                how = f"left-eigenvector criterion, q={self.q}"
-            else:  # block
-                cert = self.certificate
-                how = f"{cert.block.k}-block morphism {cert.block.rules_text()}"
-            return f"Automatic({self.q}) via {how}"
-        if self.kind == NOT_AUTOMATIC:
-            return (
-                "NotAutomatic: primitive, dominant eigenvalue irrational, "
-                f"charpoly {self.spectral.char_poly}"
-            )
-        details = ""
-        if self.evidence is not None and self.evidence.witnesses:
-            hits = [w for w in self.evidence.witnesses if w.sturmian]
-            if hits:
-                sub = hits[0]
-                details = (
-                    f" (sturmian witness on {{{', '.join(sub.letters)}}}:"
-                    " p(n)=n+1 on the tested window)"
-                )
-        return f"Unknown: no criterion decided; evidence attached{details}"
+        return self.summary
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "provenance": self.provenance, "summary": self.describe()}
+        out = {"kind": self.kind, "provenance": self.provenance, "summary": self.summary}
         if self.q is not None:
             out["q"] = self.q
         if self.verified_depth is not None:
@@ -311,26 +302,28 @@ class StageOutcome:
 class AnalyzeOptions:
     depth: int = 10_000
     kmax: int = 8
-    evidence_nmax: int = 30
-    evidence_prefix: int = 10_000
+    # the evidence stage's window and prefix
+    evidence_nmax: ClassVar[int] = 30
+    evidence_prefix: ClassVar[int] = 10_000
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    spec: MorphicSpec
     verdict: Verdict
     stages: tuple[StageOutcome, ...]
     options: AnalyzeOptions
 
-    def to_json(self, spec: MorphicSpec | None = None) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        spec = self.spec
+        a = spec.morphism.alphabet
+        coding = spec.coding
+        return {
             "schema_version": 1,
             "verdict": self.verdict.to_json(),
             "stages": [s.to_json() for s in self.stages],
             "options": {"depth": self.options.depth, "kmax": self.options.kmax},
-        }
-        if spec is not None:
-            a = spec.morphism.alphabet
-            out["input"] = {
+            "input": {
                 "letters": list(a.letters),
                 "rules": {
                     tok: a.render(img) for tok, img in zip(a.letters, spec.morphism.images)
@@ -338,15 +331,12 @@ class AnalysisReport:
                 "seed": spec.seed_token,
                 "coding": (
                     None
-                    if spec.coding is None
-                    else {
-                        tok: spec.coding.target.letters[t]
-                        for tok, t in zip(a.letters, spec.coding.table)
-                    }
+                    if coding is None
+                    else {tok: coding.target.letters[t] for tok, t in zip(a.letters, coding.table)}
                 ),
                 "incidence": incidence(spec.morphism).to_json(),
-            }
-        return out
+            },
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -386,37 +376,27 @@ def _common_base(q: int, k: int) -> int | None:
 
 
 def _invariant_subalphabets(m: Morphism) -> list[tuple[int, ...]]:
-    """Proper subalphabets closed under the morphism: the letter closures."""
+    """Proper subalphabets closed under the morphism: the letter closures,
+    smallest first."""
     r = len(m.alphabet)
-    found = []
-    for start in range(r):
-        closure = {start}
-        frontier = [start]
-        while frontier:
-            for c in m.image(frontier.pop()):
-                if c not in closure:
-                    closure.add(c)
-                    frontier.append(c)
-        if len(closure) < r:
-            sub = tuple(sorted(closure))
-            if sub not in found:
-                found.append(sub)
-    found.sort(key=lambda sub: (len(sub), sub))
-    return found
+    found = {m.closure((a,)) for a in range(r)} - {tuple(range(r))}
+    return sorted(found, key=lambda sub: (len(sub), sub))
 
 
 # Each stage takes (spec, options, decided) and returns its outcomes and an
 # optional verdict.  ``decided`` says a verdict is already fixed: an
-# Automatic stage then records its success without building a certificate.
+# Automatic stage then records its success without building a certificate,
+# and the evidence stage does nothing.  The uniform stage runs first, so it
+# is never decided.
 
 def _uniform_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
     k = spec.morphism.uniform_length
     if k is None or k < 2:
         return [StageOutcome("uniform", "no", "image lengths differ")], None
     outcome = StageOutcome("uniform", "success", f"all images have length {k}")
-    if decided:
-        return [outcome], None
-    return [outcome], Verdict.automatic(k, representation_from_spec(spec), "uniform", opts.depth)
+    how = f"uniform morphism of length {k}"
+    cert = representation_from_spec(spec)
+    return [outcome], Verdict.automatic(k, cert, "uniform", opts.depth, how)
 
 
 def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
@@ -435,7 +415,8 @@ def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
         outcomes = [StageOutcome("eigenvector", "success", detail, {"q": q})]
         if not decided:
             rep = reshuffle_uniformize(m, spec.seed, q).with_outer_coding(spec.coding)
-            verdict = Verdict.automatic(q, minimize_uniform(rep), "eigenvector", opts.depth)
+            how = f"left-eigenvector criterion, q={q}"
+            verdict = Verdict.automatic(q, minimize_uniform(rep), "eigenvector", opts.depth, how)
     # the obstruction needs both letters to occur in the images
     if len(m.alphabet) == 2 and {c for img in m.images for c in img} == {0, 1} and gcd_obstruction(m):
         outcomes.append(
@@ -495,8 +476,9 @@ def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
         )
         if decided:
             return [outcome], None
-        cert = BlockCertificate(blk, base, spec.coding)
-        return [outcome], Verdict.automatic(base, cert, "block", opts.depth)
+        how = f"{k}-block morphism {blk.rules_text()}"
+        cert = BlockCertificate(blk, spec.coding)
+        return [outcome], Verdict.automatic(base, cert, "block", opts.depth, how)
     return [partial or StageOutcome("block", "no", "; ".join(failures) or "no block structure")], None
 
 
@@ -519,12 +501,35 @@ def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool)
     return [outcome], Verdict.not_automatic(report, "irrationality")
 
 
+def _evidence_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+    """Factor complexity of the input and Sturmian witnesses on its
+    invariant subalphabets: the evidence of an honest Unknown."""
+    if decided:
+        return [], None
+    nmax, length = opts.evidence_nmax, opts.evidence_prefix
+    profile = factor_complexity(spec, nmax, length)
+    witnesses = []
+    for sub in _invariant_subalphabets(spec.morphism):
+        restricted = spec.morphism.restrict(sub)
+        seeds = restricted.prolongable_letters()
+        if not seeds:
+            continue
+        ok, sub_profile = sturmian_witness(MorphicSpec(restricted, seeds[0]), nmax, length)
+        letters = restricted.alphabet.letters
+        witnesses.append(SubalphabetWitness(letters, letters[seeds[0]], ok, sub_profile))
+    found = sum(w.sturmian for w in witnesses)
+    detail = f"complexity profile attached; {found} sturmian subalphabet witness(es)"
+    evidence = UnknownEvidence(profile, tuple(witnesses))
+    return [StageOutcome("evidence", "info", detail)], Verdict.unknown(evidence, "evidence")
+
+
 # (stage names it records, stage function, needs a non-erasing morphism)
 _STAGES = (
     (("uniform",), _uniform_stage, False),
     (("eigenvector", "anagram"), _eigenvector_stage, True),
     (("block",), _block_stage, False),
     (("irrationality",), _irrationality_stage, True),
+    (("evidence",), _evidence_stage, False),
 )
 
 
@@ -554,35 +559,4 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
         if claim.kind == AUTOMATIC:
             _verify_certificate(spec, claim.certificate, opts.depth)
         verdict = claim
-
-    # evidence for an honest Unknown
-    if verdict is None:
-        profile = factor_complexity(spec, opts.evidence_nmax, opts.evidence_prefix)
-        witnesses = []
-        for sub in _invariant_subalphabets(m):
-            restricted = m.restrict(sub)
-            seeds = restricted.prolongable_letters()
-            if not seeds:
-                continue
-            sub_spec = MorphicSpec(restricted, seeds[0])
-            ok, sub_profile = sturmian_witness(sub_spec, opts.evidence_nmax, opts.evidence_prefix)
-            witnesses.append(
-                SubalphabetWitness(
-                    restricted.alphabet.letters,
-                    restricted.alphabet.letters[seeds[0]],
-                    ok,
-                    sub_profile,
-                )
-            )
-        evidence = UnknownEvidence(profile, tuple(witnesses))
-        verdict = Verdict.unknown(evidence, "evidence")
-        found = [w for w in witnesses if w.sturmian]
-        stages.append(
-            StageOutcome(
-                "evidence",
-                "info",
-                f"complexity profile attached; {len(found)} sturmian subalphabet witness(es)",
-            )
-        )
-
-    return AnalysisReport(verdict, tuple(stages), opts)
+    return AnalysisReport(spec, verdict, tuple(stages), opts)

@@ -12,7 +12,7 @@ alphabets like ``{1, 1*, 2, 2*}`` work throughout.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -81,18 +81,15 @@ class Alphabet:
     def single_char(self) -> bool:
         return all(len(tok) == 1 for tok in self.letters)
 
-    def word(self, text: str | Iterable[str]) -> Word:
-        """Build a word from a token iterable or a compact string.
+    def word(self, text: str) -> Word:
+        """Build a word from a string of tokens.
 
-        A string is split on whitespace; a whitespace-free string over a
+        The string is split on whitespace; a whitespace-free string over a
         single-character alphabet is read letter by letter.
         """
-        if isinstance(text, str):
-            parts = text.split()
-            if len(parts) == 1 and self.single_char and len(parts[0]) > 1:
-                parts = list(parts[0])
-        else:
-            parts = list(text)
+        parts = text.split()
+        if len(parts) == 1 and self.single_char and len(parts[0]) > 1:
+            parts = list(parts[0])
         return tuple(self.index(tok) for tok in parts)
 
     def render(self, word: Word) -> str:
@@ -130,14 +127,6 @@ class Morphism:
         for img in self.images:
             if any(not (0 <= c < r) for c in img):
                 raise ValueError("image letter out of range")
-
-    @classmethod
-    def from_rules(cls, letters: Sequence[str], rules: Mapping[str, str | Iterable[str]]) -> "Morphism":
-        alpha = Alphabet(tuple(letters))
-        missing = [tok for tok in alpha.letters if tok not in rules]
-        if missing:
-            raise ValueError(f"missing rule for {missing[0]!r}")
-        return cls(alpha, tuple(alpha.word(rules[tok]) for tok in alpha.letters))
 
     def __repr__(self):
         rules = ", ".join(
@@ -211,6 +200,19 @@ class Morphism:
 
     def prolongable_letters(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.alphabet)) if self.is_prolongable(i))
+
+    def closure(self, letters: Iterable[int]) -> tuple[int, ...]:
+        """The letters reachable from ``letters`` through images, those
+        included, in sorted order: the least subalphabet that contains them
+        and is closed under the morphism."""
+        seen = set(letters)
+        frontier = list(seen)
+        while frontier:
+            for c in self.images[frontier.pop()]:
+                if c not in seen:
+                    seen.add(c)
+                    frontier.append(c)
+        return tuple(sorted(seen))
 
     def restrict(self, letters: Sequence[int]) -> "Morphism":
         """Restriction to an invariant subalphabet (original letter order)."""
@@ -387,7 +389,9 @@ def parse_morphism(text: str) -> MorphicSpec:
     rules: dict[int, Word] = {}
     rule_lines: dict[int, int] = {}
     seed_token: str | None = None
+    seed_line: int | None = None
     coding_pairs: list[tuple[str, str]] | None = None
+    coding_line: int | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -409,12 +413,12 @@ def parse_morphism(text: str) -> MorphicSpec:
             parts = line[len("seed:"):].split()
             if len(parts) != 1:
                 raise MorphParseError("seed wants exactly one letter", lineno)
-            seed_token = parts[0]
+            seed_token, seed_line = parts[0], lineno
             continue
         if line.startswith("coding:"):
             if coding_pairs is not None:
                 raise MorphParseError("duplicate coding declaration", lineno)
-            coding_pairs = []
+            coding_pairs, coding_line = [], lineno
             body = line[len("coding:"):]
             for item in body.split(","):
                 item = item.strip()
@@ -453,7 +457,7 @@ def parse_morphism(text: str) -> MorphicSpec:
 
     if seed_token is not None:
         if seed_token not in alphabet:
-            raise MorphParseError(f"seed {seed_token!r} is not a declared letter")
+            raise MorphParseError(f"seed {seed_token!r} is not a declared letter", seed_line)
         seed = alphabet.index(seed_token)
     else:
         prolongable = morphism.prolongable_letters()
@@ -465,15 +469,15 @@ def parse_morphism(text: str) -> MorphicSpec:
         targets: list[str] = []
         for src, dst in coding_pairs:
             if src not in alphabet:
-                raise MorphParseError(f"coding maps undeclared letter {src!r}")
+                raise MorphParseError(f"coding maps undeclared letter {src!r}", coding_line)
             if src in mapping:
-                raise MorphParseError(f"coding maps {src!r} twice")
+                raise MorphParseError(f"coding maps {src!r} twice", coding_line)
             mapping[src] = dst
             if dst not in targets:
                 targets.append(dst)
         absent = [tok for tok in alphabet.letters if tok not in mapping]
         if absent:
-            raise MorphParseError(f"coding is missing letter {absent[0]!r}")
+            raise MorphParseError(f"coding is missing letter {absent[0]!r}", coding_line)
         target = Alphabet(tuple(targets))
         table = tuple(target.index(mapping[tok]) for tok in alphabet.letters)
         coding = Coding(alphabet, target, table)

@@ -168,6 +168,13 @@ class TestOtherCommands:
         assert lines[0] == "n,p"
         assert lines[1:] == ["1,2", "2,3", "3,4", "4,5", "5,6"]
 
+    def test_complexity_text(self, corpus_path, capsys):
+        assert main(["complexity", morph(corpus_path, "fib_bc"), "--nmax", "5", "-N", "1000"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == [f"p({n}) = {n + 1}" for n in range(1, 6)] + [
+            "(lower bounds from a prefix of length 1000)"
+        ]
+
 
 class TestCorpusCommand:
     def test_full_corpus_passes_at_default_depth(self, capsys):

@@ -139,6 +139,40 @@ class TestIso:
             representation_from_spec(berstel), representation_from_spec(thue_morse)
         ) is None
 
+    @staticmethod
+    def uniform(images, table, outputs=("0", "1")):
+        alpha = Alphabet(("x", "y", "z")[: len(images)])
+        return UniformRepresentation(Morphism(alpha, images), Coding(alpha, Alphabet(outputs), table), 0)
+
+    def test_different_q_fails(self, thue_morse, tm_cube):
+        assert iso_equivalent(
+            representation_from_spec(thue_morse), representation_from_spec(tm_cube)
+        ) is None
+
+    def test_different_alphabet_sizes_fail(self, thue_morse):
+        three = self.uniform(((0, 1), (2, 0), (0, 0)), (0, 1, 1))
+        assert iso_equivalent(representation_from_spec(thue_morse), three) is None
+
+    def test_coding_output_mismatch_fails(self, thue_morse):
+        swapped = self.uniform(((0, 1), (1, 0)), (1, 0))
+        assert iso_equivalent(representation_from_spec(thue_morse), swapped) is None
+
+    def test_image_conflict_fails(self, thue_morse, period_doubling):
+        # the seeds match, then 1 -> 10 meets 1 -> 00 at position 0
+        assert iso_equivalent(
+            representation_from_spec(thue_morse), representation_from_spec(period_doubling)
+        ) is None
+
+    def test_non_injective_match_fails(self):
+        # y -> zy would send both z and y to y
+        first = self.uniform(((0, 1), (2, 1), (2, 0)), (0, 0, 0), ("0",))
+        second = self.uniform(((0, 1), (1, 1), (2, 2)), (0, 0, 0), ("0",))
+        assert iso_equivalent(first, second) is None
+
+    def test_unreached_letter_fails(self):
+        rep = self.uniform(((0, 1), (1, 0), (2, 2)), (0, 1, 0))
+        assert iso_equivalent(rep, rep) is None
+
 
 class TestBlocks:
     def test_lysenok_two_blocks(self, lysenok):

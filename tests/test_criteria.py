@@ -75,7 +75,7 @@ UNKNOWN_ENTRIES = ["ab_omega", "bartholdi", "benli", "fib_constant"]
 
 def assert_report_pinned(corpus_path, name):
     spec = parse_morphism((corpus_path / f"{name}.morph").read_text(encoding="utf-8"))
-    report = json.dumps(analyze(spec).to_json(spec), sort_keys=True)
+    report = json.dumps(analyze(spec).to_json(), sort_keys=True)
     assert report == json.dumps(PINNED_REPORTS[name], sort_keys=True)
 
 
@@ -320,7 +320,7 @@ class TestAnalyze:
 
     def test_report_json_shape(self, lysenok):
         report = analyze(lysenok)
-        data = report.to_json(lysenok)
+        data = report.to_json()
         assert data["schema_version"] == 1
         assert data["verdict"]["kind"] == "automatic"
         assert {s["name"] for s in data["stages"]} >= {"uniform", "block"}

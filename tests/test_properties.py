@@ -185,6 +185,20 @@ def test_compose_action(pair, data):
     assert outer.compose(inner).apply(word) == outer.apply(inner.apply(word))
 
 
+@settings(max_examples=300, deadline=None)
+@given(alphabets().flatmap(lambda a: st.tuples(morphisms_on(a), words_over(a))))
+def test_closure_is_the_fixpoint_of_apply(data):
+    # morphisms_on draws empty images too, so erasing morphisms are covered
+    morphism, word = data
+    letters = set(word)
+    while True:
+        grown = letters | set(morphism.apply(tuple(letters)))
+        if grown == letters:
+            break
+        letters = grown
+    assert morphism.closure(word) == tuple(sorted(letters))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3))
 def test_power_additivity(j, k):
@@ -227,5 +241,5 @@ def test_constant_coding_is_never_not_automatic(morphism):
     alphabet = morphism.alphabet
     coding = Coding(alphabet, Alphabet(("0",)), (0,) * len(alphabet))
     spec = MorphicSpec(Morphism(alphabet, images), 0, coding)
-    options = AnalyzeOptions(depth=200, kmax=3, evidence_nmax=4, evidence_prefix=200)
+    options = AnalyzeOptions(depth=200, kmax=3)
     assert analyze(spec, options).verdict.kind != "not_automatic"

@@ -32,9 +32,10 @@ MALFORMED = [
     ("rule-for-undeclared-letter", "letters: a\na -> aa\nb -> a", "rule for undeclared letter 'b'", 3),
     ("unrecognised-line", "letters: a\na -> aa\nhello", "unrecognised line 'hello'", 3),
     ("no-letters", "# nothing here\n", "missing letters declaration", None),
-    ("undeclared-seed", "letters: a\na -> aa\nseed: z", "seed 'z' is not a declared letter", None),
-    ("coding-of-undeclared-letter", "letters: a\na -> aa\ncoding: a->x, z->y", "coding maps undeclared letter 'z'", None),
-    ("letter-coded-twice", "letters: a\na -> aa\ncoding: a->x, a->y", "coding maps 'a' twice", None),
+    ("undeclared-seed", "letters: a\na -> aa\nseed: z", "seed 'z' is not a declared letter", 3),
+    ("coding-of-undeclared-letter", "letters: a\na -> aa\ncoding: a->x, z->y", "coding maps undeclared letter 'z'", 3),
+    ("letter-coded-twice", "letters: a\na -> aa\ncoding: a->x, a->y", "coding maps 'a' twice", 3),
+    ("coding-missing-a-letter", "letters: a b\na -> ab\nb -> a\ncoding: a->x", "coding is missing letter 'b'", 4),
 ]
 
 
