@@ -49,7 +49,7 @@ def cmd_analyze(args) -> int:
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
         return EXIT_OK
-    print(report.verdict.describe())
+    print(report.verdict.summary)
     print("stages:")
     for stage in report.stages:
         print(f"  {stage.name}: {stage.status} - {stage.detail}")

@@ -1,7 +1,7 @@
 """Certificate-producing constructions.
 
-* reshuffle_uniformize: turn a morphism whose length vector is a left
-  eigenvector into an explicitly uniform morphism plus a coding.
+* eigenvector_criterion / reshuffle_uniformize: the left-eigenvector test,
+  and its certificate (a UniformRepresentation: a uniform MorphicSpec).
 * minimize_uniform: merge indistinguishable letters of such a certificate.
 * block_morphism: induce a morphism on the non-overlapping k-blocks of a
   fixed point.
@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .linalg import incidence, left_eigencheck
@@ -32,60 +32,59 @@ class CriterionNotSatisfied(ValueError):
 
 
 @dataclass(frozen=True)
-class UniformRepresentation:
-    """A q-uniform morphism with a coding and a seed: an automaticity
+class UniformRepresentation(MorphicSpec):
+    """A morphic spec with a uniform morphism and a given coding: a
     certificate whose coded fixed point is the sequence it certifies."""
 
-    morphism: Morphism
     coding: Coding
-    seed: int
 
     def __post_init__(self):
+        super().__post_init__()
+        if self.coding is None:
+            raise ValueError("a uniform representation needs a coding")
         if self.morphism.uniform_length is None or self.morphism.uniform_length < 1:
             raise ValueError("representation morphism must be uniform")
-        if self.coding.source != self.morphism.alphabet:
-            raise ValueError("coding source must match the morphism alphabet")
-        if not 0 <= self.seed < len(self.morphism.alphabet):
-            raise ValueError("seed letter out of range")
 
     @property
     def q(self) -> int:
         return self.morphism.uniform_length
 
-    @property
-    def output_alphabet(self) -> Alphabet:
-        return self.coding.target
-
-    def to_spec(self) -> MorphicSpec:
-        return MorphicSpec(self.morphism, self.seed, self.coding)
-
     def with_outer_coding(self, outer: Coding | None) -> "UniformRepresentation":
         """The same representation with ``outer`` applied after its coding."""
         if outer is None:
             return self
-        return UniformRepresentation(self.morphism, outer.after(self.coding), self.seed)
-
-    def coded_prefix(self, n: int) -> Word:
-        return self.to_spec().coded_prefix(n)
-
-    def prefix(self, n: int) -> tuple[str, ...]:
-        return self.to_spec().prefix(n)
-
-    def to_morph_text(self, comments=()) -> str:
-        return self.to_spec().to_morph_text(comments)
+        return replace(self, coding=outer.after(self.coding))
 
 
 def representation_from_spec(spec: MorphicSpec) -> UniformRepresentation:
     """View a parsed spec as a uniform representation (identity coding when
     the spec carries none)."""
     coding = spec.coding if spec.coding is not None else Coding.identity(spec.morphism.alphabet)
-    return UniformRepresentation(spec.morphism, coding, spec.seed)
+    return UniformRepresentation(morphism=spec.morphism, seed=spec.seed, coding=coding)
 
 
 # ---------------------------------------------------------------------------
-# reshuffle to a uniform morphism
+# the left-eigenvector criterion and its uniform certificate
 
-def reshuffle_uniformize(m: Morphism, seed: int, q: int | None = None) -> UniformRepresentation:
+def eigenvector_criterion(m: Morphism) -> int | None:
+    """Return q >= 2 when the length vector is a left eigenvector of the
+    incidence matrix with eigenvalue q; the fixed points are then
+    q-automatic.  None when the criterion fails."""
+    if m.is_erasing:
+        raise ValueError("eigenvector criterion requires a non-erasing morphism")
+    inc = incidence(m)
+    lam = left_eigencheck(inc.length_vector, inc.matrix)
+    if lam is None:
+        return None
+    if lam.denominator != 1:
+        # a positive integer eigenvector of an integer matrix forces an
+        # integer eigenvalue; anything else is a bug worth failing loudly on
+        raise InternalCheckError(f"non-integer eigenvalue {lam} for integer data")
+    q = int(lam)
+    return q if q >= 2 else None
+
+
+def reshuffle_uniformize(m: Morphism, seed: int) -> UniformRepresentation:
     """Build the uniform certificate behind the left-eigenvector criterion.
 
     Every letter i is split into position letters (i, j) for j = 1..|m(i)|.
@@ -97,22 +96,14 @@ def reshuffle_uniformize(m: Morphism, seed: int, q: int | None = None) -> Unifor
     """
     if m.is_erasing:
         raise CriterionNotSatisfied("reshuffle requires a non-erasing morphism")
-    inc = incidence(m)
-    lam = left_eigencheck(inc.length_vector, inc.matrix)
-    if lam is None:
+    q = eigenvector_criterion(m)
+    if q is None:
         raise CriterionNotSatisfied("length vector is not a left eigenvector")
-    if lam.denominator != 1:
-        raise InternalCheckError("integer matrix produced a non-integer positive eigenvalue")
-    if q is not None and q != lam:
-        raise CriterionNotSatisfied(f"criterion holds with eigenvalue {lam}, not {q}")
-    q = int(lam)
-    if q < 2:
-        raise CriterionNotSatisfied(f"eigenvalue {q} < 2 certifies nothing")
     if not m.is_prolongable(seed):
         raise SpecError("seed is not prolongable")
 
     letters = m.alphabet.letters
-    lengths = inc.length_vector
+    lengths = m.lengths
     pairs = [(i, j) for i in range(len(letters)) for j in range(1, lengths[i] + 1)]
     index = {pair: n for n, pair in enumerate(pairs)}
     names = tuple(f"{letters[i]}.{j}" for i, j in pairs)
@@ -133,9 +124,9 @@ def reshuffle_uniformize(m: Morphism, seed: int, q: int | None = None) -> Unifor
             table[index[(i, j)]] = m.image(i)[j - 1]
 
     rep = UniformRepresentation(
-        Morphism(alpha, tuple(images)),
-        Coding(alpha, m.alphabet, tuple(table)),
-        index[(seed, 1)],
+        morphism=Morphism(alpha, tuple(images)),
+        seed=index[(seed, 1)],
+        coding=Coding(alpha, m.alphabet, tuple(table)),
     )
     if not rep.morphism.is_prolongable(rep.seed):
         raise InternalCheckError("reshuffled seed lost prolongability")
@@ -181,7 +172,9 @@ def minimize_uniform(u: UniformRepresentation) -> UniformRepresentation:
     images = tuple(tuple(classes[child] for child in m.image(reps[c])) for c in range(count))
     table = tuple(coding.table[reps[c]] for c in range(count))
     return UniformRepresentation(
-        Morphism(alpha, images), Coding(alpha, coding.target, table), classes[u.seed]
+        morphism=Morphism(alpha, images),
+        seed=classes[u.seed],
+        coding=Coding(alpha, coding.target, table),
     )
 
 

@@ -29,17 +29,12 @@ from .constructions import (
     BlockMorphism,
     UniformRepresentation,
     block_morphism,
+    eigenvector_criterion,
     minimize_uniform,
     representation_from_spec,
     reshuffle_uniformize,
 )
-from .linalg import (
-    SpectralReport,
-    incidence,
-    is_primitive,
-    left_eigencheck,
-    spectral_report,
-)
+from .linalg import SpectralReport, incidence, is_primitive, spectral_report
 from .sequences import ComplexityProfile, factor_complexity, sturmian_witness
 from .words import (
     Alphabet,
@@ -55,24 +50,6 @@ from .words import (
 
 # ---------------------------------------------------------------------------
 # individual criteria
-
-def eigenvector_criterion(m: Morphism) -> int | None:
-    """Return q >= 2 when the length vector is a left eigenvector of the
-    incidence matrix with eigenvalue q; the fixed points are then
-    q-automatic.  None when the criterion fails."""
-    if m.is_erasing:
-        raise ValueError("eigenvector criterion requires a non-erasing morphism")
-    inc = incidence(m)
-    lam = left_eigencheck(inc.length_vector, inc.matrix)
-    if lam is None:
-        return None
-    if lam.denominator != 1:
-        # a positive integer eigenvector of an integer matrix forces an
-        # integer eigenvalue; anything else is a bug worth failing loudly on
-        raise InternalCheckError(f"non-integer eigenvalue {lam} for integer data")
-    q = int(lam)
-    return q if q >= 2 else None
-
 
 def gcd_obstruction(m: Morphism) -> bool:
     """On two letters, coprime image lengths rule the criterion out.
@@ -268,9 +245,6 @@ class Verdict:
             )
         return cls(UNKNOWN, provenance, summary, evidence=evidence)
 
-    def describe(self) -> str:
-        return self.summary
-
     def to_json(self) -> dict:
         out = {"kind": self.kind, "provenance": self.provenance, "summary": self.summary}
         if self.q is not None:
@@ -305,6 +279,12 @@ class AnalyzeOptions:
     # the evidence stage's window and prefix
     evidence_nmax: ClassVar[int] = 30
     evidence_prefix: ClassVar[int] = 10_000
+
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError(f"depth must be at least 1, got {self.depth}")
+        if self.kmax < 2:
+            raise ValueError(f"kmax must be at least 2, got {self.kmax}")
 
 
 @dataclass(frozen=True)
@@ -414,7 +394,7 @@ def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
         detail = f"length vector is a left eigenvector with eigenvalue {q}"
         outcomes = [StageOutcome("eigenvector", "success", detail, {"q": q})]
         if not decided:
-            rep = reshuffle_uniformize(m, spec.seed, q).with_outer_coding(spec.coding)
+            rep = reshuffle_uniformize(m, spec.seed).with_outer_coding(spec.coding)
             how = f"left-eigenvector criterion, q={q}"
             verdict = Verdict.automatic(q, minimize_uniform(rep), "eigenvector", opts.depth, how)
     # the obstruction needs both letters to occur in the images

@@ -4,9 +4,10 @@ This is the evidence layer: finite-prefix computations that verify
 certificates and attach empirical witnesses to otherwise undecided inputs.
 ``factor_complexity``, ``sturmian_witness`` and ``empirical_frequencies``
 accept anything with ``coded_prefix(n)`` and ``output_alphabet`` (morphic
-specs, uniform representations, block certificates) and work on that word
-of output-letter indices.  Factor complexity packs the word into a byte
-string, one fixed-width item per letter, and counts byte windows.
+specs, uniform representations among them, and block certificates) and
+work on that word of output-letter indices.  Factor complexity packs the
+word into a byte string, one fixed-width item per letter, and counts byte
+windows.
 Complexity counts over a finite prefix are lower bounds on the true factor
 complexity and are labelled as such.
 """
@@ -51,7 +52,7 @@ def prefix_equal(first, second, n: int) -> bool:
     """Whether two generators agree on their first n output letters.
 
     Accepts anything with a ``prefix(n) -> tuple[str, ...]`` method
-    (morphic specs, uniform representations, block morphisms).
+    (morphic specs, uniform representations among them, block morphisms).
     """
     return first.prefix(n) == second.prefix(n)
 

@@ -152,7 +152,7 @@ def test_criterion_6_cup_property_suite():
         spec = load(name)
         rep = representation_from_spec(spec)
         if rep.q < 3:
-            rep = UniformRepresentation(rep.morphism.power(3), rep.coding, rep.seed)
+            rep = UniformRepresentation(rep.morphism.power(3), rep.seed, rep.coding)
         k = rep.q
         for s in range(1, 2 * k):
             transformed = cup_transform(rep, CupParams(pair_position=1, split_index=s))

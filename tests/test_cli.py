@@ -41,6 +41,9 @@ class TestAnalyzeCommand:
             assert main(["analyze", morph(corpus_path, name), "--json"]) == 0
             report = json.loads(capsys.readouterr().out)
             jsonschema.validate(report, schema)
+        del report["input"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
 
     def test_every_corpus_report_validates(self, corpus_path, capsys, schema):
         for path in sorted(corpus_path.glob("*.morph")):
@@ -98,6 +101,16 @@ class TestAnalyzeCommand:
         assert exc.value.code == 2
         assert "must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["analyze", "{fib}", "--kmax", "1"], ["corpus", "--run", "--kmax", "1"]]
+    )
+    def test_kmax_below_2_exits_2(self, corpus_path, capsys, argv):
+        fib = morph(corpus_path, "fibonacci")
+        assert main([arg.format(fib=fib) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kmax" in captured.err
+
 
 class TestUniformize:
     def test_istrail_minimized_round_trip(self, corpus_path, capsys, tmp_path, berstel, istrail):
@@ -119,7 +132,7 @@ class TestUniformize:
 
     def test_criterion_failure_exit_4(self, corpus_path, capsys):
         assert main(["uniformize", morph(corpus_path, "lysenok")]) == 4
-        assert "eigenvector" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: length vector is not a left eigenvector\n"
 
 
 class TestOtherCommands:

@@ -36,6 +36,17 @@ def morphism_shape(m: Morphism, seed: int):
     return tuple(tuple(names[c] for c in m.image(letter)) for letter in order)
 
 
+class TestUniformRepresentation:
+    def test_rejects_a_non_uniform_morphism(self, istrail):
+        coding = Coding.identity(istrail.morphism.alphabet)
+        with pytest.raises(ValueError, match="must be uniform"):
+            UniformRepresentation(istrail.morphism, istrail.seed, coding)
+
+    def test_rejects_a_missing_coding(self, thue_morse):
+        with pytest.raises(ValueError, match="needs a coding"):
+            UniformRepresentation(thue_morse.morphism, thue_morse.seed, None)
+
+
 class TestReshuffle:
     def test_istrail_worked_example(self, istrail):
         rep = reshuffle_uniformize(istrail.morphism, istrail.seed)
@@ -82,10 +93,6 @@ class TestReshuffle:
         with pytest.raises(CriterionNotSatisfied):
             reshuffle_uniformize(lysenok.morphism, lysenok.seed)
 
-    def test_wrong_claimed_eigenvalue_raises(self, istrail):
-        with pytest.raises(CriterionNotSatisfied):
-            reshuffle_uniformize(istrail.morphism, istrail.seed, q=3)
-
 
 class TestMinimize:
     def test_istrail_becomes_berstel(self, istrail, berstel):
@@ -110,7 +117,7 @@ class TestMinimize:
         alpha = Alphabet(("x", "y", "z"))
         target = Alphabet(("0", "1"))
         m = Morphism(alpha, ((0, 1), (2, 0), (2, 0)))  # y and z are clones
-        rep = UniformRepresentation(m, Coding(alpha, target, (0, 1, 1)), 0)
+        rep = UniformRepresentation(m, 0, Coding(alpha, target, (0, 1, 1)))
         merged = minimize_uniform(rep)
         assert len(merged.morphism.alphabet) == 2
         assert prefix_equal(merged, rep, 2000)
@@ -142,7 +149,7 @@ class TestIso:
     @staticmethod
     def uniform(images, table, outputs=("0", "1")):
         alpha = Alphabet(("x", "y", "z")[: len(images)])
-        return UniformRepresentation(Morphism(alpha, images), Coding(alpha, Alphabet(outputs), table), 0)
+        return UniformRepresentation(Morphism(alpha, images), 0, Coding(alpha, Alphabet(outputs), table))
 
     def test_different_q_fails(self, thue_morse, tm_cube):
         assert iso_equivalent(

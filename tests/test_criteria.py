@@ -6,6 +6,7 @@ import pytest
 
 from morphauto import (
     Alphabet,
+    AnalyzeOptions,
     Coding,
     Morphism,
     MorphicSpec,
@@ -194,6 +195,7 @@ class TestAnalyze:
         report = analyze(istrail)
         assert (report.verdict.kind, report.verdict.q) == ("automatic", 2)
         assert report.verdict.provenance == "eigenvector"
+        assert isinstance(report.verdict.certificate, MorphicSpec)
 
     def test_benli_unknown_with_sturmian_witness(self, benli):
         report = analyze(benli)
@@ -204,13 +206,18 @@ class TestAnalyze:
     def test_grig_aca_aba_not_automatic(self, grig_aca_aba):
         report = analyze(grig_aca_aba)
         assert report.verdict.kind == "not_automatic"
-        assert "x^4 - 2*x^3 - 2*x^2 - x + 2" in report.verdict.describe()
+        assert "x^4 - 2*x^3 - 2*x^2 - x + 2" in report.verdict.summary
 
     def test_every_stage_is_recorded(self, lysenok):
         report = analyze(lysenok)
         names = [s.name for s in report.stages]
         for required in ("uniform", "eigenvector", "anagram", "block", "irrationality"):
             assert required in names
+
+    @pytest.mark.parametrize("bad", [{"kmax": 1}, {"depth": 0}])
+    def test_out_of_range_options_raise(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            AnalyzeOptions(**bad)
 
     def test_non_prolongable_seed_raises(self):
         spec = parse_morphism("letters: 0 1\n0 -> 10\n1 -> 0101\nseed: 0")
@@ -354,7 +361,7 @@ class TestVerifyCertificate:
         # the coded letter indices agree, the letters they stand for do not
         cert = analyze(thue_morse).verdict.certificate
         swapped = Coding(cert.coding.source, Alphabet(("1", "0")), cert.coding.table)
-        relabelled = UniformRepresentation(cert.morphism, swapped, cert.seed)
+        relabelled = UniformRepresentation(cert.morphism, cert.seed, swapped)
         assert relabelled.coded_prefix(5000) == thue_morse.coded_prefix(5000)
         with pytest.raises(InternalCheckError, match="output alphabet"):
             _verify_certificate(thue_morse, relabelled, 5000)
@@ -382,7 +389,7 @@ class TestVerifyCertificate:
 
     def test_another_seed_is_replayed(self, thue_morse, letters_generated):
         own = representation_from_spec(thue_morse)
-        other = UniformRepresentation(own.morphism, own.coding, 1)
+        other = UniformRepresentation(own.morphism, 1, own.coding)
         with pytest.raises(InternalCheckError, match="disagrees"):
             _verify_certificate(thue_morse, other, 5000)
         assert letters_generated == [5000, 5000]
@@ -395,7 +402,7 @@ class TestVerifyCertificate:
         swap = {0: 1, 1: 0}
         table = tuple(swap.get(c, c) for c in own.coding.table)
         other = UniformRepresentation(
-            own.morphism, Coding(own.coding.source, own.coding.target, table), own.seed
+            own.morphism, own.seed, Coding(own.coding.source, own.coding.target, table)
         )
         assert other.output_alphabet == spec.output_alphabet
         with pytest.raises(InternalCheckError, match="disagrees"):

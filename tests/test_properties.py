@@ -100,7 +100,7 @@ def uniform_representations(draw):
     t = draw(st.integers(1, min(3, r)))
     target = Alphabet(tuple(str(i) for i in range(t)))
     table = tuple(draw(st.integers(0, t - 1)) for _ in range(r))
-    return UniformRepresentation(Morphism(alphabet, tuple(images)), Coding(alphabet, target, table), 0)
+    return UniformRepresentation(Morphism(alphabet, tuple(images)), 0, Coding(alphabet, target, table))
 
 
 @SUITE
@@ -168,7 +168,8 @@ def test_certificate_round_trip(data):
     assume(degree >= 2)
     assume(morphism.is_prolongable(0))
     spec = MorphicSpec(morphism, 0)
-    cert = minimize_uniform(reshuffle_uniformize(morphism, 0, degree))
+    cert = minimize_uniform(reshuffle_uniformize(morphism, 0))
+    assert cert.q == degree
     text = cert.to_morph_text(comments=["derived: reshuffle certificate"])
     reparsed = representation_from_spec(parse_morphism(text))
     assert reparsed.q == cert.q
