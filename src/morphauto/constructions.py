@@ -96,11 +96,11 @@ def reshuffle_uniformize(m: Morphism, seed: int) -> UniformRepresentation:
     """
     if m.is_erasing:
         raise CriterionNotSatisfied("reshuffle requires a non-erasing morphism")
+    if not m.is_prolongable(seed):
+        raise SpecError("seed is not prolongable")
     q = eigenvector_criterion(m)
     if q is None:
         raise CriterionNotSatisfied("length vector is not a left eigenvector")
-    if not m.is_prolongable(seed):
-        raise SpecError("seed is not prolongable")
 
     letters = m.alphabet.letters
     lengths = m.lengths

@@ -2,16 +2,18 @@
 
 Everything here is decided exactly, so no verdict ever depends on floating
 point.  Characteristic polynomials are reduced to Hessenberg form modulo a
-few Mersenne primes and lifted by the Chinese remainder theorem under a
-coefficient bound, with the trace as an exact check.  Whether the spectral
-radius is a given integer c is read off the signs of the leading principal
-minors of cI - B for each irreducible diagonal block B (one fraction-free
-elimination), and when it is, the Perron vector is back-substituted in the
-rows of that same elimination.  Spectral-radius brackets are
-Collatz-Wielandt bounds, which hold for every positive vector, so the
-vectors may be rounded freely.  The diagonal blocks are the strongly
-connected components of the support digraph (a bitmask Warshall closure),
-and a matrix is primitive when that split finds one component and a
+few Mersenne primes and lifted by the Chinese remainder theorem under
+Hadamard's coefficient bound prod_j (1 + ||column j||_2), with the trace as
+an exact check.  Whether the spectral radius is a given integer c is read
+off the signs of the leading principal minors of cI - B for each
+irreducible diagonal block B (one fraction-free elimination), and when it
+is, the Perron vector is back-substituted in the rows of that same
+elimination.  Spectral-radius brackets are Collatz-Wielandt bounds, which
+hold for every positive vector, so the vectors may be rounded freely; the
+iteration keeps its matrices as sparse rows, and until its first squaring
+it gets (B + I)x as Bx + x.  The diagonal blocks are the strongly connected
+components of the support digraph (a bitmask Warshall closure), and a
+matrix is primitive when that split finds one component and a
 breadth-first search finds its period to be 1.
 
 Convention: for a morphism s, ``incidence(s).matrix[i][j]`` counts the
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from .words import Morphism, parikh_vector
 
@@ -178,14 +180,19 @@ def _char_poly_mod(matrix, p: int) -> list[int]:
 def char_poly(matrix) -> IntPolynomial:
     """det(xI - M), exactly over Z.
 
-    L, the largest absolute column sum, bounds every eigenvalue, so
-    |c_k| <= C(n, k) L^k <= (1 + L)^n.  Residues modulo Mersenne primes
-    whose product exceeds twice that bound determine every coefficient by
-    the Chinese remainder theorem and a symmetric lift.
+    c_k is, up to sign, the sum of the principal k x k minors, and
+    Hadamard's inequality bounds each minor by the product of its columns'
+    Euclidean norms, which are at most those of the full columns a_j; so
+    |c_k| <= e_k(a_1, ..., a_n) <= prod_j (1 + a_j) (Horn-Johnson, Matrix
+    Analysis, 7.8).  Residues modulo Mersenne primes whose product exceeds
+    twice that bound, with each a_j rounded up to an integer, determine
+    every coefficient by the Chinese remainder theorem and a symmetric lift.
     """
     n = len(matrix)
-    lsum = max((sum(abs(row[j]) for row in matrix) for j in range(n)), default=0)
-    bound = 2 * (1 + lsum) ** n
+    bound = 2
+    for col in zip(*matrix):
+        squares = sum(entry * entry for entry in col)
+        bound *= 1 + (math.isqrt(squares - 1) + 1 if squares else 0)
     primes, modulus = [], 1
     for p in _CRT_PRIMES:
         if modulus > bound:
@@ -372,6 +379,34 @@ def _round_up(rows):
     return tuple(tuple(-(-entry >> shift) for entry in row) for row in rows)
 
 
+def _sparse_rows(rows):
+    """Each row as (columns, values) of its nonzero entries."""
+    return [
+        ([j for j, entry in enumerate(row) if entry], [entry for entry in row if entry])
+        for row in rows
+    ]
+
+
+def _sparse_apply(rows, x):
+    """Mx for M in sparse rows."""
+    return [sum(map(mul, vals, map(x.__getitem__, cols))) for cols, vals in rows]
+
+
+def _sparse_square(rows):
+    """P * P for P in sparse rows, rounded as a whole by _round_up: row i
+    of the square is the sum of rows k of P weighted by the entries (i, k)."""
+    n = len(rows)
+    square = []
+    for cols_i, vals_i in rows:
+        acc = [0] * n
+        for k, a in zip(cols_i, vals_i):
+            cols_k, vals_k = rows[k]
+            for j, b in zip(cols_k, vals_k):
+                acc[j] += a * b
+        square.append(acc)
+    return _sparse_rows(_round_up(square))
+
+
 def _irreducible_bracket(block, tol: Fraction):
     """Bracket the spectral radius of one irreducible diagonal block B.
 
@@ -381,17 +416,20 @@ def _irreducible_bracket(block, tol: Fraction):
     multiplied by P = B + I, which is primitive because B is irreducible,
     so the direction of x tends to the Perron vector even for periodic B.
     P is squared every n steps, so that a small spectral gap costs
-    logarithmically many squarings rather than many products.
+    logarithmically many squarings rather than many products.  B and the
+    powers of P are kept as sparse rows; until the first squaring, Px is
+    Bx + x, from the Bx the step has just made.  The bounds lo and hi are
+    kept as integer pairs and compared by cross-multiplication.
     """
     n = len(block)
-    power = tuple(
-        tuple(entry + (i == j) for j, entry in enumerate(row)) for i, row in enumerate(block)
-    )
+    b_rows = _sparse_rows(block)
+    power = None  # the latest rounded square of P = B + I, once there is one
     x = (1,) * n
-    lo, hi = Fraction(0), None
+    ln, ld, hn, hd = 0, 1, None, 1  # lo = ln / ld, hi = hn / hd
+    tn, td = tol.numerator, tol.denominator
     squarings = steps = 0
     while True:
-        bx = [sum(map(mul, row, x)) for row in block]
+        bx = _sparse_apply(b_rows, x)
         # the smallest and largest ratio bx_i / x_i, compared exactly
         i_lo = i_hi = 0
         for i in range(1, n):
@@ -399,18 +437,24 @@ def _irreducible_bracket(block, tol: Fraction):
                 i_lo = i
             elif bx[i] * x[i_hi] > bx[i_hi] * x[i]:
                 i_hi = i
-        lo = max(lo, Fraction(bx[i_lo], x[i_lo]))
-        top = Fraction(bx[i_hi], x[i_hi])
-        hi = top if hi is None else min(hi, top)
-        if hi - lo <= tol:
-            return lo, hi, False
+        if bx[i_lo] * ld > ln * x[i_lo]:
+            ln, ld = bx[i_lo], x[i_lo]
+        if hn is None or bx[i_hi] * hd < hn * x[i_hi]:
+            hn, hd = bx[i_hi], x[i_hi]
+        if (hn * ld - ln * hd) * td <= tn * hd * ld:
+            return Fraction(ln, ld), Fraction(hn, hd), False
         steps += 1
         if steps % n == 0:
             if squarings >= _MAX_SQUARINGS:
-                return lo, hi, True
-            power = _round_up(mat_mul(power, power))
+                return Fraction(ln, ld), Fraction(hn, hd), True
+            if power is None:
+                power = _sparse_rows(
+                    [entry + (i == j) for j, entry in enumerate(row)] for i, row in enumerate(block)
+                )
+            power = _sparse_square(power)
             squarings += 1
-        x = _round_up((tuple(sum(map(mul, row, x)) for row in power),))[0]
+        px = list(map(add, bx, x)) if power is None else _sparse_apply(power, x)
+        x = _round_up((px,))[0]
 
 
 def radius_bracket(matrix, tol) -> RadiusBracket:

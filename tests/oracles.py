@@ -2,10 +2,12 @@
 
 Everything here is deliberately naive and shares no code path with the
 package: token-level string rewriting, cofactor-expansion determinants,
-the Faddeev-LeVerrier recursion, set-based factor counting.
+the Faddeev-LeVerrier recursion, set-based factor counting, and the
+spectral-radius bracket on dense rows.
 """
 
 from fractions import Fraction
+from operator import mul
 
 
 def naive_apply(rules: dict[str, list[str]], word: list[str]) -> list[str]:
@@ -150,3 +152,49 @@ def golden_ratio_frequencies() -> tuple[Fraction, Fraction]:
     for _ in range(38):
         a, b = b, a + b
     return Fraction(a, b), 1 - Fraction(a, b)
+
+
+def _dense_round_up(rows, prec: int):
+    shift = max(0, max(map(max, rows)).bit_length() - prec)
+    if not shift:
+        return rows
+    return tuple(tuple(-(-entry >> shift) for entry in row) for row in rows)
+
+
+def _dense_mat_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def dense_irreducible_bracket(block, tol: Fraction, prec: int, max_squarings: int):
+    """The Collatz-Wielandt iteration of ``linalg._irreducible_bracket`` on
+    dense rows, with Fraction bounds: x starts at all ones and is multiplied
+    by P = B + I, P is squared every n steps, and x and every square are
+    rounded up to ``prec`` bits.  Returns (lo, hi, loose)."""
+    n = len(block)
+    power = tuple(
+        tuple(entry + (i == j) for j, entry in enumerate(row)) for i, row in enumerate(block)
+    )
+    x = (1,) * n
+    lo, hi = Fraction(0), None
+    squarings = steps = 0
+    while True:
+        bx = [sum(map(mul, row, x)) for row in block]
+        i_lo = i_hi = 0
+        for i in range(1, n):
+            if bx[i] * x[i_lo] < bx[i_lo] * x[i]:
+                i_lo = i
+            elif bx[i] * x[i_hi] > bx[i_hi] * x[i]:
+                i_hi = i
+        lo = max(lo, Fraction(bx[i_lo], x[i_lo]))
+        top = Fraction(bx[i_hi], x[i_hi])
+        hi = top if hi is None else min(hi, top)
+        if hi - lo <= tol:
+            return lo, hi, False
+        steps += 1
+        if steps % n == 0:
+            if squarings >= max_squarings:
+                return lo, hi, True
+            power = _dense_round_up(_dense_mat_mul(power, power), prec)
+            squarings += 1
+        x = _dense_round_up((tuple(sum(map(mul, row, x)) for row in power),), prec)[0]

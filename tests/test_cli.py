@@ -134,6 +134,14 @@ class TestUniformize:
         assert main(["uniformize", morph(corpus_path, "lysenok")]) == 4
         assert capsys.readouterr().err == "error: length vector is not a left eigenvector\n"
 
+    def test_non_prolongable_seed_is_an_input_error(self, tmp_path, capsys):
+        # the criterion fails too (eigenvalue 1 certifies nothing), but the
+        # seed is what makes the input unusable: exit 2, not the criterion's 4
+        bad = tmp_path / "bad.morph"
+        bad.write_text("letters: a b\na -> b\nb -> b\nseed: a\n", encoding="utf-8")
+        assert main(["uniformize", str(bad)]) == 2
+        assert "prolongable" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_blocks(self, corpus_path, capsys):

@@ -16,10 +16,19 @@ from morphauto import (
     radius_bracket,
     spectral_report,
 )
-from morphauto.linalg import InternalArithmeticError, _radius_sign
+from morphauto import linalg
+from morphauto.linalg import (
+    _MAX_SQUARINGS,
+    _PREC,
+    InternalArithmeticError,
+    _irreducible_bracket,
+    _radius_sign,
+    _strongly_connected_components,
+)
 
 from oracles import (
     bisect_root,
+    dense_irreducible_bracket,
     faddeev_leverrier_charpoly,
     naive_bool_power_positive,
     naive_charpoly,
@@ -101,6 +110,35 @@ class TestCharPoly:
         assert char_poly(shift).coeffs == (1, 0, 0, 0, 0, 0, 0)
         for m in (((1, 2, 3), (1, 2, 3), (4, 5, 6)), ((0, 0, 7), (0, 0, 0), (1, 0, 0))):
             assert list(char_poly(m).coeffs) == naive_charpoly(m)
+
+    def test_hadamard_bound_reached_exactly(self):
+        # 2^14 H_4 (Sylvester) has columns of norm 2^15 and determinant
+        # (2^15)^4 = 2^60, Hadamard's bound itself; 2 (1 + 2^15)^4 exceeds
+        # the first prime 2^61 - 1, and without the factor 2 that prime
+        # alone would lift c_4 to -(2^60 - 1)
+        h2 = ((1, 1), (1, -1))
+        h4 = tuple(tuple(a * b for a in ra for b in rb) for ra in h2 for rb in h2)
+        m = tuple(tuple(2**14 * entry for entry in row) for row in h4)
+        coeffs = char_poly(m).coeffs
+        assert coeffs[4] == 2**60
+        assert list(coeffs) == faddeev_leverrier_charpoly(m)
+
+    def test_four_ones_per_column_take_one_prime(self, monkeypatch):
+        # columns of norm 2 bound |c_k| by 3^32 < 2^51, so the first prime
+        # 2^61 - 1 suffices; the column-sum bound 5^32 needed two
+        rng = random.Random(1032)
+        cols = [rng.sample(range(32), 4) for _ in range(32)]
+        m = tuple(tuple(int(i in cols[j]) for j in range(32)) for i in range(32))
+        primes = []
+        real = linalg._char_poly_mod
+
+        def counted(matrix, p):
+            primes.append(p)
+            return real(matrix, p)
+
+        monkeypatch.setattr(linalg, "_char_poly_mod", counted)
+        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+        assert primes == [2**61 - 1]
 
     def test_bound_beyond_the_prime_table_raises(self):
         # |c_1| <= 2^200000 needs more bits than the whole prime table holds
@@ -308,6 +346,62 @@ class TestRadiusBracket:
         br = radius_bracket(m, Fraction(1, 10**6))
         assert br.loose
         _assert_bracket_holds(br, [m])
+
+
+def _random_irreducible(rng, r, density, top):
+    """Entries in 1..top at the given density, plus a random r-cycle."""
+    rows = [
+        [rng.randint(1, top) if rng.random() < density else 0 for _ in range(r)] for _ in range(r)
+    ]
+    perm = _shuffled(rng, r)
+    for u, v in zip(perm, perm[1:] + perm[:1]):
+        rows[u][v] = rows[u][v] or rng.randint(1, 3)
+    return tuple(map(tuple, rows))
+
+
+class TestBracketAgainstDense:
+    """The sparse iteration returns exactly the (lo, hi, loose) of the dense
+    one in ``oracles``: same iterates, same squarings, same rounding."""
+
+    @staticmethod
+    def _assert_same(block, tol):
+        assert len(_strongly_connected_components(block)) == 1
+        expected = dense_irreducible_bracket(block, tol, _PREC, _MAX_SQUARINGS)
+        assert _irreducible_bracket(block, tol) == expected
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
+    def test_random_blocks(self, tol):
+        # entries up to 2^140 spread the Perron vector beyond the working
+        # precision, so those blocks run all their squarings: kept small
+        rng = random.Random(36 * tol.denominator)
+        for _ in range(40):
+            top = rng.choice((1, 1, 3, 9, 2**140))
+            r = rng.randint(1, 12 if top == 2**140 else 36)
+            density = rng.choice((0.05, 0.1, 0.2, 0.4, 0.8))
+            self._assert_same(_random_irreducible(rng, r, density, top), tol)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
+    def test_squares_beyond_the_working_precision(self, tol):
+        # entries near 2^50 give squares of about 2^100 and more, which are
+        # rounded, and most of these small dense blocks converge within a few
+        # squarings
+        rng = random.Random(50)
+        for _ in range(20):
+            self._assert_same(_random_irreducible(rng, rng.randint(2, 6), 0.7, 2**50), tol)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
+    def test_cycles_with_and_without_a_self_loop(self, tol):
+        for r in (1, 2, 3, 5, 8, 13, 21, 32, 36):
+            cycle = _from_edges(r, {(i, (i + 1) % r) for i in range(r)})
+            looped = _from_edges(r, {(i, (i + 1) % r) for i in range(r)} | {(r // 2, r // 2)})
+            self._assert_same(cycle, tol)
+            self._assert_same(looped, tol)
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
+    def test_loose_case(self, tol):
+        block = ((2**120, 1), (1, 0))
+        self._assert_same(block, tol)
+        assert _irreducible_bracket(block, tol)[2]
 
 
 class TestSpectralReport:
