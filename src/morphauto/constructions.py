@@ -101,7 +101,12 @@ def reshuffle_uniformize(m: Morphism, seed: int) -> UniformRepresentation:
     q = eigenvector_criterion(m)
     if q is None:
         raise CriterionNotSatisfied("length vector is not a left eigenvector")
+    return _reshuffle(m, seed, q)
 
+
+def _reshuffle(m: Morphism, seed: int, q: int) -> UniformRepresentation:
+    """``reshuffle_uniformize`` for a non-erasing m, a prolongable seed and
+    the eigenvalue q >= 2 that ``eigenvector_criterion(m)`` returned."""
     letters = m.alphabet.letters
     lengths = m.lengths
     pairs = [(i, j) for i in range(len(letters)) for j in range(1, lengths[i] + 1)]
@@ -241,6 +246,16 @@ class BlockMorphism:
         """First n letters of the flattened block fixed point."""
         needed = (n + self.k - 1) // self.k
         block_word = MorphicSpec(self.morphism, self.seed_block).uncoded_prefix(needed)
+        if max(len(self.blocks), len(self.source.alphabet)) <= 256:
+            # Blocks and source letters fit a byte: letter j of every block
+            # is one translation of the packed block word, written to every
+            # k-th byte.  (bytes.join would keep an 80-byte record per block.)
+            packed = bytes(block_word)
+            out = bytearray(self.k * len(packed))
+            for j in range(self.k):
+                table = bytes(block[j] for block in self.blocks).ljust(256, b"\0")
+                out[j :: self.k] = packed.translate(table)
+            return tuple(out[:n])
         out: list[int] = []
         for b in block_word:
             out.extend(self.blocks[b])

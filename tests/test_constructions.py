@@ -213,6 +213,21 @@ class TestBlocks:
             blk = block_morphism(spec, 2)
             assert blk.prefix(10_000) == spec.prefix(10_000)
 
+    @pytest.mark.parametrize(
+        "text, k",
+        [
+            ("letters: a b\na -> aab\nb -> bba\nseed: a", 3),
+            ("letters: a b c\na -> abcabc\nb -> cab\nc -> bca\nseed: a", 3),
+            ("letters: a b\na -> abba\nb -> baab\nseed: a", 4),
+        ],
+        ids=["aab-bba", "abcabc-cab-bca", "thue-morse-4"],
+    )
+    def test_flattening_longer_blocks(self, text, k):
+        spec = parse_morphism(text)
+        blk = block_morphism(spec, k)
+        for n in (1, k + 1, 1000, 1001):
+            assert blk.prefix(n) == spec.prefix(n)
+
     def test_divisibility_failure_reports_block(self, fib_bc):
         with pytest.raises(BlockConstructionError) as err:
             block_morphism(fib_bc, 2)

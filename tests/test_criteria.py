@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,12 @@ from morphauto import (
     irrationality_verdict,
     parse_morphism,
 )
-from morphauto.constructions import UniformRepresentation, representation_from_spec
-from morphauto.criteria import _verify_certificate
+from morphauto.constructions import (
+    UniformRepresentation,
+    block_morphism,
+    representation_from_spec,
+)
+from morphauto.criteria import BlockCertificate, _verify_certificate
 
 # The (name, status) of every stage analyze records on each corpus entry, in
 # order: this pins skips, cross-checks and info stages, not only verdicts.
@@ -408,3 +413,32 @@ class TestVerifyCertificate:
         with pytest.raises(InternalCheckError, match="disagrees"):
             _verify_certificate(spec, other, 5000)
         assert letters_generated == [5000, 5000]
+
+    @staticmethod
+    def fan(r: int) -> Morphism:
+        """x0 -> x0 x1 ... x(r-1) and xi -> xi^r: the letter x(r-1) and the
+        2-block x(r-2) x(r-1) occur first at index r - 1 of the fixed point,
+        whose 2-blocks are 3r/2 - 1 in number."""
+        alphabet = Alphabet(tuple(f"x{i}" for i in range(r)))
+        return Morphism(alphabet, (tuple(range(r)),) + tuple((i,) * r for i in range(1, r)))
+
+    # r = 200: one byte a letter; r = 300: more than 256 letters
+    @pytest.mark.parametrize("r", [200, 300])
+    @pytest.mark.parametrize("kind", ["uniform", "block"])
+    def test_a_difference_at_the_last_replayed_letter(self, r, kind):
+        m = self.fan(r)
+        if kind == "uniform":
+            # the codings differ on x(r-1) only
+            target = Alphabet(("p", "q"))
+            spec = MorphicSpec(m, 0, Coding(m.alphabet, target, (0,) * (r - 1) + (1,)))
+            cert = UniformRepresentation(m, 0, Coding(m.alphabet, target, (0,) * r))
+        else:
+            spec = MorphicSpec(m, 0)
+            blk = block_morphism(spec, 2)
+            assert len(blk.blocks) > 256
+            blocks = list(blk.blocks)
+            blocks[blocks.index((r - 2, r - 1))] = (r - 2, r - 2)
+            cert = BlockCertificate(replace(blk, blocks=tuple(blocks)), None)
+        _verify_certificate(spec, cert, r - 1)
+        with pytest.raises(InternalCheckError, match="disagrees"):
+            _verify_certificate(spec, cert, r)

@@ -1,10 +1,13 @@
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from morphauto import (
+    Alphabet,
     empirical_frequencies,
     factor_complexity,
     incidence,
@@ -129,6 +132,89 @@ class TestFactorComplexityOracle:
         assert profile.counts == (1,) * 30
         ok, _ = sturmian_witness(fib_constant, 30, 10_000)
         assert not ok
+
+
+@cache
+def numbered_alphabet(size: int) -> Alphabet:
+    return Alphabet(tuple(f"x{i}" for i in range(size)))
+
+
+@dataclass(frozen=True)
+class GivenWord:
+    """A fixed word, with what factor_complexity reads of a spec."""
+
+    word: tuple[int, ...]
+    letters: int
+
+    @property
+    def output_alphabet(self) -> Alphabet:
+        return numbered_alphabet(self.letters)
+
+    def coded_prefix(self, n: int) -> tuple[int, ...]:
+        assert n <= len(self.word)
+        return self.word[:n]
+
+
+# One, two and four bytes a letter; indices that differ in one byte only.
+SCAN_SIZES = (1, 2, 3, 257, 70_000)
+SCAN_INDICES = (0, 1, 2, 255, 256, 65_535, 65_536)
+
+
+@st.composite
+def scanned_words(draw):
+    """A word with n_max and a prefix length at least 4 * n_max that is not
+    a multiple of the scan's chunk of n_max // 2 letters (when it exceeds
+    one): random, periodic, or a morphic fixed point relabelled into a large
+    alphabet."""
+    letters = draw(st.sampled_from(SCAN_SIZES))
+    n_max = draw(st.integers(1, 40))
+    length = 4 * n_max + draw(st.integers(0, 100))
+    chunk = max(1, n_max // 2)
+    if chunk > 1 and length % chunk == 0:
+        length += 1
+    candidates = sorted({c for c in SCAN_INDICES if c < letters} | {letters - 1})
+    pool = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=5, unique=True))
+    kind = draw(st.sampled_from(("random", "periodic", "morphic")))
+    if kind == "random":
+        word = draw(st.lists(st.sampled_from(pool), min_size=length, max_size=length))
+    elif kind == "periodic":
+        period = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+        word = (period * (length // len(period) + 1))[:length]
+    else:
+        fixed_point = draw(prolongable_specs()).spec.uncoded_prefix(length)
+        word = [pool[c % len(pool)] for c in fixed_point]
+    return GivenWord(tuple(word), letters), n_max, length
+
+
+class TestWindowScan:
+    """factor_complexity slices windows only from the distinct chunks of
+    n_max // 2 letters, each extended by the n_max - 1 letters after it."""
+
+    @PROPERTY
+    @given(scanned_words())
+    def test_matches_brute_force_count(self, drawn):
+        source, n_max, length = drawn
+        profile = factor_complexity(source, n_max, length)
+        assert profile.counts == tuple(
+            naive_factor_count(source.word, n) for n in range(1, n_max + 1)
+        )
+
+    def test_factor_across_a_chunk_boundary(self):
+        # n_max = 8 cuts chunks of 4 letters.  The only 8-letter factor that
+        # holds both 1 and 2 starts at position 3, the last of the first
+        # chunk, and ends on the last letter of that chunk's extension.
+        word = [0] * 41
+        word[3], word[10] = 1, 2
+        profile = factor_complexity(GivenWord(tuple(word), 3), 8, 41)
+        assert profile.counts == tuple(naive_factor_count(word, n) for n in range(1, 9))
+
+    def test_new_factor_in_the_last_letters(self):
+        # The letter 1 and the factor 0 1 occur only in the last n_max - 1
+        # letters, where the windows are shorter than n_max.
+        word = [0] * 40 + [1]
+        profile = factor_complexity(GivenWord(tuple(word), 2), 8, 41)
+        assert profile.counts == tuple(naive_factor_count(word, n) for n in range(1, 9))
+        assert profile.counts[:2] == (2, 2)
 
 
 class TestSturmianWitness:
