@@ -243,23 +243,22 @@ class BlockMorphism:
     source: Morphism
 
     def flatten_prefix(self, n: int) -> Word:
-        """First n letters of the flattened block fixed point."""
-        needed = (n + self.k - 1) // self.k
-        block_word = MorphicSpec(self.morphism, self.seed_block).uncoded_prefix(needed)
-        if max(len(self.blocks), len(self.source.alphabet)) <= 256:
-            # Blocks and source letters fit a byte: letter j of every block
-            # is one translation of the packed block word, written to every
-            # k-th byte.  (bytes.join would keep an 80-byte record per block.)
-            packed = bytes(block_word)
-            out = bytearray(self.k * len(packed))
-            for j in range(self.k):
-                table = bytes(block[j] for block in self.blocks).ljust(256, b"\0")
-                out[j :: self.k] = packed.translate(table)
-            return tuple(out[:n])
-        out: list[int] = []
-        for b in block_word:
-            out.extend(self.blocks[b])
-        return tuple(out[:n])
+        """First n letters of the flattened block fixed point, in the format
+        of the source alphabet (``bytes`` up to 256 letters).
+
+        Letter j of every block is one coding of the block word, the
+        block -> j-th letter table, written to every k-th letter of the
+        output: a packed block word is coded by one byte translation.
+        (``bytes.join`` of the blocks would keep an 80-byte record per
+        block.)"""
+        k, source = self.k, self.source.alphabet
+        block_word = MorphicSpec(self.morphism, self.seed_block).uncoded_prefix(-(-n // k))
+        out = bytearray(k * len(block_word)) if source.packed else [0] * (k * len(block_word))
+        for j in range(k):
+            lane = Coding(self.morphism.alphabet, source, tuple(b[j] for b in self.blocks))
+            out[j::k] = lane.apply(block_word)
+        del out[n:]
+        return bytes(out) if source.packed else tuple(out)
 
     def prefix(self, n: int) -> tuple[str, ...]:
         return self.source.alphabet.tokens(self.flatten_prefix(n))
@@ -291,7 +290,7 @@ def block_morphism(spec: MorphicSpec, k: int) -> BlockMorphism:
         raise ValueError("block length must be at least 2")
     m = spec.morphism
     limit = min(len(m.alphabet) ** k, _MAX_BLOCKS)
-    seed_block = spec.uncoded_prefix(k)
+    seed_block = tuple(spec.uncoded_prefix(k))  # block keys are tuples, like Morphism.apply's
     blocks: dict[Word, int] = {seed_block: 0}
     order: list[Word] = [seed_block]
     images: list[Word] = []

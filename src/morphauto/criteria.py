@@ -172,6 +172,8 @@ class BlockCertificate:
         return self.block.source.alphabet if self.coding is None else self.coding.target
 
     def coded_prefix(self, n: int) -> Word:
+        """First n output letters, in the output alphabet's format, as
+        ``MorphicSpec.coded_prefix`` gives them."""
         word = self.block.flatten_prefix(n)
         return word if self.coding is None else self.coding.apply(word)
 
@@ -331,10 +333,10 @@ def _verify_certificate(spec: MorphicSpec, certificate, depth: int) -> None:
     construction, so it passes the alphabet check without expanding either
     prefix.
 
-    Both sides expand their uncoded prefix (a block certificate flattens
-    its blocks).  When every alphabet involved has at most 256 letters the
-    two words are packed one byte per letter and coded by a byte
-    translation; otherwise they are coded letter by letter as tuples."""
+    Otherwise both sides generate their coded prefix (a block certificate
+    flattens its blocks first).  The two words are over the same output
+    alphabet, so they come in the same format, packed bytes up to 256
+    letters, and are compared as they are."""
     if certificate.output_alphabet != spec.output_alphabet:
         raise InternalCheckError("certificate writes over another output alphabet")
     # a certificate with the spec's morphism proves that morphism uniform,
@@ -345,20 +347,7 @@ def _verify_certificate(spec: MorphicSpec, certificate, depth: int) -> None:
         and certificate == representation_from_spec(spec)
     ):
         return
-    if isinstance(certificate, BlockCertificate):
-        source, generate = certificate.block.source.alphabet, certificate.block.flatten_prefix
-    else:
-        source, generate = certificate.morphism.alphabet, certificate.uncoded_prefix
-    one_byte = max(len(spec.output_alphabet), len(spec.morphism.alphabet), len(source)) <= 256
-    coded = []
-    for prefix, coding in ((spec.uncoded_prefix, spec.coding), (generate, certificate.coding)):
-        word = prefix(depth)
-        if one_byte:
-            word = bytes(word) if coding is None else coding.translate(bytes(word))
-        elif coding is not None:
-            word = coding.apply(word)
-        coded.append(word)
-    if coded[0] != coded[1]:
+    if spec.coded_prefix(depth) != certificate.coded_prefix(depth):
         raise InternalCheckError("certificate disagrees with the input fixed point")
 
 

@@ -5,10 +5,12 @@ certificates and attach empirical witnesses to otherwise undecided inputs.
 ``factor_complexity``, ``sturmian_witness`` and ``empirical_frequencies``
 accept anything with ``coded_prefix(n)`` and ``output_alphabet`` (morphic
 specs, uniform representations among them, and block certificates) and
-work on that word of output-letter indices.  Factor complexity packs the
-word into a byte string, one fixed-width item per letter, slices byte
-windows from its distinct chunks only, and takes every count from the
-longest common prefixes of the sorted distinct windows.
+work on that word of output-letter indices, which comes packed, one byte
+per letter, over an output alphabet of at most 256 letters.  Factor
+complexity takes such a word as it is and packs a larger alphabet's word
+into fixed-width items of 2, 4 or 8 bytes, slices byte windows from its
+distinct chunks only, and takes every count from the longest common
+prefixes of the sorted distinct windows.
 Complexity counts over a finite prefix are lower bounds on the true factor
 complexity and are labelled as such.
 """
@@ -65,12 +67,13 @@ def factor_complexity(spec, n_max: int = 30, prefix_length: int = 10_000) -> Com
     The prefix must be at least four times as long as the window, a margin
     against the worst undercounting near the end of the prefix.
 
-    The coded prefix is packed into bytes with ``array(code, word)``, where
-    ``code`` is the first of "BHILQ" whose item size s holds an index into
-    the output alphabet (s = 1 up to 256 letters, packed by ``bytes``).
-    Every letter then takes exactly s bytes, so two byte slices that start
-    and end on item boundaries are equal exactly when the words they hold
-    are equal.
+    The coded prefix is a byte string of s bytes per letter: s = 1 up to
+    256 output letters, where ``coded_prefix`` already returns ``bytes``
+    and the word is used as it comes, else the prefix is packed with
+    ``array(code, word)``, ``code`` the first of "HILQ" whose item size s
+    holds an index into the output alphabet.  Every letter then takes
+    exactly s bytes, so two byte slices that start and end on item
+    boundaries are equal exactly when the words they hold are equal.
 
     The counts come from the distinct windows W of n_max letters at every
     letter position (the last ``n_max - 1`` of them are shorter): every
@@ -103,7 +106,7 @@ def factor_complexity(spec, n_max: int = 30, prefix_length: int = 10_000) -> Com
     code = next(c for c in "BHILQ" if 256 ** array(c).itemsize >= letters)
     s = array(code).itemsize
     word = spec.coded_prefix(prefix_length)
-    packed = bytes(word) if s == 1 else array(code, word).tobytes()
+    packed = word if s == 1 else array(code, word).tobytes()
     step = max(1, n_max // 2) * s
     span, width = step + (n_max - 1) * s, n_max * s
     chunks = {packed[i : i + span] for i in range(0, len(packed), step)}

@@ -1,10 +1,15 @@
 """Alphabets, words, morphisms and codings, plus the ``.morph`` file format.
 
-A word is a tuple of letter indices into an :class:`Alphabet`.  A morphism
-maps every letter to a word over the same alphabet and extends to words by
-concatenation.  Fixed points of prolongable morphisms are generated lazily,
-by expanding a growing prefix in place, so producing ``n`` letters costs
-O(n) time and memory.
+A word is a sequence of letter indices into an :class:`Alphabet`.  Words
+read from text and the images of a morphism are tuples of ints.  A prefix
+of a fixed point, coded or not, is packed: ``bytes``, one byte per letter,
+when its alphabet has at most 256 letters, and a tuple of ints over a larger
+alphabet.  Both index, iterate and compare letter by letter, and two prefixes
+over the same alphabet always have the same format, so they are compared
+without conversion.  A morphism maps every letter to a word over the same
+alphabet and extends to words by concatenation.  Fixed points of prolongable
+morphisms are generated lazily, by expanding a growing prefix in place, so
+producing ``n`` letters costs O(n) time and memory.
 
 Letters are whitespace-free token strings, not single characters, so
 alphabets like ``{1, 1*, 2, 2*}`` work throughout.
@@ -15,10 +20,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
-from operator import length_hint
+from itertools import chain
 
-Word = tuple[int, ...]
+# a tuple of ints, or bytes for a prefix over at most 256 letters
+Word = tuple[int, ...] | bytes
 
 
 class MorphParseError(ValueError):
@@ -76,6 +81,12 @@ class Alphabet:
             return self._index[token]
         except KeyError:
             raise ValueError(f"unknown letter {token!r}") from None
+
+    @property
+    def packed(self) -> bool:
+        """Whether prefixes over this alphabet are ``bytes``, one byte per
+        letter: at most 256 letters.  Larger alphabets use tuples."""
+        return len(self.letters) <= 256
 
     @property
     def single_char(self) -> bool:
@@ -258,13 +269,14 @@ class Coding:
         return len(set(self.table)) == len(self.table)
 
     def apply(self, word: Word) -> Word:
-        table = self.table
-        return tuple([table[c] for c in word])
-
-    def translate(self, packed: bytes) -> bytes:
-        """``apply`` on a word packed one byte per letter, for a source and a
-        target of at most 256 letters."""
-        return packed.translate(bytes(self.table).ljust(256, b"\0"))
+        """The coded word, in the format of the target alphabet: ``bytes``
+        when it has at most 256 letters, coded by one ``bytes.translate``
+        when ``word`` is packed too, else a tuple of ints."""
+        if not self.target.packed:
+            return tuple(map(self.table.__getitem__, word))
+        if isinstance(word, bytes):
+            return word.translate(bytes(self.table).ljust(256, b"\0"))
+        return bytes(map(self.table.__getitem__, word))
 
     def after(self, inner: "Coding") -> "Coding":
         """self composed after inner (inner's target feeds self's source)."""
@@ -273,28 +285,45 @@ class Coding:
         return Coding(inner.source, self.target, tuple(self.table[c] for c in inner.table))
 
 
-_POWER_IMAGE = 32  # the longest image of the power that long prefixes expand with
+_POWER_IMAGE = 32  # prefixes longer than this per letter expand with a power
 
 
-def _bounded_power(images: Sequence[Word], seed: int) -> Sequence[Sequence[int]]:
-    """The images of sigma^t for the largest t >= 1 whose images all have at
-    most ``_POWER_IMAGE`` letters, where ``images`` are those of sigma.
+def _list_join(parts: Iterable[Sequence[int]]) -> list[int]:
+    return list(chain.from_iterable(parts))
 
-    sigma^(t+1)(a) is sigma^t applied to the letters of sigma(a).  When the
-    seed is prolongable its image grows by at least one letter a step, so
-    the loop ends; an image of the seed that stops growing means a finite
-    fixed point, and the power reached so far is returned for the caller's
-    stall check.  The images are lists: CPython keeps freed tuples of fewer
-    than 20 items on free lists instead of releasing them, and a power built
-    on every call as tuples raised the peak RSS of a long run of ``analyze``
-    calls by 1.1 to 1.8 MB.
+
+def _bounded_power(images: list, seed: int, reach: Sequence[int], bound: int, join) -> list:
+    """The images of sigma^t for the largest power of two t such that every
+    letter in ``reach``, the letters reachable from the seed, has an image
+    of at most ``bound`` letters (t = 1 when none has).  ``images`` are
+    those of sigma and ``join`` concatenates images in their format.
+    Letters outside ``reach`` keep their images under sigma: the fixed point
+    never holds them, and their images may grow much faster.
+
+    sigma^(2t)(a) is sigma^t applied to the letters of sigma^t(a); its length
+    is checked against the bound before it is built.  Doubling t reaches the
+    bound in O(log bound) steps even where images grow only linearly in t,
+    like a -> ab, b -> b.  When the seed is prolongable its image grows with
+    t, so the loop ends; an image of the seed that stops growing means a
+    finite fixed point, and the power reached so far is returned for the
+    caller's stall check.  On the tuple path the images are lists: CPython
+    keeps freed tuples of fewer than 20 items on free lists instead of
+    releasing them, and a power built on every call as tuples raised the
+    peak RSS of a long run of ``analyze`` calls by 1.1 to 1.8 MB.
     """
     power = images
     while True:
-        longer = [list(chain.from_iterable(map(power.__getitem__, img))) for img in images]
-        if max(map(len, longer)) > _POWER_IMAGE or len(longer[seed]) == len(power[seed]):
+        lengths = list(map(len, power))
+        # |sigma^(2t)(a)| is at least |sigma^t(a)| times the shortest image
+        if max(map(lengths.__getitem__, reach)) * min(map(lengths.__getitem__, reach)) > bound:
             return power
-        power = longer
+        squared = {a: sum(map(lengths.__getitem__, power[a])) for a in reach}
+        if max(squared.values()) > bound or squared[seed] == lengths[seed]:
+            return power
+        power = [
+            join(map(power.__getitem__, img)) if a in squared else img
+            for a, img in enumerate(power)
+        ]
 
 
 @dataclass(frozen=True)
@@ -325,48 +354,63 @@ class MorphicSpec:
         return self.morphism.alphabet.letters[self.seed]
 
     def uncoded_prefix(self, n: int) -> Word:
-        """First ``n`` letters of the fixed point, before any coding.
+        """First ``n`` letters of the fixed point, before any coding: packed
+        ``bytes`` when the morphism's alphabet has at most 256 letters, else
+        a tuple of ints.
 
         The fixed point x of a prolongable morphism sigma is also the fixed
         point of every power sigma^t, so x = sigma^t(x[0]) sigma^t(x[1]) ...
-        and one step expands a letter into up to ``_POWER_IMAGE`` letters
-        instead of |sigma(letter)|.  The power (``_bounded_power``) is built
-        afresh on every call and holds up to ``_POWER_IMAGE`` letters per
-        alphabet letter, so only a prefix longer than that is expanded with
-        it; a shorter one, like the k-letter prefixes of the block stage, is
-        expanded with sigma itself.
+        and one step expands a letter into up to B letters instead of
+        |sigma(letter)|.  The power (``_bounded_power``) is built afresh on
+        every call, with B = max(``_POWER_IMAGE``, n / 8 per letter reachable
+        from the seed), so that building it costs less than the prefix.  Only
+        a prefix longer than ``_POWER_IMAGE`` letters per alphabet letter is
+        expanded with it; a shorter one, like the k-letter prefixes of the
+        block stage, is expanded with sigma itself.  The images are packed
+        like the prefix, also on every call.
 
-        Expansion is lazy: a single growing buffer is expanded in place.  A
-        list iterator also yields the letters appended to its list while it
-        runs, so ``pending`` walks the letters still to expand.  Each step
-        expands as many of them as cannot overshoot ``n`` (at least one), so
-        the buffer never holds more than ``n`` plus the longest image.
+        Expansion is lazy: one growing buffer ``out`` holds the prefix, and
+        ``out[:done]`` are the letters already expanded, so that ``out`` is
+        their image.  A round appends the images of the letters
+        ``out[done:stop]`` with one join.  It expands as many letters as
+        reach ``n`` at the mean image length so far, len(out) / done (at
+        least one letter, at most all of ``out[done:]``), so that the last
+        round overshoots ``n`` by about as much as the mean differs from the
+        mean of the letters it expands.
         """
+        packed = self.morphism.alphabet.packed
         if n <= 0:
-            return ()
+            return b"" if packed else ()
         m = self.morphism
         if not m.is_prolongable(self.seed):
             raise SpecError(
                 f"seed {self.seed_token!r} is not prolongable; the spec has no infinite fixed point"
             )
-        images = m.images
+        # a list: its __getitem__ maps letters to images faster than a tuple's
+        if packed:
+            images, join = [bytes(img) for img in m.images], b"".join
+        else:
+            images, join = list(m.images), _list_join
         if n > _POWER_IMAGE * len(images):
-            images = _bounded_power(images, self.seed)
-        longest = max(map(len, images))
-        buf = list(images[self.seed])
-        extend = buf.extend
-        pending = iter(buf)
-        next(pending)  # position 0 is the seed, whose image is the buffer
-        while len(buf) < n:
-            if not length_hint(pending):
+            reach = m.closure((self.seed,))
+            bound = max(_POWER_IMAGE, n // (8 * len(reach)))
+            images = _bounded_power(images, self.seed, reach, bound, join)
+        out = bytearray(images[self.seed]) if packed else list(images[self.seed])
+        done = 1  # position 0 is the seed, whose image is the buffer
+        while len(out) < n:
+            if done >= len(out):
                 raise InternalCheckError("fixed-point expansion stalled")
-            for letter in islice(pending, max(1, (n - len(buf)) // longest)):
-                extend(images[letter])
-        del buf[n:]
-        return tuple(buf)
+            # as many letters as reach n at the mean image length len(out) / done
+            stop = min(len(out), done - (len(out) - n) * done // len(out))
+            out += join(map(images.__getitem__, out[done:stop]))
+            done = stop
+        del out[n:]
+        return bytes(out) if packed else tuple(out)
 
     def coded_prefix(self, n: int) -> Word:
-        """First ``n`` output letters, as indices into the output alphabet."""
+        """First ``n`` output letters, as indices into the output alphabet,
+        in that alphabet's format: ``bytes`` when it has at most 256
+        letters (see ``Coding.apply``), else a tuple of ints."""
         w = self.uncoded_prefix(n)
         return w if self.coding is None else self.coding.apply(w)
 

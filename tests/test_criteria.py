@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 import random
 from dataclasses import replace
@@ -26,6 +28,8 @@ from morphauto.constructions import (
     representation_from_spec,
 )
 from morphauto.criteria import BlockCertificate, _verify_certificate
+
+from oracles import naive_iterate, rules_of
 
 # The (name, status) of every stage analyze records on each corpus entry, in
 # order: this pins skips, cross-checks and info stages, not only verdicts.
@@ -442,3 +446,35 @@ class TestVerifyCertificate:
         _verify_certificate(spec, cert, r - 1)
         with pytest.raises(InternalCheckError, match="disagrees"):
             _verify_certificate(spec, cert, r)
+
+    @pytest.mark.parametrize("r", [200, 300])
+    def test_flatten_prefix_takes_the_format_of_the_source(self, r):
+        # r = 200: bytes, although the 299 blocks do not fit a byte;
+        # r = 300: a tuple
+        spec = MorphicSpec(self.fan(r), 0)
+        blk = block_morphism(spec, 2)
+        assert len(blk.blocks) > 256
+        expected = naive_iterate(rules_of(spec), "x0", 4 * r + 1)
+        for n in (0, 1, 4 * r, 4 * r + 1):
+            word = blk.flatten_prefix(n)
+            assert type(word) is (bytes if r <= 256 else tuple)
+            assert list(spec.morphism.alphabet.tokens(word)) == expected[:n]
+
+
+# SHA-256 of every report (``to_json``, canonical JSON) on the benchmark's
+# seed-1 ``spectral`` inputs: primitive non-uniform morphisms over 16 to 32
+# letters, half with an integer eigenvalue, all decided by the spectral
+# layer.  Recorded before packed prefixes; the linear-algebra path is pinned
+# here as the corpus reports pin the rest.
+SPECTRAL_DIGESTS = json.loads((Path(__file__).parent / "spectral_reports.json").read_text())
+
+
+def test_spectral_reports_are_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    digests = {}
+    for item in workloads.spectral_workload(1):
+        report = analyze(parse_morphism(item.text)).to_json()
+        canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        digests[item.name] = hashlib.sha256(canonical.encode()).hexdigest()
+    assert digests == SPECTRAL_DIGESTS

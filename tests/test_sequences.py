@@ -97,11 +97,13 @@ class TestFactorComplexityOracle:
             )
 
     @pytest.mark.parametrize(
-        "size, targets", [(255, None), (256, None), (257, None), (600, None), (700, 257)]
+        "size, targets",
+        [(255, None), (256, None), (257, None), (600, None), (700, 257), (300, 200)],
     )
     def test_large_output_alphabets(self, size, targets):
         # Letters are packed one, two, ... bytes wide by the size of the
-        # output alphabet: 256 letters still fit one byte, 257 do not.
+        # output alphabet: 256 letters still fit one byte, 257 do not.  The
+        # prefixes themselves are bytes exactly up to 256 letters.
         letters = [f"x{i}" for i in range(size)]
         rules = {
             f"x{i}": [f"x{2 * i % size}", f"x{(5 * i + 1) % size}"]
@@ -117,9 +119,15 @@ class TestFactorComplexityOracle:
             text += "coding: " + ", ".join(f"{k}->{v}" for k, v in coding.items()) + "\n"
         spec = parse_morphism(text)
         assert len(spec.output_alphabet) == (targets or size)
-        word = naive_iterate(rules, "x0", 3000)
-        if coding is not None:
-            word = [coding[t] for t in word]
+        uncoded = naive_iterate(rules, "x0", 3000)
+        word = uncoded if coding is None else [coding[t] for t in uncoded]
+        for n in (0, 3000):
+            for prefix, alphabet, tokens in (
+                (spec.uncoded_prefix(n), spec.morphism.alphabet, uncoded),
+                (spec.coded_prefix(n), spec.output_alphabet, word),
+            ):
+                assert type(prefix) is (bytes if len(alphabet) <= 256 else tuple)
+                assert list(prefix) == [alphabet.index(t) for t in tokens[:n]]
         # indices i and i + 256 both occur, so counting letters modulo 256
         # (one byte per letter whatever the alphabet) would merge factors
         occurring = {spec.output_alphabet.index(t) for t in word}
@@ -150,9 +158,10 @@ class GivenWord:
     def output_alphabet(self) -> Alphabet:
         return numbered_alphabet(self.letters)
 
-    def coded_prefix(self, n: int) -> tuple[int, ...]:
+    def coded_prefix(self, n: int) -> bytes | tuple[int, ...]:
+        """The first n letters, in the format a spec returns them in."""
         assert n <= len(self.word)
-        return self.word[:n]
+        return bytes(self.word[:n]) if self.output_alphabet.packed else self.word[:n]
 
 
 # One, two and four bytes a letter; indices that differ in one byte only.

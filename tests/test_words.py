@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from morphauto import (
     Alphabet,
+    Coding,
     InternalCheckError,
     MorphParseError,
     Morphism,
@@ -240,7 +241,7 @@ class TestFixedPoint:
     def test_self_consistency(self, lysenok):
         # applying the morphism to a prefix of the fixed point extends it
         m = lysenok.morphism
-        w = lysenok.uncoded_prefix(50)
+        w = tuple(lysenok.uncoded_prefix(50))  # the prefix is bytes, images tuples
         expanded = m.apply(w)
         assert expanded[:50] == w
 
@@ -275,6 +276,67 @@ class TestFixedPoint:
         monkeypatch.setattr(Morphism, "is_prolongable", lambda self, letter: True)
         with pytest.raises(InternalCheckError, match="stalled"):
             spec.uncoded_prefix(5)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "letters: a b c\na -> a b\nb -> b c\nc -> c",  # quadratic growth
+            "letters: a b c\na -> a b c\nb ->\nc -> c a",  # b is erased
+            LYSENOK_TEXT,  # b, c and d keep one-letter images
+        ],
+    )
+    def test_long_prefixes_of_slow_and_uneven_growth(self, text):
+        # Long prefixes expand with a power of the morphism whose images may
+        # grow to many letters; rounds are cut by the mean image length.
+        spec = parse_morphism(text)
+        for n in (5000, 4999):
+            expected = naive_iterate(rules_of(spec), spec.seed_token, n)
+            assert list(spec.prefix(n)) == expected
+
+    @pytest.mark.parametrize("unreached", ["", "\nc -> c c c"])
+    def test_long_prefixes_of_linear_growth(self, unreached):
+        # a b b b ...: the oracle's 200 rewriting rounds give 201 letters
+        letters = "a b c" if unreached else "a b"
+        spec = parse_morphism(f"letters: {letters}\na -> a b\nb -> b" + unreached)
+        for n in (10_000, 9_999):
+            assert "".join(spec.prefix(n)) == "a" + "b" * (n - 1)
+
+    @pytest.mark.parametrize("size", [256, 257, 600])
+    def test_long_prefixes_over_large_alphabets(self, size):
+        # 33 letters per alphabet letter, so the power is used; the prefix
+        # is packed up to 256 letters and a tuple beyond
+        rules = {
+            f"x{i}": [f"x{2 * i % size}", f"x{(5 * i + 1) % size}"]
+            + ([f"x{(7 * i + 3) % size}"] if i % 3 == 0 else [])
+            for i in range(size)
+        }
+        text = f"letters: {' '.join(rules)}\n"
+        text += "".join(f"{tok} -> {' '.join(img)}\n" for tok, img in rules.items())
+        spec = parse_morphism(text + "seed: x0\n")
+        n = 33 * size
+        word = spec.uncoded_prefix(n)
+        assert type(word) is (bytes if size <= 256 else tuple)
+        assert list(spec.morphism.alphabet.tokens(word)) == naive_iterate(rules, "x0", n)
+
+
+class TestCoding:
+    @staticmethod
+    def numbered(size: int, name: str) -> Alphabet:
+        return Alphabet(tuple(f"{name}{i}" for i in range(size)))
+
+    @pytest.mark.parametrize(
+        "source, target", [(200, 300), (300, 200), (256, 256), (257, 257), (256, 257)]
+    )
+    def test_apply_returns_the_format_of_the_target(self, source, target):
+        table = tuple((7 * i + 100) % target for i in range(source))
+        coding = Coding(self.numbered(source, "x"), self.numbered(target, "y"), table)
+        word = tuple(range(source)) * 2 + (source - 1, 0)
+        inputs = [word] + ([bytes(word)] if source <= 256 else [])
+        for given_word in inputs:
+            for w in (given_word, given_word[:0]):
+                coded = coding.apply(w)
+                assert type(coded) is (bytes if target <= 256 else tuple)
+                assert list(coded) == [table[c] for c in w]
 
 
 class TestParikh:
