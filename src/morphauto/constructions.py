@@ -1,13 +1,14 @@
 """Certificate-producing constructions.
 
 * eigenvector_criterion / reshuffle_uniformize: the left-eigenvector test,
-  and its certificate (a UniformRepresentation: a uniform MorphicSpec).
+  |m(m(a))| = q |m(a)| for every letter a, and its certificate (a
+  UniformRepresentation: a uniform MorphicSpec).
 * minimize_uniform: merge indistinguishable letters of such a certificate.
 * block_morphism: induce a morphism on the non-overlapping k-blocks of a
   fixed point.
-* cup_transform / verify_back: rewrite a uniform representation into a
-  deliberately non-uniform one by splitting one pair of letters, and check
-  that the length vector of the result is still a left eigenvector.
+* cup_transform: rewrite a uniform representation into a deliberately
+  non-uniform one by splitting one pair of letters; verify_back checks that
+  the length vector of the result is still a left eigenvector.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .linalg import incidence, left_eigencheck
 from .words import (
     Alphabet,
     Coding,
@@ -66,14 +66,32 @@ def representation_from_spec(spec: MorphicSpec) -> UniformRepresentation:
 # ---------------------------------------------------------------------------
 # the left-eigenvector criterion and its uniform certificate
 
+def length_product(m: Morphism) -> tuple[int, ...]:
+    """L*M for the length vector L and incidence matrix M of m: entry j is
+    |m(m(j))|, the sum of |m(c)| over the letters c of m(j)."""
+    return tuple(sum(map(m.lengths.__getitem__, img)) for img in m.images)
+
+
+def verify_back(obj: MorphicSpec | Morphism) -> tuple[bool, Fraction | None]:
+    """Check the left-eigenvector identity L M = lambda L, with L M read off
+    the images; an erasing morphism fails, as its L is not positive.  On a
+    :func:`cup_transform` output, lambda is the uniform length it came from."""
+    m = obj.morphism if isinstance(obj, MorphicSpec) else obj
+    if m.is_erasing:
+        return False, None
+    lengths, product = m.lengths, length_product(m)
+    if any(p * lengths[0] != product[0] * n for p, n in zip(product, lengths)):
+        return False, None
+    return True, Fraction(product[0], lengths[0])
+
+
 def eigenvector_criterion(m: Morphism) -> int | None:
     """Return q >= 2 when the length vector is a left eigenvector of the
-    incidence matrix with eigenvalue q; the fixed points are then
-    q-automatic.  None when the criterion fails."""
+    incidence matrix with eigenvalue q (|m(m(a))| = q |m(a)| for every
+    letter a); the fixed points are then q-automatic.  None otherwise."""
     if m.is_erasing:
         raise ValueError("eigenvector criterion requires a non-erasing morphism")
-    inc = incidence(m)
-    lam = left_eigencheck(inc.length_vector, inc.matrix)
+    _, lam = verify_back(m)
     if lam is None:
         return None
     if lam.denominator != 1:
@@ -101,12 +119,6 @@ def reshuffle_uniformize(m: Morphism, seed: int) -> UniformRepresentation:
     q = eigenvector_criterion(m)
     if q is None:
         raise CriterionNotSatisfied("length vector is not a left eigenvector")
-    return _reshuffle(m, seed, q)
-
-
-def _reshuffle(m: Morphism, seed: int, q: int) -> UniformRepresentation:
-    """``reshuffle_uniformize`` for a non-erasing m, a prolongable seed and
-    the eigenvalue q >= 2 that ``eigenvector_criterion(m)`` returned."""
     letters = m.alphabet.letters
     lengths = m.lengths
     pairs = [(i, j) for i in range(len(letters)) for j in range(1, lengths[i] + 1)]
@@ -315,7 +327,11 @@ def block_morphism(spec: MorphicSpec, k: int) -> BlockMorphism:
             row.append(blocks[piece])
         images.append(tuple(row))
         pos += 1
-    alpha = Alphabet(tuple(_block_token(m.alphabet, b) for b in order))
+    # blocks that render alike, as (a+b, c) and (a, b+c) do, get primes
+    tokens: dict[str, None] = {}
+    for b in order:
+        tokens[_fresh_token(tokens, _block_token(m.alphabet, b))] = None
+    alpha = Alphabet(tuple(tokens))
     return BlockMorphism(
         k=k,
         morphism=Morphism(alpha, tuple(images)),
@@ -392,18 +408,3 @@ def cup_transform(u: UniformRepresentation, params: CupParams | None = None) -> 
     if spec.prefix(_CUP_CHECK_DEPTH) != u.prefix(_CUP_CHECK_DEPTH):
         raise InternalCheckError("cup transform changed the coded fixed point")
     return spec
-
-
-def verify_back(obj: MorphicSpec | Morphism) -> tuple[bool, Fraction | None]:
-    """Check the left-eigenvector identity L' M' = lambda L' for a spec.
-
-    For any output of :func:`cup_transform` this holds with lambda equal to
-    the uniform length of the input, whatever the split.
-    """
-    m = obj.morphism if isinstance(obj, MorphicSpec) else obj
-    inc = incidence(m)
-    try:
-        lam = left_eigencheck(inc.length_vector, inc.matrix)
-    except ValueError:
-        return False, None
-    return (lam is not None), lam

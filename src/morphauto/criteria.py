@@ -28,12 +28,12 @@ from .constructions import (
     BlockConstructionError,
     BlockMorphism,
     UniformRepresentation,
-    _reshuffle,
     block_morphism,
     eigenvector_criterion,
+    length_product,
     minimize_uniform,
     representation_from_spec,
-    reshuffle_uniformize,  # unused here; perfbench/tracing.py hooks it by this name
+    reshuffle_uniformize,
 )
 from .linalg import SpectralReport, incidence, is_primitive, spectral_report
 from .sequences import ComplexityProfile, factor_complexity, sturmian_witness
@@ -395,14 +395,13 @@ def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
     q = eigenvector_criterion(m)
     verdict = None
     if q is None:
-        product = tuple(sum(m.lengths[c] for c in img) for img in m.images)
-        detail = f"L*M = {product} is not a rational multiple >= 2 of L = {m.lengths}"
+        detail = f"L*M = {length_product(m)} is not a rational multiple >= 2 of L = {m.lengths}"
         outcomes = [StageOutcome("eigenvector", "no", detail)]
     else:
         detail = f"length vector is a left eigenvector with eigenvalue {q}"
         outcomes = [StageOutcome("eigenvector", "success", detail, {"q": q})]
         if not decided:
-            rep = _reshuffle(m, spec.seed, q).with_outer_coding(spec.coding)
+            rep = reshuffle_uniformize(m, spec.seed).with_outer_coding(spec.coding)
             how = f"left-eigenvector criterion, q={q}"
             verdict = Verdict.automatic(q, minimize_uniform(rep), "eigenvector", opts.depth, how)
     # the obstruction needs both letters to occur in the images

@@ -568,23 +568,19 @@ def perron_frequencies(matrix) -> tuple[Fraction, ...] | None:
     """Exact normalized right Perron eigenvector, for primitive matrices
     whose dominant eigenvalue is an integer; None otherwise.
 
-    rho lies between the smallest and the largest column sum, and the first
-    integer q there with rho <= q is rho itself when rho is an integer.
-    The elimination that shows rho = q leaves the pivots D_1..D_(n-1) > 0
+    ``spectral_report`` decides whether rho is an integer q.  The
+    elimination of qI - M that shows it leaves the pivots D_1..D_(n-1) > 0
     and D_n = 0, so M - qI has rank n - 1 and its kernel, the Perron
     direction, follows by back-substitution in those rows with v_n = 1.
     """
     _check_nonnegative(matrix)
     if not is_primitive(matrix):
         return None
-    n = len(matrix)
-    sums = [sum(row[j] for row in matrix) for j in range(n)]
-    for q in range(min(sums), max(sums) + 1):
-        sign, rows = _radius_elimination(matrix, q)
-        if sign <= 0:
-            break
-    if sign != 0:
+    report = spectral_report(matrix)
+    if not report.dominant_is_integer:
         return None
+    _, rows = _radius_elimination(matrix, report.dominant_value)
+    n = len(matrix)
     v = [Fraction(0)] * n
     v[n - 1] = Fraction(1)
     for k in range(n - 2, -1, -1):

@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and shares no code path with the
 package: token-level string rewriting, cofactor-expansion determinants,
-the Faddeev-LeVerrier recursion, set-based factor counting, and the
-spectral-radius bracket on dense rows.
+the Faddeev-LeVerrier recursion, set-based factor counting, the
+spectral-radius bracket on dense rows, and Perron vectors from a scan of
+the column-sum range with rational kernels.
 """
 
 from fractions import Fraction
@@ -198,3 +199,53 @@ def dense_irreducible_bracket(block, tol: Fraction, prec: int, max_squarings: in
             power = _dense_round_up(_dense_mat_mul(power, power), prec)
             squarings += 1
         x = _dense_round_up((tuple(sum(map(mul, row, x)) for row in power),), prec)[0]
+
+
+def _rational_kernel(rows) -> list[list[Fraction]]:
+    """A basis of the right kernel of a square matrix, by Gauss-Jordan
+    elimination over the rationals."""
+    rows = [[Fraction(entry) for entry in row] for row in rows]
+    n = len(rows)
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][free]
+        basis.append(v)
+    return basis
+
+
+def column_sum_scan_perron(matrix) -> tuple[Fraction, ...] | None:
+    """Normalized right Perron vector of a primitive matrix whose spectral
+    radius is an integer, else None.
+
+    rho lies between the smallest and the largest column sum.  Each integer
+    q there is tried: by Perron-Frobenius only rho has a positive
+    eigenvector, and its eigenspace is a line, so q = rho exactly when the
+    kernel of M - qI is one-dimensional and spanned by a vector of one sign.
+    """
+    n = len(matrix)
+    sums = [sum(row[j] for row in matrix) for j in range(n)]
+    for q in range(min(sums), max(sums) + 1):
+        shifted = [[matrix[i][j] - (q if i == j else 0) for j in range(n)] for i in range(n)]
+        kernel = _rational_kernel(shifted)
+        if len(kernel) == 1:
+            total = sum(kernel[0])
+            v = tuple(x / total for x in kernel[0]) if total else None
+            if v is not None and all(x > 0 for x in v):
+                return v
+    return None

@@ -149,6 +149,18 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "uniform length 2" in out and "ac" in out
 
+    def test_blocks_that_render_alike(self, tmp_path, capsys):
+        # the 2-blocks (a+b, c) and (a, b+c) both render as a+b+c
+        path = tmp_path / "collide.morph"
+        path.write_text(
+            "letters: a+b c a b+c\na+b -> a+b c a b+c\nc -> c c\n"
+            "a -> a b+c\nb+c -> a+b c\nseed: a+b\n"
+        )
+        assert main(["blocks", str(path), "-k", "2"]) == 0
+        assert "blocks at positions 0 mod 2: a+b+c, a+b+c', c+c" in capsys.readouterr().out
+        assert main(["analyze", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("Unknown")
+
     def test_blocks_failure(self, corpus_path, capsys):
         assert main(["blocks", morph(corpus_path, "fib_bc"), "-k", "2"]) == 1
         assert "not a multiple" in capsys.readouterr().err

@@ -20,6 +20,15 @@ from morphauto.constructions import BlockConstructionError, representation_from_
 
 from oracles import naive_iterate, rules_of
 
+COLLIDING_BLOCKS = (
+    "letters: a+b c a b+c\n"
+    "a+b -> a+b c a b+c\n"
+    "c -> c c\n"
+    "a -> a b+c\n"
+    "b+c -> a+b c\n"
+    "seed: a+b\n"
+)
+
 
 def morphism_shape(m: Morphism, seed: int):
     """Canonical image structure under breadth-first renaming from the seed."""
@@ -227,6 +236,14 @@ class TestBlocks:
         blk = block_morphism(spec, k)
         for n in (1, k + 1, 1000, 1001):
             assert blk.prefix(n) == spec.prefix(n)
+
+    def test_blocks_that_render_alike_get_distinct_tokens(self):
+        # the 2-blocks (a+b, c) and (a, b+c) both render as a+b+c
+        spec = parse_morphism(COLLIDING_BLOCKS)
+        blk = block_morphism(spec, 2)
+        assert blk.morphism.alphabet.letters == ("a+b+c", "a+b+c'", "c+c")
+        assert blk.blocks[:2] == ((0, 1), (2, 3))
+        assert blk.prefix(1000) == spec.prefix(1000)
 
     def test_divisibility_failure_reports_block(self, fib_bc):
         with pytest.raises(BlockConstructionError) as err:

@@ -26,6 +26,7 @@ from morphauto.constructions import (
     UniformRepresentation,
     block_morphism,
     representation_from_spec,
+    reshuffle_uniformize,
 )
 from morphauto.criteria import BlockCertificate, _verify_certificate
 
@@ -313,6 +314,26 @@ class TestAnalyze:
         assert report.verdict.kind != "not_automatic"
         stage = next(s for s in report.stages if s.name == "irrationality")
         assert stage.status == "skipped" and "non-injective coding" in stage.detail
+
+    def test_eigenvector_certificate_goes_through_reshuffle_uniformize(
+        self, istrail, thue_morse, monkeypatch
+    ):
+        # the traced benchmark times the builder by this name; a uniform
+        # input is decided first, so its eigenvector stage builds nothing
+        from morphauto import criteria
+
+        calls = []
+
+        def counting(m, seed):
+            calls.append(m)
+            return reshuffle_uniformize(m, seed)
+
+        monkeypatch.setattr(criteria, "reshuffle_uniformize", counting)
+        assert analyze(istrail).verdict.provenance == "eigenvector"
+        assert calls == [istrail.morphism]
+        calls.clear()
+        assert analyze(thue_morse).verdict.provenance == "uniform"
+        assert calls == []
 
     def test_anagram_without_eigenvector_is_an_internal_error(self, anagram7, monkeypatch):
         from morphauto import criteria

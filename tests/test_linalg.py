@@ -28,6 +28,7 @@ from morphauto.linalg import (
 
 from oracles import (
     bisect_root,
+    column_sum_scan_perron,
     dense_irreducible_bracket,
     faddeev_leverrier_charpoly,
     naive_bool_power_positive,
@@ -577,6 +578,30 @@ class TestPerron:
         for i in range(r):
             assert sum(m[i][j] * v[j] for j in range(r)) == 3 * v[i]
 
+
+    def test_matches_the_column_sum_scan(self):
+        # half the matrices have constant column sums, so an integer rho;
+        # the others mostly have an irrational one
+        rng = random.Random(1313)
+        checked = integer = 0
+        while checked < 200:
+            r = rng.randint(1, 8)
+            if checked % 2:
+                m = [[0] * r for _ in range(r)]
+                q = rng.randint(1, 5)
+                for j in range(r):
+                    for _ in range(q):
+                        m[rng.randrange(r)][j] += 1
+            else:
+                m = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(r)] for _ in range(r)]
+            m = tuple(map(tuple, m))
+            if not _wielandt(m):
+                continue
+            v = perron_frequencies(m)
+            assert v == column_sum_scan_perron(m), m
+            checked += 1
+            integer += v is not None
+        assert integer > 100
 
     def test_random_constant_column_sums(self):
         # column sums all q make rho = q; primitivity makes v unique and positive

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from morphauto import (
     prefix_equal,
     analyze,
     reshuffle_uniformize,
+    verify_back,
 )
 from morphauto.constructions import representation_from_spec
 from morphauto.linalg import mat_mul
@@ -130,6 +132,33 @@ def test_anagram_success_implies_eigenvector_success(data):
     assert lam == degree
     if degree >= 2:
         assert eigenvector_criterion(morphism) == degree
+
+
+@SUITE
+@given(
+    st.one_of(
+        alphabets(max_size=5).flatmap(morphisms_on),
+        # uniform images: L*M = n L, so q = 1 and the erasing n = 0 are drawn
+        st.tuples(alphabets(max_size=5), st.integers(0, 3)).flatmap(
+            lambda an: morphisms_on(an[0], an[1], an[1])
+        ),
+        anagram_morphisms().map(lambda data: data[0]),
+    )
+)
+def test_length_product_agrees_with_the_incidence_matrix(morphism):
+    # the eigenvalue read off the images is the one left_eigencheck finds
+    # from the incidence matrix
+    inc = incidence(morphism)
+    if morphism.is_erasing:
+        with pytest.raises(ValueError):
+            left_eigencheck(inc.length_vector, inc.matrix)
+        with pytest.raises(ValueError):
+            eigenvector_criterion(morphism)
+        assert verify_back(morphism) == (False, None)
+        return
+    lam = left_eigencheck(inc.length_vector, inc.matrix)
+    assert verify_back(morphism) == (lam is not None, lam)
+    assert eigenvector_criterion(morphism) == (lam if lam is not None and lam >= 2 else None)
 
 
 @SUITE
