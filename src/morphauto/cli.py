@@ -59,11 +59,10 @@ def cmd_analyze(args) -> int:
 def cmd_uniformize(args) -> int:
     spec = _load(args.file)
     try:
-        rep = reshuffle_uniformize(spec.morphism, spec.seed)
+        rep = reshuffle_uniformize(spec)
     except CriterionNotSatisfied as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CRITERION
-    rep = rep.with_outer_coding(spec.coding)
     if args.minimize:
         rep = minimize_uniform(rep)
     text = rep.to_morph_text(
@@ -140,13 +139,21 @@ def corpus_dir() -> Path:
 
 
 def _corpus_entries(directory: Path):
+    """(name, .morph path, expectation) of every entry, each expectation
+    loaded once and checked to be a JSON object with a string verdict."""
     if not directory.is_dir():
         raise ValueError(f"corpus directory {directory} does not exist or is not a directory")
     for morph_path in sorted(directory.glob("*.morph")):
         expected_path = morph_path.parent / (morph_path.stem + ".expected.json")
         if not expected_path.exists():
             raise ValueError(f"{morph_path.name} has no expectation file {expected_path.name}")
-        yield morph_path.stem, morph_path, expected_path
+        try:
+            expected = json.loads(expected_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            expected = None
+        if not isinstance(expected, dict) or not isinstance(expected.get("verdict"), str):
+            raise ValueError(f"{expected_path.name} is not a JSON object with a string \"verdict\"")
+        yield morph_path.stem, morph_path, expected
 
 
 def cmd_corpus(args) -> int:
@@ -156,15 +163,13 @@ def cmd_corpus(args) -> int:
         print(f"warning: no corpus entries in {directory}")
         return EXIT_OK
     if not args.run:
-        for name, _, expected_path in entries:
-            expected = json.loads(expected_path.read_text(encoding="utf-8"))
+        for name, _, expected in entries:
             extra = f" q={expected['q']}" if "q" in expected else ""
             note = f"  ({expected['provenance']})" if expected.get("provenance") else ""
             print(f"{name}: expect {expected['verdict']}{extra}{note}")
         return EXIT_OK
     failures = 0
-    for name, morph_path, expected_path in entries:
-        expected = json.loads(expected_path.read_text(encoding="utf-8"))
+    for name, morph_path, expected in entries:
         spec = parse_morphism(morph_path.read_text(encoding="utf-8"))
         report = analyze(spec, AnalyzeOptions(depth=args.depth, kmax=args.kmax))
         verdict = report.verdict

@@ -1,8 +1,9 @@
 """Certificate-producing constructions.
 
 * eigenvector_criterion / reshuffle_uniformize: the left-eigenvector test,
-  |m(m(a))| = q |m(a)| for every letter a, and its certificate (a
-  UniformRepresentation: a uniform MorphicSpec).
+  |m(m(a))| = q |m(a)| for every letter a, and the certificate of a spec
+  that passes it (a UniformRepresentation: a uniform MorphicSpec, coded
+  onto the spec's output alphabet).
 * minimize_uniform: merge indistinguishable letters of such a certificate.
 * block_morphism: induce a morphism on the non-overlapping k-blocks of a
   fixed point.
@@ -13,7 +14,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import (
@@ -48,12 +49,6 @@ class UniformRepresentation(MorphicSpec):
     @property
     def q(self) -> int:
         return self.morphism.uniform_length
-
-    def with_outer_coding(self, outer: Coding | None) -> "UniformRepresentation":
-        """The same representation with ``outer`` applied after its coding."""
-        if outer is None:
-            return self
-        return replace(self, coding=outer.after(self.coding))
 
 
 def representation_from_spec(spec: MorphicSpec) -> UniformRepresentation:
@@ -102,16 +97,18 @@ def eigenvector_criterion(m: Morphism) -> int | None:
     return q if q >= 2 else None
 
 
-def reshuffle_uniformize(m: Morphism, seed: int) -> UniformRepresentation:
-    """Build the uniform certificate behind the left-eigenvector criterion.
+def reshuffle_uniformize(spec: MorphicSpec) -> UniformRepresentation:
+    """Build the uniform certificate of a spec whose morphism m passes the
+    left-eigenvector criterion.
 
     Every letter i is split into position letters (i, j) for j = 1..|m(i)|.
     Expanding each letter of m(i) into its full run of position letters
     yields a word E_i of length exactly q * |m(i)|; the new morphism sends
     (i, j) to the j-th consecutive q-slice of E_i.  The coding sends (i, j)
-    to the j-th letter of m(i), so the coded fixed point reproduces the
-    original fixed point letter for letter.
+    to the spec's output letter for the j-th letter of m(i), so the coded
+    fixed point reproduces the spec's coded fixed point letter for letter.
     """
+    m, seed = spec.morphism, spec.seed
     if m.is_erasing:
         raise CriterionNotSatisfied("reshuffle requires a non-erasing morphism")
     if not m.is_prolongable(seed):
@@ -119,31 +116,29 @@ def reshuffle_uniformize(m: Morphism, seed: int) -> UniformRepresentation:
     q = eigenvector_criterion(m)
     if q is None:
         raise CriterionNotSatisfied("length vector is not a left eigenvector")
-    letters = m.alphabet.letters
-    lengths = m.lengths
-    pairs = [(i, j) for i in range(len(letters)) for j in range(1, lengths[i] + 1)]
-    index = {pair: n for n, pair in enumerate(pairs)}
-    names = tuple(f"{letters[i]}.{j}" for i, j in pairs)
+    letters, lengths = m.alphabet.letters, m.lengths
+    names = tuple(f"{tok}.{j}" for tok, n in zip(letters, lengths) for j in range(1, n + 1))
     if len(set(names)) != len(names):
         raise InternalCheckError("expanded letter names collide")
     alpha = Alphabet(names)
+    first = [0]  # first[i]: the position letter (i, 1)
+    for n in lengths:
+        first.append(first[-1] + n)
+    output = spec.coding.table if spec.coding is not None else range(len(letters))
 
-    images: list[Word] = [()] * len(pairs)
-    table = [0] * len(pairs)
-    for i in range(len(letters)):
-        expanded: list[int] = []
-        for c in m.image(i):
-            expanded.extend(index[(c, j)] for j in range(1, lengths[c] + 1))
+    images: list[Word] = []
+    table: list[int] = []
+    for i, img in enumerate(m.images):
+        expanded = [first[c] + j for c in img for j in range(lengths[c])]
         if len(expanded) != q * lengths[i]:
             raise InternalCheckError("expansion length disagrees with the eigenvalue")
-        for j in range(1, lengths[i] + 1):
-            images[index[(i, j)]] = tuple(expanded[(j - 1) * q : j * q])
-            table[index[(i, j)]] = m.image(i)[j - 1]
+        images.extend(tuple(expanded[j : j + q]) for j in range(0, len(expanded), q))
+        table.extend(output[c] for c in img)
 
     rep = UniformRepresentation(
         morphism=Morphism(alpha, tuple(images)),
-        seed=index[(seed, 1)],
-        coding=Coding(alpha, m.alphabet, tuple(table)),
+        seed=first[seed],
+        coding=Coding(alpha, spec.output_alphabet, tuple(table)),
     )
     if not rep.morphism.is_prolongable(rep.seed):
         raise InternalCheckError("reshuffled seed lost prolongability")
@@ -275,19 +270,13 @@ class BlockMorphism:
     def prefix(self, n: int) -> tuple[str, ...]:
         return self.source.alphabet.tokens(self.flatten_prefix(n))
 
-    def rules_text(self) -> str:
-        a = self.morphism.alphabet
-        return ", ".join(
-            f"{tok}->{a.render(img)}" for tok, img in zip(a.letters, self.morphism.images)
-        )
-
 
 def _block_token(alphabet: Alphabet, block: Word) -> str:
     sep = "" if alphabet.single_char else "+"
     return sep.join(alphabet.letters[c] for c in block)
 
 
-_MAX_BLOCKS = 20_000  # the closure bound, when r^k is larger
+_MAX_BLOCKS = 20_000  # the closure bound on distinct blocks
 
 
 def block_morphism(spec: MorphicSpec, k: int) -> BlockMorphism:
@@ -296,37 +285,32 @@ def block_morphism(spec: MorphicSpec, k: int) -> BlockMorphism:
     Closure: start from the first k letters; for every discovered block b
     the image of b must cut evenly into k-blocks, which are discovered in
     turn.  Raises BlockConstructionError when an image length is not a
-    multiple of k or the closure exceeds its bound.
+    multiple of k or the closure exceeds ``_MAX_BLOCKS`` blocks.
     """
     if k < 2:
         raise ValueError("block length must be at least 2")
     m = spec.morphism
-    limit = min(len(m.alphabet) ** k, _MAX_BLOCKS)
     seed_block = tuple(spec.uncoded_prefix(k))  # block keys are tuples, like Morphism.apply's
     blocks: dict[Word, int] = {seed_block: 0}
     order: list[Word] = [seed_block]
     images: list[Word] = []
-    pos = 0
-    while pos < len(order):
-        block = order[pos]
+    for block in order:  # visits the blocks appended below too
         img = m.apply(block)
         if len(img) % k:
+            token = _block_token(m.alphabet, block)
             raise BlockConstructionError(
-                f"image of block {_block_token(m.alphabet, block)!r} has length "
-                f"{len(img)}, not a multiple of {k}",
-                _block_token(m.alphabet, block),
+                f"image of block {token!r} has length {len(img)}, not a multiple of {k}", token
             )
         row = []
         for start in range(0, len(img), k):
             piece = img[start : start + k]
             if piece not in blocks:
-                if len(blocks) >= limit:
+                if len(blocks) >= _MAX_BLOCKS:
                     raise BlockConstructionError("block closure exceeded its bound")
                 blocks[piece] = len(order)
                 order.append(piece)
             row.append(blocks[piece])
         images.append(tuple(row))
-        pos += 1
     # blocks that render alike, as (a+b, c) and (a, b+c) do, get primes
     tokens: dict[str, None] = {}
     for b in order:

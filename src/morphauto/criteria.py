@@ -401,9 +401,9 @@ def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
         detail = f"length vector is a left eigenvector with eigenvalue {q}"
         outcomes = [StageOutcome("eigenvector", "success", detail, {"q": q})]
         if not decided:
-            rep = reshuffle_uniformize(m, spec.seed).with_outer_coding(spec.coding)
+            cert = minimize_uniform(reshuffle_uniformize(spec))
             how = f"left-eigenvector criterion, q={q}"
-            verdict = Verdict.automatic(q, minimize_uniform(rep), "eigenvector", opts.depth, how)
+            verdict = Verdict.automatic(q, cert, "eigenvector", opts.depth, how)
     # the obstruction needs both letters to occur in the images
     if len(m.alphabet) == 2 and {c for img in m.images for c in img} == {0, 1} and gcd_obstruction(m):
         outcomes.append(
@@ -452,18 +452,19 @@ def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
                     "info",
                     f"partial: k={k} gives a {q}-uniform block morphism but no "
                     "common power base; block sequence automaticity only",
-                    {"k": k, "uniform_length": q, "rules": blk.rules_text()},
+                    {"k": k, "uniform_length": q, "rules": blk.morphism.rules_text()},
                 )
             continue
+        rules = blk.morphism.rules_text()
         outcome = StageOutcome(
             "block",
             "success",
-            f"k={k}: induced morphism {blk.rules_text()} is {q}-uniform; common base {base}",
-            {"k": k, "uniform_length": q, "base": base, "rules": blk.rules_text()},
+            f"k={k}: induced morphism {rules} is {q}-uniform; common base {base}",
+            {"k": k, "uniform_length": q, "base": base, "rules": rules},
         )
         if decided:
             return [outcome], None
-        how = f"{k}-block morphism {blk.rules_text()}"
+        how = f"{k}-block morphism {rules}"
         cert = BlockCertificate(blk, spec.coding)
         return [outcome], Verdict.automatic(base, cert, "block", opts.depth, how)
     return [partial or StageOutcome("block", "no", "; ".join(failures) or "no block structure")], None

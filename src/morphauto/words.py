@@ -88,20 +88,19 @@ class Alphabet:
         letter: at most 256 letters.  Larger alphabets use tuples."""
         return len(self.letters) <= 256
 
-    @property
+    @cached_property
     def single_char(self) -> bool:
         return all(len(tok) == 1 for tok in self.letters)
 
-    def word(self, text: str) -> Word:
-        """Build a word from a string of tokens.
+    def split(self, text: str) -> list[str]:
+        """The tokens of ``text`` as a ``.morph`` image writes them: every
+        non-space character over a single-character alphabet, the
+        whitespace-separated tokens otherwise."""
+        return list("".join(text.split())) if self.single_char else text.split()
 
-        The string is split on whitespace; a whitespace-free string over a
-        single-character alphabet is read letter by letter.
-        """
-        parts = text.split()
-        if len(parts) == 1 and self.single_char and len(parts[0]) > 1:
-            parts = list(parts[0])
-        return tuple(self.index(tok) for tok in parts)
+    def word(self, text: str) -> Word:
+        """Build a word from text, read as ``split`` reads it."""
+        return tuple(self.index(tok) for tok in self.split(text))
 
     def render(self, word: Word) -> str:
         sep = "" if self.single_char else " "
@@ -140,10 +139,13 @@ class Morphism:
                 raise ValueError("image letter out of range")
 
     def __repr__(self):
-        rules = ", ".join(
+        return f"Morphism({self.rules_text()})"
+
+    def rules_text(self) -> str:
+        """The rules, as ``a->ab, b->a``."""
+        return ", ".join(
             f"{tok}->{self.alphabet.render(img)}" for tok, img in zip(self.alphabet.letters, self.images)
         )
-        return f"Morphism({rules})"
 
     def image(self, letter: int) -> Word:
         return self.images[letter]
@@ -277,12 +279,6 @@ class Coding:
         if isinstance(word, bytes):
             return word.translate(bytes(self.table).ljust(256, b"\0"))
         return bytes(map(self.table.__getitem__, word))
-
-    def after(self, inner: "Coding") -> "Coding":
-        """self composed after inner (inner's target feeds self's source)."""
-        if tuple(inner.target.letters) != tuple(self.source.letters):
-            raise ValueError("codings do not chain: alphabets differ")
-        return Coding(inner.source, self.target, tuple(self.table[c] for c in inner.table))
 
 
 _POWER_IMAGE = 32  # prefixes longer than this per letter expand with a power
@@ -436,22 +432,12 @@ class MorphicSpec:
 
 
 def _parse_image(rhs: str, alphabet: Alphabet, lineno: int, raw_line: str) -> Word:
-    def column_of(text: str) -> int | None:
-        at = raw_line.find(text)
-        return at + 1 if at >= 0 else None
-
-    out: list[int] = []
-    for chunk in rhs.split():
-        if chunk in alphabet:
-            out.append(alphabet.index(chunk))
-        elif alphabet.single_char:
-            for ch in chunk:
-                if ch not in alphabet:
-                    raise MorphParseError(f"undeclared letter {ch!r}", lineno, column_of(ch))
-                out.append(alphabet.index(ch))
-        else:
-            raise MorphParseError(f"undeclared letter {chunk!r}", lineno, column_of(chunk))
-    return tuple(out)
+    tokens = alphabet.split(rhs)
+    for tok in tokens:
+        if tok not in alphabet:
+            # rhs is a part of raw_line, so the token is found there
+            raise MorphParseError(f"undeclared letter {tok!r}", lineno, raw_line.find(tok) + 1)
+    return tuple(map(alphabet.index, tokens))
 
 
 def parse_morphism(text: str) -> MorphicSpec:

@@ -46,7 +46,7 @@ def test_criterion_1_istrail_pipeline():
     start = time.perf_counter()
     istrail, berstel = load("istrail"), load("berstel")
     ok = eigenvector_criterion(istrail.morphism) == 2
-    rep = minimize_uniform(reshuffle_uniformize(istrail.morphism, istrail.seed))
+    rep = minimize_uniform(reshuffle_uniformize(istrail))
     ok &= len(rep.morphism.alphabet) == 4 and rep.q == 2
     iso = iso_equivalent(rep, representation_from_spec(berstel))
     ok &= iso is not None

@@ -1,5 +1,9 @@
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -134,6 +138,20 @@ class TestUniformize:
         assert main(["uniformize", morph(corpus_path, "lysenok")]) == 4
         assert capsys.readouterr().err == "error: length vector is not a left eigenvector\n"
 
+    def test_erasing_morphism_exit_4(self, tmp_path, capsys):
+        path = tmp_path / "erasing.morph"
+        path.write_text("letters: a b\na -> ab\nb ->\n", encoding="utf-8")
+        assert main(["uniformize", str(path)]) == 4
+        assert capsys.readouterr().err == "error: reshuffle requires a non-erasing morphism\n"
+
+    def test_prints_the_certificate_without_an_output_file(self, corpus_path, capsys, istrail):
+        assert main(["uniformize", morph(corpus_path, "istrail"), "--minimize"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# derived-from: istrail.morph (reshuffle, minimized)\n")
+        emitted = parse_morphism(out)
+        assert emitted.morphism.uniform_length == 2
+        assert prefix_equal(emitted, istrail, 5000)
+
     def test_non_prolongable_seed_is_an_input_error(self, tmp_path, capsys):
         # the criterion fails too (eigenvalue 1 certifies nothing), but the
         # seed is what makes the input unusable: exit 2, not the criterion's 4
@@ -264,6 +282,19 @@ class TestCorpusCommand:
         assert main(["corpus", *run, "--dir", str(tmp_path)]) == 2
         assert "no expectation file lonely.expected.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("run", [[], ["--run"]])
+    @pytest.mark.parametrize("expected", ['{"q": 2}', "[1]", '{"verdict": 1}', '{"verdict": '])
+    def test_malformed_expectation_exit_2(self, tmp_path, corpus_path, capsys, run, expected):
+        text = (corpus_path / "fibonacci.morph").read_text(encoding="utf-8")
+        (tmp_path / "fibonacci.morph").write_text(text, encoding="utf-8")
+        (tmp_path / "fibonacci.expected.json").write_text(expected, encoding="utf-8")
+        assert main(["corpus", *run, "--dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            'error: fibonacci.expected.json is not a JSON object with a string "verdict"\n'
+        )
+
     def test_empty_corpus_warns(self, tmp_path, capsys):
         assert main(["corpus", "--run", "--dir", str(tmp_path)]) == 0
         assert "warning" in capsys.readouterr().out
@@ -290,3 +321,34 @@ class TestRoundTrip:
             emitted = parse_morphism(out_path.read_text(encoding="utf-8"))
             assert emitted.morphism.uniform_length is not None
             assert prefix_equal(emitted, spec, 5000)
+
+
+# SHA-256 of what each command prints on every corpus entry: stdout, stderr
+# and the exit code.  The reports leave certificates out, so these pin the
+# uniform certificates, block morphisms and CUP rewrites themselves.
+CLI_COMMANDS = {
+    "uniformize": ["uniformize"],
+    "uniformize --minimize": ["uniformize", "--minimize"],
+    "blocks -k 2": ["blocks", "-k", "2"],
+    "blocks -k 3": ["blocks", "-k", "3"],
+    "blocks -k 4": ["blocks", "-k", "4"],
+    "cup": ["cup"],
+    "cup --pair-pos 3 --split 5": ["cup", "--pair-pos", "3", "--split", "5"],
+}
+PINNED_CLI_OUTPUTS = json.loads((Path(__file__).parent / "cli_outputs.json").read_text())
+
+
+def cli_output_digests(corpus_path) -> dict[str, str]:
+    digests = {}
+    for path in sorted(corpus_path.glob("*.morph")):
+        for command, argv in CLI_COMMANDS.items():
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([argv[0], str(path), *argv[1:]])
+            printed = json.dumps([out.getvalue(), err.getvalue(), code])
+            digests[f"{path.stem} {command}"] = hashlib.sha256(printed.encode()).hexdigest()
+    return digests
+
+
+def test_cli_outputs_are_pinned(corpus_path):
+    assert cli_output_digests(corpus_path) == PINNED_CLI_OUTPUTS

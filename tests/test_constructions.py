@@ -58,7 +58,7 @@ class TestUniformRepresentation:
 
 class TestReshuffle:
     def test_istrail_worked_example(self, istrail):
-        rep = reshuffle_uniformize(istrail.morphism, istrail.seed)
+        rep = reshuffle_uniformize(istrail)
         assert rep.q == 2
         a = rep.morphism.alphabet
         assert a.letters == ("0.1", "0.2", "1.1", "1.2", "1.3", "2.1")
@@ -81,31 +81,44 @@ class TestReshuffle:
         assert a.letters[rep.seed] == "1.1"
 
     def test_uniform_input_refines_to_itself(self, thue_morse):
-        rep = reshuffle_uniformize(thue_morse.morphism, thue_morse.seed)
+        rep = reshuffle_uniformize(thue_morse)
         assert rep.q == 2
         assert prefix_equal(rep, thue_morse, 5000)
         merged = minimize_uniform(rep)
         assert iso_equivalent(merged, representation_from_spec(thue_morse)) is not None
 
     def test_anagram_example_sizes(self, anagram7):
-        rep = reshuffle_uniformize(anagram7.morphism, anagram7.seed)
+        rep = reshuffle_uniformize(anagram7)
         assert len(rep.morphism.alphabet) == sum(anagram7.morphism.lengths) == 24
         assert rep.q == 7
         assert prefix_equal(rep, anagram7, 10_000)
 
     def test_expansion_counting_identity(self, istrail, anagram7):
         for spec in (istrail, anagram7):
-            rep = reshuffle_uniformize(spec.morphism, spec.seed)
+            rep = reshuffle_uniformize(spec)
             assert sum(rep.morphism.lengths) == rep.q * len(rep.morphism.alphabet)
 
     def test_criterion_failure_raises(self, lysenok):
         with pytest.raises(CriterionNotSatisfied):
-            reshuffle_uniformize(lysenok.morphism, lysenok.seed)
+            reshuffle_uniformize(lysenok)
+
+    def test_erasing_morphism_raises(self):
+        spec = parse_morphism("letters: a b\na -> ab\nb ->")
+        with pytest.raises(CriterionNotSatisfied, match="non-erasing"):
+            reshuffle_uniformize(spec)
+
+    def test_coded_spec_gives_a_coded_certificate(self, berstel):
+        # the certificate applies the spec's coding: it writes over the
+        # spec's output alphabet and reproduces its coded fixed point
+        rep = reshuffle_uniformize(berstel)
+        assert rep.coding.target == berstel.output_alphabet
+        assert rep.coding.target.letters == ("0", "1", "2")
+        assert rep.coded_prefix(5000) == berstel.coded_prefix(5000)
 
 
 class TestMinimize:
     def test_istrail_becomes_berstel(self, istrail, berstel):
-        rep = minimize_uniform(reshuffle_uniformize(istrail.morphism, istrail.seed))
+        rep = minimize_uniform(reshuffle_uniformize(istrail))
         assert len(rep.morphism.alphabet) == 4
         assert rep.q == 2
         iso = iso_equivalent(rep, representation_from_spec(berstel))
@@ -115,7 +128,7 @@ class TestMinimize:
     def test_idempotent(self, istrail, berstel, tm_cube):
         for spec in (istrail, berstel, tm_cube):
             if spec is istrail:
-                rep = reshuffle_uniformize(spec.morphism, spec.seed)
+                rep = reshuffle_uniformize(spec)
             else:
                 rep = representation_from_spec(spec)
             once = minimize_uniform(rep)
@@ -132,7 +145,7 @@ class TestMinimize:
         assert prefix_equal(merged, rep, 2000)
 
     def test_never_changes_the_coded_fixed_point(self, istrail):
-        rep = reshuffle_uniformize(istrail.morphism, istrail.seed)
+        rep = reshuffle_uniformize(istrail)
         assert prefix_equal(minimize_uniform(rep), rep, 10_000)
 
 
@@ -144,7 +157,7 @@ class TestIso:
             assert iso == {tok: tok for tok in rep.morphism.alphabet.letters}
 
     def test_symmetric(self, istrail, berstel):
-        rep = minimize_uniform(reshuffle_uniformize(istrail.morphism, istrail.seed))
+        rep = minimize_uniform(reshuffle_uniformize(istrail))
         ber = representation_from_spec(berstel)
         fwd, back = iso_equivalent(rep, ber), iso_equivalent(ber, rep)
         assert fwd is not None and back is not None
@@ -329,6 +342,6 @@ class TestCup:
 
 class TestAgainstOracle:
     def test_reshuffle_prefix_matches_naive_expansion(self, istrail):
-        rep = minimize_uniform(reshuffle_uniformize(istrail.morphism, istrail.seed))
+        rep = minimize_uniform(reshuffle_uniformize(istrail))
         expected = naive_iterate(rules_of(istrail), "1", 300)
         assert list(rep.prefix(300)) == expected

@@ -184,6 +184,11 @@ class TestIrrationalityVerdict:
     def test_non_primitive_is_excluded(self, lysenok):
         assert irrationality_verdict(lysenok.morphism) is None
 
+    def test_erasing_raises(self):
+        spec = parse_morphism("letters: a b\na -> ab\nb ->")
+        with pytest.raises(ValueError, match="non-erasing"):
+            irrationality_verdict(spec.morphism)
+
     def test_exclusive_with_eigenvector(self, istrail, anagram7, grig_aca_aba, xzy):
         for spec in (istrail, anagram7, grig_aca_aba, xzy):
             q = eigenvector_criterion(spec.morphism)
@@ -324,9 +329,9 @@ class TestAnalyze:
 
         calls = []
 
-        def counting(m, seed):
-            calls.append(m)
-            return reshuffle_uniformize(m, seed)
+        def counting(spec):
+            calls.append(spec.morphism)
+            return reshuffle_uniformize(spec)
 
         monkeypatch.setattr(criteria, "reshuffle_uniformize", counting)
         assert analyze(istrail).verdict.provenance == "eigenvector"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from morphauto import (
+    IncidenceData,
     IntPolynomial,
     char_poly,
     incidence,
@@ -658,3 +659,34 @@ class TestMultiplicativity:
         m = acaba.morphism
         a = incidence(m).matrix
         assert incidence(m.power(3)).matrix == mat_mul(mat_mul(a, a), a)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("check", [is_primitive, spectral_report, lambda m: radius_bracket(m, 1)])
+    def test_negative_entries_are_rejected(self, check):
+        with pytest.raises(ValueError, match="nonnegative"):
+            check(((1, -1), (1, 1)))
+
+    def test_incidence_columns_must_sum_to_the_lengths(self):
+        with pytest.raises(ValueError, match="column sums"):
+            IncidenceData(((1, 1), (1, 0)), (2, 2))
+
+    @pytest.mark.parametrize("coeffs", [(), (2, 1), (-1, 0)])
+    def test_polynomial_must_be_monic(self, coeffs):
+        with pytest.raises(ValueError, match="monic"):
+            IntPolynomial(coeffs)
+
+    def test_deflate_at_a_non_root(self):
+        # x^2 - 3x + 2 = (x - 1)(x - 2)
+        assert linalg._deflate((1, -3, 2), 2) == (1, -1)
+        with pytest.raises(ValueError, match="not a root"):
+            linalg._deflate((1, -3, 2), 3)
+
+    def test_left_eigencheck_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            left_eigencheck((1, 1, 1), ((1, 1), (1, 0)))
+
+    @pytest.mark.parametrize("tol", [0, -1, Fraction(-1, 3)])
+    def test_radius_bracket_needs_a_positive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            radius_bracket(((1, 1), (1, 0)), tol)

@@ -197,7 +197,7 @@ def test_certificate_round_trip(data):
     assume(degree >= 2)
     assume(morphism.is_prolongable(0))
     spec = MorphicSpec(morphism, 0)
-    cert = minimize_uniform(reshuffle_uniformize(morphism, 0))
+    cert = minimize_uniform(reshuffle_uniformize(spec))
     assert cert.q == degree
     text = cert.to_morph_text(comments=["derived: reshuffle certificate"])
     reparsed = representation_from_spec(parse_morphism(text))

@@ -31,7 +31,7 @@ class TestPrefixEqual:
             assert prefix_equal(spec, spec, 3000)
 
     def test_istrail_vs_minimized(self, istrail):
-        rep = minimize_uniform(reshuffle_uniformize(istrail.morphism, istrail.seed))
+        rep = minimize_uniform(reshuffle_uniformize(istrail))
         assert prefix_equal(istrail, rep, 10_000)
 
     def test_detects_differences(self, thue_morse, period_doubling):
@@ -285,3 +285,14 @@ class TestEmpiricalFrequencies:
     def test_sums_to_one(self, lysenok, berstel):
         for spec in (lysenok, berstel):
             assert sum(empirical_frequencies(spec, 777)) == 1
+
+
+class TestInputChecks:
+    def test_factor_complexity_needs_a_window(self, thue_morse):
+        with pytest.raises(ValueError, match="n_max must be positive"):
+            factor_complexity(thue_morse, n_max=0, prefix_length=100)
+
+    @pytest.mark.parametrize("length", [0, -3])
+    def test_frequencies_need_a_prefix(self, thue_morse, length):
+        with pytest.raises(ValueError, match="prefix length must be positive"):
+            empirical_frequencies(thue_morse, length)

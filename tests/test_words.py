@@ -8,6 +8,7 @@ from morphauto import (
     InternalCheckError,
     MorphParseError,
     Morphism,
+    MorphicSpec,
     SpecError,
     parikh_vector,
     parse_morphism,
@@ -91,6 +92,10 @@ class TestParse:
     def test_coding_must_be_total(self):
         with pytest.raises(MorphParseError, match="missing letter"):
             parse_morphism("letters: a b\na -> ab\nb -> a\ncoding: a->0")
+
+    def test_coding_skips_empty_items(self):
+        spec = parse_morphism("letters: a b\na -> ab\nb -> a\ncoding: a->0, , b->1,")
+        assert spec.coding.table == (0, 1)
 
     def test_erasing_rule_parses(self):
         spec = parse_morphism("letters: a b\na -> ab\nb ->")
@@ -365,3 +370,61 @@ class TestRestrict:
     def test_non_closed_subalphabet_raises(self, benli):
         with pytest.raises(ValueError):
             benli.morphism.restrict([0, 1])  # a -> aca needs c
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("letters", [(), ("a", "a"), ("a b",), ("",)])
+    def test_bad_alphabets(self, letters):
+        with pytest.raises(ValueError):
+            Alphabet(letters)
+
+    def test_unknown_letter_in_index(self):
+        with pytest.raises(ValueError, match="unknown letter 'z'"):
+            Alphabet(("a", "b")).index("z")
+
+    def test_morphism_needs_one_image_per_letter(self):
+        with pytest.raises(ValueError, match="one image per letter"):
+            Morphism(Alphabet(("a", "b")), ((0, 1),))
+
+    def test_morphism_image_letter_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Morphism(Alphabet(("a", "b")), ((0, 2), (0,)))
+
+    def test_coding_must_be_total(self):
+        with pytest.raises(ValueError, match="total"):
+            Coding(Alphabet(("a", "b")), Alphabet(("0",)), (0,))
+
+    def test_coding_target_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Coding(Alphabet(("a", "b")), Alphabet(("0",)), (0, 1))
+
+    def test_spec_seed_out_of_range(self, lysenok):
+        with pytest.raises(ValueError, match="seed letter out of range"):
+            MorphicSpec(lysenok.morphism, 4)
+
+    def test_spec_coding_over_another_alphabet(self, lysenok, berstel):
+        with pytest.raises(ValueError, match="coding source"):
+            MorphicSpec(lysenok.morphism, 0, berstel.coding)
+
+
+@pytest.mark.parametrize(
+    "letters, text",
+    [
+        ("a b c", "ab c"),
+        ("a b c", " a  bc\tc "),
+        ("a b c", ""),
+        ("1 1* 2", "1* 2 1"),
+        ("x0 x1", "x1 x0 x1"),
+    ],
+)
+def test_word_reads_text_as_the_parser_does(letters, text):
+    alphabet = Alphabet(tuple(letters.split()))
+    head = alphabet.letters[0]
+    spec = parse_morphism(f"letters: {letters}\n" + "".join(f"{t} -> {text}\n" for t in alphabet.letters))
+    assert alphabet.word(text) == spec.morphism.image(alphabet.index(head))
+
+
+def test_word_needs_spaces_between_multi_character_tokens():
+    # as the parser does (TestParse.test_multi_character_tokens_need_spaces)
+    with pytest.raises(ValueError, match="unknown letter '11\\*'"):
+        Alphabet(("1", "1*", "2")).word("11*")
