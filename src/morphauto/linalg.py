@@ -8,13 +8,25 @@ an exact check.  Whether the spectral radius is a given integer c is read
 off the signs of the leading principal minors of cI - B for each
 irreducible diagonal block B (one fraction-free elimination), and when it
 is, the Perron vector is back-substituted in the rows of that same
-elimination.  Spectral-radius brackets are Collatz-Wielandt bounds, which
-hold for every positive vector, so the vectors may be rounded freely; the
-iteration keeps its matrices as sparse rows, and until its first squaring
-it gets (B + I)x as Bx + x.  The diagonal blocks are the strongly connected
-components of the support digraph (a bitmask Warshall closure), and a
-matrix is primitive when that split finds one component and a
-breadth-first search finds its period to be 1.
+elimination.  The diagonal blocks are the strongly connected components of
+the support digraph (a bitmask Warshall closure), and a matrix is
+primitive when that split finds one component and a breadth-first search
+finds its period to be 1.
+
+Spectral-radius brackets come from Newton's method on the exact
+characteristic polynomial chi of each irreducible block B, in scaled
+integer arithmetic on a grid of step 2^-s.  Why every bracket holds:
+  1. rho = rho(B) is a simple root of chi and every root has |lambda| <= rho
+     (Perron-Frobenius; Horn-Johnson, Matrix Analysis, §8.4).
+  2. No derivative of chi has a real root above rho (Gauss-Lucas), so chi
+     is positive, increasing and convex on (rho, oo).
+  3. A Newton step from u > rho therefore lands in [rho, u), and rounding
+     it up onto the grid keeps it an upper bound; the first u is the
+     largest row sum, which is >= rho.
+  4. A real t with chi(t) <= 0 is <= rho: by 2 if chi(t) < 0, and by 1 if
+     t is a root.  So each proven lower end costs one evaluation.
+  5. The smallest row sum is <= rho too, and an iterate below it, or one
+     where chi or chi' is not positive, is an internal error.
 
 Convention: for a morphism s, ``incidence(s).matrix[i][j]`` counts the
 occurrences of letter i in the image of letter j, so columns are indexed by
@@ -26,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .words import Morphism, parikh_vector
 
@@ -317,10 +329,12 @@ def _strongly_connected_components(matrix) -> list[list[int]]:
     return comps
 
 
-def _diagonal_blocks(matrix):
+def _diagonal_blocks(matrix) -> list[Matrix]:
     """The irreducible diagonal blocks, one per strongly connected component."""
-    for comp in _strongly_connected_components(matrix):
-        yield tuple(tuple(matrix[i][j] for j in comp) for i in comp)
+    return [
+        tuple(tuple(matrix[i][j] for j in comp) for i in comp)
+        for comp in _strongly_connected_components(matrix)
+    ]
 
 
 def is_primitive(matrix) -> bool:
@@ -365,116 +379,90 @@ class RadiusBracket:
         return self.lo <= value <= self.hi
 
 
-_PREC = 96  # bits kept in the largest entry of each iterate and each square
-_MAX_SQUARINGS = 64  # squarings of B + I before a block still too wide is loose
+_GRID_BITS = 32  # Newton starts on a grid no finer than 2^-32 ...
+_MAX_GRID_BITS = 4096  # ... and a block still too wide on 2^-4096 is loose
 _BRACKET_TOL = Fraction(1, 10**6)  # the width spectral_report asks for
 
 
-def _round_up(rows):
-    """Divide every entry by one power of two, rounding up, so the largest
-    keeps _PREC bits; positive entries stay positive."""
-    shift = max(0, max(map(max, rows)).bit_length() - _PREC)
-    if not shift:
-        return rows
-    return tuple(tuple(-(-entry >> shift) for entry in row) for row in rows)
+def _scaled_values(scaled, a: int) -> tuple[int, int]:
+    """2^(sn) chi(t) and 2^(s(n-1)) chi'(t) at t = a / 2^s, by Horner's
+    rule on the coefficients c_k 2^(sk) of chi, leading term first."""
+    p, d = 1, 0
+    for c in scaled[1:]:
+        d = d * a + p
+        p = p * a + c
+    return p, d
 
 
-def _sparse_rows(rows):
-    """Each row as (columns, values) of its nonzero entries."""
-    return [
-        ([j for j, entry in enumerate(row) if entry], [entry for entry in row if entry])
-        for row in rows
-    ]
+def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
+    """Bracket the spectral radius rho of one irreducible diagonal block B
+    by Newton's method from above on chi = det(xI - B), ``poly`` if given.
 
-
-def _sparse_apply(rows, x):
-    """Mx for M in sparse rows."""
-    return [sum(map(mul, vals, map(x.__getitem__, cols))) for cols, vals in rows]
-
-
-def _sparse_square(rows):
-    """P * P for P in sparse rows, rounded as a whole by _round_up: row i
-    of the square is the sum of rows k of P weighted by the entries (i, k)."""
-    n = len(rows)
-    square = []
-    for cols_i, vals_i in rows:
-        acc = [0] * n
-        for k, a in zip(cols_i, vals_i):
-            cols_k, vals_k = rows[k]
-            for j, b in zip(cols_k, vals_k):
-                acc[j] += a * b
-        square.append(acc)
-    return _sparse_rows(_round_up(square))
-
-
-def _irreducible_bracket(block, tol: Fraction):
-    """Bracket the spectral radius of one irreducible diagonal block B.
-
-    Collatz-Wielandt: every positive vector x gives
-    min_i (Bx)_i / x_i <= rho(B) <= max_i (Bx)_i / x_i, so rounding x only
-    changes how tight the bracket is.  x starts at all ones and is
-    multiplied by P = B + I, which is primitive because B is irreducible,
-    so the direction of x tends to the Perron vector even for periodic B.
-    P is squared every n steps, so that a small spectral gap costs
-    logarithmically many squarings rather than many products.  B and the
-    powers of P are kept as sparse rows; until the first squaring, Px is
-    Bx + x, from the Bx the step has just made.  The bounds lo and hi are
-    kept as integer pairs and compared by cross-multiplication.
+    The row sums bound rho, min <= rho <= max, and pin it when they are
+    all equal.  Otherwise, on a grid of step 2^-s, the upper end a starts
+    at the largest row sum and steps to a - P // Q, P and Q being chi and
+    chi' at a scaled to integers: Newton's iterate, rounded up.  Once a
+    step would move a by less than one grid step, a - 1 becomes the lower
+    end if chi(a - 1) <= 0, and the grid is refined while the bracket is
+    still wider than tol.  Returns (lo, hi, loose).
     """
-    n = len(block)
-    b_rows = _sparse_rows(block)
-    power = None  # the latest rounded square of P = B + I, once there is one
-    x = (1,) * n
-    ln, ld, hn, hd = 0, 1, None, 1  # lo = ln / ld, hi = hn / hd
+    sums = list(map(sum, block))
+    low, high = min(sums), max(sums)
     tn, td = tol.numerator, tol.denominator
-    squarings = steps = 0
+    if (high - low) * td <= tn:
+        return Fraction(low), Fraction(high), False
+    coeffs = (char_poly(block) if poly is None else poly).coeffs
+    s_tol = (-(-td // tn) - 1).bit_length()  # the coarsest grid with 2^-s <= tol
+    s = min(s_tol, _GRID_BITS)
+    a, lo = high << s, low << s  # the ends of the bracket, in units of 2^-s
+    scaled = [c << s * k for k, c in enumerate(coeffs)]
     while True:
-        bx = _sparse_apply(b_rows, x)
-        # the smallest and largest ratio bx_i / x_i, compared exactly
-        i_lo = i_hi = 0
-        for i in range(1, n):
-            if bx[i] * x[i_lo] < bx[i_lo] * x[i]:
-                i_lo = i
-            elif bx[i] * x[i_hi] > bx[i_hi] * x[i]:
-                i_hi = i
-        if bx[i_lo] * ld > ln * x[i_lo]:
-            ln, ld = bx[i_lo], x[i_lo]
-        if hn is None or bx[i_hi] * hd < hn * x[i_hi]:
-            hn, hd = bx[i_hi], x[i_hi]
-        if (hn * ld - ln * hd) * td <= tn * hd * ld:
-            return Fraction(ln, ld), Fraction(hn, hd), False
-        steps += 1
-        if steps % n == 0:
-            if squarings >= _MAX_SQUARINGS:
-                return Fraction(ln, ld), Fraction(hn, hd), True
-            if power is None:
-                power = _sparse_rows(
-                    [entry + (i == j) for j, entry in enumerate(row)] for i, row in enumerate(block)
-                )
-            power = _sparse_square(power)
-            squarings += 1
-        px = list(map(add, bx, x)) if power is None else _sparse_apply(power, x)
-        x = _round_up((px,))[0]
+        if a < low << s:
+            raise InternalArithmeticError("Newton iterate left the row-sum bounds of its block")
+        p, d = _scaled_values(scaled, a)
+        if p <= 0 or d <= 0:
+            raise InternalArithmeticError("Newton iterate is not above the Perron root")
+        if p >= d:
+            a -= p // d
+            continue
+        if lo < a - 1 and _scaled_values(scaled, a - 1)[0] <= 0:
+            lo = a - 1
+        if (a - lo) * td <= tn << s:
+            return Fraction(lo, 1 << s), Fraction(a, 1 << s), False
+        if s >= _MAX_GRID_BITS:
+            return Fraction(lo, 1 << s), Fraction(a, 1 << s), True
+        extra = max(s, _GRID_BITS)
+        s += extra
+        a, lo = a << extra, lo << extra
+        scaled = [c << extra * k for k, c in enumerate(scaled)]
 
 
-def radius_bracket(matrix, tol) -> RadiusBracket:
+def radius_bracket(matrix, tol, *, blocks=None, poly=None) -> RadiusBracket:
     """A rational interval of width <= tol containing the spectral radius.
 
     The support digraph is split into strongly connected components; the
     radius is the maximum over the diagonal blocks, each of which is
-    irreducible and therefore pinched by Collatz-Wielandt bounds.
+    irreducible and bracketed by ``_irreducible_bracket``.
+    ``spectral_report`` passes the blocks it has already split off the
+    matrix and the matrix's characteristic polynomial ``poly``, which is
+    the block's own when there is one block; any other block that needs
+    its polynomial gets it from ``char_poly``.
     """
-    _check_nonnegative(matrix)
+    if blocks is None:
+        _check_nonnegative(matrix)
+        blocks = _diagonal_blocks(matrix)
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if len(blocks) != 1:
+        poly = None
     lo = hi = Fraction(0)
     loose = False
-    for block in _diagonal_blocks(matrix):
-        b_lo, b_hi, b_loose = _irreducible_bracket(block, tol)
+    for block in blocks:
+        b_lo, b_hi, b_loose = _irreducible_bracket(block, tol, poly)
         lo, hi = max(lo, b_lo), max(hi, b_hi)
         loose = loose or b_loose
-    return RadiusBracket(max(lo, Fraction(0)), hi, loose)
+    return RadiusBracket(lo, hi, loose)
 
 
 # ---------------------------------------------------------------------------
@@ -551,13 +539,12 @@ def spectral_report(matrix) -> SpectralReport:
     exactly when no irreducible diagonal block has a radius above c.
     """
     _check_nonnegative(matrix)
+    blocks = _diagonal_blocks(matrix)
     p = char_poly(matrix)
     roots = integer_roots(p)
-    bracket = radius_bracket(matrix, _BRACKET_TOL)
+    bracket = radius_bracket(matrix, _BRACKET_TOL, blocks=blocks, poly=p)
     candidate = max((root for root, _ in roots if root >= 0), default=None)
-    if candidate is None or any(
-        _radius_sign(block, candidate) > 0 for block in _diagonal_blocks(matrix)
-    ):
+    if candidate is None or any(_radius_sign(block, candidate) > 0 for block in blocks):
         return SpectralReport(p, roots, bracket, False, None)
     if candidate not in bracket:
         raise InternalArithmeticError(f"integer radius {candidate} lies outside its bracket")

@@ -168,10 +168,11 @@ def _dense_mat_mul(a, b):
 
 
 def dense_irreducible_bracket(block, tol: Fraction, prec: int, max_squarings: int):
-    """The Collatz-Wielandt iteration of ``linalg._irreducible_bracket`` on
-    dense rows, with Fraction bounds: x starts at all ones and is multiplied
-    by P = B + I, P is squared every n steps, and x and every square are
-    rounded up to ``prec`` bits.  Returns (lo, hi, loose)."""
+    """Collatz-Wielandt bounds min_i (Bx)_i / x_i <= rho(B) <= max_i (Bx)_i / x_i
+    for an irreducible block B, on dense rows with Fraction bounds: x
+    starts at all ones and is multiplied by P = B + I, P is squared every n
+    steps, and x and every square are rounded up to ``prec`` bits.
+    Returns (lo, hi, loose)."""
     n = len(block)
     power = tuple(
         tuple(entry + (i == j) for j, entry in enumerate(row)) for i, row in enumerate(block)

@@ -3,6 +3,7 @@ import importlib
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from morphauto.constructions import (
     reshuffle_uniformize,
 )
 from morphauto.criteria import BlockCertificate, _verify_certificate
+from morphauto.linalg import _radius_sign
 
 from oracles import naive_iterate, rules_of
 
@@ -79,7 +81,9 @@ CORPUS_STAGES = {
 # stage, certificate, profile count and subalphabet witness.  The four
 # Unknown entries were recorded before factor complexity was computed from
 # distinct windows, the rest before it packed the prefix into bytes and
-# before the uniform stage's certificate stopped replaying itself.
+# before the uniform stage's certificate stopped replaying itself.  The
+# nine NotAutomatic entries were recorded again when the radius bracket
+# came to be computed by Newton's method, which moved only its lo and hi.
 PINNED_REPORTS = json.loads((Path(__file__).parent / "corpus_reports.json").read_text())
 UNKNOWN_ENTRIES = ["ab_omega", "bartholdi", "benli", "fib_constant"]
 
@@ -385,6 +389,25 @@ class TestAnalyze:
     def test_decided_reports_are_pinned(self, corpus_path, name):
         assert_report_pinned(corpus_path, name)
 
+    @pytest.mark.parametrize(
+        "name",
+        sorted(n for n, r in PINNED_REPORTS.items() if r["verdict"]["kind"] == "not_automatic"),
+    )
+    def test_pinned_brackets_hold(self, name):
+        # each pinned bracket [p/q, p'/q'] is checked exactly: rho(M) >= p/q
+        # iff rho(qM) >= p, read off the signs of the minors of pI - qM
+        report = PINNED_REPORTS[name]
+        m = [[int(entry) for entry in row] for row in report["input"]["incidence"]["matrix"]]
+        bracket = report["verdict"]["spectral"]["radius_bracket"]
+        lo, hi = Fraction(bracket["lo"]), Fraction(bracket["hi"])
+        assert not bracket["loose"] and 0 <= hi - lo <= Fraction(1, 10**6)
+
+        def sign(value):
+            scaled = tuple(tuple(value.denominator * entry for entry in row) for row in m)
+            return _radius_sign(scaled, value.numerator)
+
+        assert sign(lo) >= 0 and sign(hi) <= 0
+
 
 class TestVerifyCertificate:
     def test_certificate_of_another_sequence(self, thue_morse, period_doubling):
@@ -490,8 +513,9 @@ class TestVerifyCertificate:
 # SHA-256 of every report (``to_json``, canonical JSON) on the benchmark's
 # seed-1 ``spectral`` inputs: primitive non-uniform morphisms over 16 to 32
 # letters, half with an integer eigenvalue, all decided by the spectral
-# layer.  Recorded before packed prefixes; the linear-algebra path is pinned
-# here as the corpus reports pin the rest.
+# layer.  Recorded again with the Newton bracket, which moved only the
+# bracket's lo and hi; the linear-algebra path is pinned here as the corpus
+# reports pin the rest.
 SPECTRAL_DIGESTS = json.loads((Path(__file__).parent / "spectral_reports.json").read_text())
 
 

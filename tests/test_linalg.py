@@ -19,10 +19,8 @@ from morphauto import (
 )
 from morphauto import linalg
 from morphauto.linalg import (
-    _MAX_SQUARINGS,
-    _PREC,
     InternalArithmeticError,
-    _irreducible_bracket,
+    RadiusBracket,
     _radius_sign,
     _strongly_connected_components,
 )
@@ -341,13 +339,45 @@ class TestRadiusBracket:
                 _assert_bracket_holds(br, [m])
 
     def test_perron_vector_beyond_working_precision_stays_sound(self):
-        # the Perron vector's entries differ by about 2^120, more than the
-        # iterate keeps: the bracket is loose but holds, and the iterate's
-        # small entries are rounded up rather than to zero
+        # the Perron vector's entries differ by about 2^120, which left the
+        # Collatz-Wielandt iteration loose; Newton on x^2 - 2^120 x - 1 is
+        # tight
         m = ((2**120, 1), (1, 0))
         br = radius_bracket(m, Fraction(1, 10**6))
-        assert br.loose
+        assert br.width <= Fraction(1, 10**6) and not br.loose
         _assert_bracket_holds(br, [m])
+
+    def test_tolerance_below_the_first_grid_refines_it(self, fibonacci, grig_aca_aba):
+        # 10^-30 is about 2^-100, finer than the 2^-32 grid Newton starts
+        # on, so the grid is refined (to 2^-64, then 2^-128) before the
+        # bracket is narrow enough
+        tol = Fraction(1, 10**30)
+        for spec in (fibonacci, grig_aca_aba):
+            m = incidence(spec.morphism).matrix
+            br = radius_bracket(m, tol)
+            assert br.width <= tol and not br.loose
+            assert br.hi.denominator > 2**linalg._GRID_BITS
+            _assert_bracket_holds(br, [m])
+
+    def test_precision_cap_leaves_a_sound_loose_bracket(self, fibonacci):
+        # 2^-5000 is finer than the last grid, 2^-4096
+        m = incidence(fibonacci.morphism).matrix
+        br = radius_bracket(m, Fraction(1, 2**5000))
+        assert br.loose and br.width <= Fraction(1, 2**4000)
+        _assert_bracket_holds(br, [m])
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ((1, 0, -9), "not above the Perron root"),  # chi(2) < 0: root 3
+            ((1, -6, 10), "not above the Perron root"),  # chi(2) > 0, chi'(2) < 0
+            ((1, 0, 0), "row-sum bounds"),  # Newton heads for 0 < 1
+        ],
+    )
+    def test_a_wrong_polynomial_is_an_internal_error(self, coeffs, message):
+        # the Fibonacci matrix has row sums 2 and 1 and chi = x^2 - x - 1
+        with pytest.raises(InternalArithmeticError, match=message):
+            radius_bracket(((1, 1), (1, 0)), Fraction(1, 10**6), poly=IntPolynomial(coeffs))
 
 
 def _random_irreducible(rng, r, density, top):
@@ -362,48 +392,78 @@ def _random_irreducible(rng, r, density, top):
 
 
 class TestBracketAgainstDense:
-    """The sparse iteration returns exactly the (lo, hi, loose) of the dense
-    one in ``oracles``: same iterates, same squarings, same rounding."""
+    """The Newton bracket against the dense Collatz-Wielandt iteration in
+    ``oracles`` (96-bit iterates, at most 64 squarings): the two brackets
+    overlap, and the Newton one is no wider than tol, is not loose and
+    holds under the exact sign test."""
 
     @staticmethod
-    def _assert_same(block, tol):
+    def _assert_agrees(m, blocks, tol):
+        br = radius_bracket(m, tol)
+        assert br.width <= tol and not br.loose
+        _assert_bracket_holds(br, blocks)
+        dense = [dense_irreducible_bracket(block, tol, 96, 64) for block in blocks]
+        assert br.lo <= max(hi for _, hi, _ in dense)
+        assert max(lo for lo, _, _ in dense) <= br.hi
+        return dense
+
+    @classmethod
+    def _assert_block_agrees(cls, block, tol):
         assert len(_strongly_connected_components(block)) == 1
-        expected = dense_irreducible_bracket(block, tol, _PREC, _MAX_SQUARINGS)
-        assert _irreducible_bracket(block, tol) == expected
+        return cls._assert_agrees(block, [block], tol)[0]
 
     @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
     def test_random_blocks(self, tol):
-        # entries up to 2^140 spread the Perron vector beyond the working
-        # precision, so those blocks run all their squarings: kept small
+        # entries up to 2^140 spread the Perron vector beyond the oracle's
+        # working precision, so its iteration runs all its squarings: kept
+        # small
         rng = random.Random(36 * tol.denominator)
         for _ in range(40):
             top = rng.choice((1, 1, 3, 9, 2**140))
             r = rng.randint(1, 12 if top == 2**140 else 36)
             density = rng.choice((0.05, 0.1, 0.2, 0.4, 0.8))
-            self._assert_same(_random_irreducible(rng, r, density, top), tol)
+            self._assert_block_agrees(_random_irreducible(rng, r, density, top), tol)
 
     @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
     def test_squares_beyond_the_working_precision(self, tol):
-        # entries near 2^50 give squares of about 2^100 and more, which are
-        # rounded, and most of these small dense blocks converge within a few
-        # squarings
+        # entries near 2^50 give squares of about 2^100 and more, which the
+        # oracle rounds
         rng = random.Random(50)
         for _ in range(20):
-            self._assert_same(_random_irreducible(rng, rng.randint(2, 6), 0.7, 2**50), tol)
+            self._assert_block_agrees(_random_irreducible(rng, rng.randint(2, 6), 0.7, 2**50), tol)
 
     @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
     def test_cycles_with_and_without_a_self_loop(self, tol):
         for r in (1, 2, 3, 5, 8, 13, 21, 32, 36):
             cycle = _from_edges(r, {(i, (i + 1) % r) for i in range(r)})
             looped = _from_edges(r, {(i, (i + 1) % r) for i in range(r)} | {(r // 2, r // 2)})
-            self._assert_same(cycle, tol)
-            self._assert_same(looped, tol)
+            self._assert_block_agrees(cycle, tol)
+            self._assert_block_agrees(looped, tol)
 
     @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
     def test_loose_case(self, tol):
+        # the oracle is loose here; Newton is not
         block = ((2**120, 1), (1, 0))
-        self._assert_same(block, tol)
-        assert _irreducible_bracket(block, tol)[2]
+        assert self._assert_block_agrees(block, tol)[2]
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
+    def test_one_by_one_blocks(self, tol):
+        for entry in (0, 1, 7, 2**140):
+            lo, hi, loose = self._assert_block_agrees(((entry,),), tol)
+            assert lo == hi == entry and not loose
+
+    @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
+    def test_reducible_matrices(self, tol):
+        # known irreducible blocks coupled above the diagonal and permuted;
+        # the dense bracket of the matrix is the largest of its blocks'
+        rng = random.Random(7 * tol.denominator)
+        for _ in range(40):
+            blocks = [
+                _random_irreducible(rng, rng.randint(1, 6), 0.4, rng.choice((1, 3, 2**60)))
+                for _ in range(rng.randint(2, 4))
+            ]
+            m = _permuted(_block_triangular(blocks, rng), _shuffled(rng, sum(map(len, blocks))))
+            self._assert_agrees(m, blocks, tol)
 
 
 class TestSpectralReport:
@@ -437,6 +497,25 @@ class TestSpectralReport:
         rep = spectral_report(m)
         assert dict(rep.integer_roots) == {1: 2}
         assert rep.dominant_is_integer is False
+
+    def test_one_char_poly_per_report(self, monkeypatch, grig_aca_aba):
+        # the bracket of an irreducible matrix reuses the report's polynomial
+        calls = []
+        real = linalg.char_poly
+
+        def counted(matrix):
+            calls.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(linalg, "char_poly", counted)
+        m = incidence(grig_aca_aba.morphism).matrix
+        assert not spectral_report(m).dominant_is_integer
+        assert calls == [m]
+
+    def test_integer_radius_outside_the_bracket_is_an_internal_error(self, monkeypatch, istrail):
+        monkeypatch.setattr(linalg, "radius_bracket", lambda *a, **k: RadiusBracket(3, 4))
+        with pytest.raises(InternalArithmeticError, match="outside its bracket"):
+            spectral_report(incidence(istrail.morphism).matrix)
 
 
 FIB_PLUS_ONE = ((1, 1, 0), (1, 0, 0), (0, 0, 1))
