@@ -32,6 +32,7 @@ from morphauto.constructions import (
 from morphauto.criteria import BlockCertificate, _verify_certificate
 from morphauto.linalg import _radius_sign
 
+from family import coverage
 from oracles import naive_iterate, rules_of
 
 # The (name, status) of every stage analyze records on each corpus entry, in
@@ -528,3 +529,13 @@ def test_spectral_reports_are_pinned(monkeypatch):
         canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
         digests[item.name] = hashlib.sha256(canonical.encode()).hexdigest()
     assert digests == SPECTRAL_DIGESTS
+
+
+# The (kind, provenance) counts of the seeded random family in ``family.py``:
+# 3000 prolongable specs, each analyzed at depth 2000.  A change that moves
+# decision coverage re-pins them on purpose.
+FAMILY_COUNTS = json.loads((Path(__file__).parent / "family_counts.json").read_text())
+
+
+def test_family_coverage_is_pinned():
+    assert coverage() == FAMILY_COUNTS
