@@ -267,9 +267,6 @@ class BlockMorphism:
         del out[n:]
         return bytes(out) if source.packed else tuple(out)
 
-    def prefix(self, n: int) -> tuple[str, ...]:
-        return self.source.alphabet.tokens(self.flatten_prefix(n))
-
 
 def _block_token(alphabet: Alphabet, block: Word) -> str:
     sep = "" if alphabet.single_char else "+"

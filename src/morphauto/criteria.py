@@ -3,7 +3,8 @@
 ``analyze`` checks that the seed is prolongable and runs a table of
 stages in order: already uniform; the left-eigenvector criterion, which
 also runs the anagram decomposition as its cross-check (an anagram degree
-d >= 2 must equal its q); induced k-block morphisms; the irrational-dominant
+d >= 2 must equal its q); induced k-block morphisms, where the first k whose
+block morphism is q-uniform gives Automatic(q); the irrational-dominant
 obstruction; and last the complexity evidence, which runs only when no
 earlier stage has decided and returns an honest Unknown.  Every stage's
 outcome is recorded.  A stage that needs a non-erasing morphism is recorded
@@ -351,18 +352,6 @@ def _verify_certificate(spec: MorphicSpec, certificate, depth: int) -> None:
         raise InternalCheckError("certificate disagrees with the input fixed point")
 
 
-def _common_base(q: int, k: int) -> int | None:
-    def is_power(n: int, b: int) -> bool:
-        while n % b == 0:
-            n //= b
-        return n == 1
-
-    for b in range(2, min(q, k) + 1):
-        if is_power(q, b) and is_power(k, b):
-            return b
-    return None
-
-
 def _invariant_subalphabets(m: Morphism) -> list[tuple[int, ...]]:
     """Proper subalphabets closed under the morphism: the letter closures,
     smallest first."""
@@ -432,7 +421,11 @@ def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
 
 
 def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
-    partial = None
+    """The first k in 2..kmax whose k-block morphism tau is q-uniform, q >= 2,
+    decides Automatic(q).  Any k will do: if y is tau's fixed point, then
+    z[m] = (y[m div k], m mod k) is the fixed point of the q-uniform morphism
+    (B, j) -> ((tau(B)[(qj+t) div k], (qj+t) mod k) for t < q), and the input
+    is a coding of z (Allouche-Shallit, Automatic Sequences, ch. 6)."""
     failures = []
     for k in range(2, opts.kmax + 1):
         try:
@@ -444,30 +437,19 @@ def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
         if q is None or q < 2:
             failures.append(f"k={k}: induced morphism not uniform")
             continue
-        base = _common_base(q, k)
-        if base is None:
-            if partial is None:
-                partial = StageOutcome(
-                    "block",
-                    "info",
-                    f"partial: k={k} gives a {q}-uniform block morphism but no "
-                    "common power base; block sequence automaticity only",
-                    {"k": k, "uniform_length": q, "rules": blk.morphism.rules_text()},
-                )
-            continue
         rules = blk.morphism.rules_text()
         outcome = StageOutcome(
             "block",
             "success",
-            f"k={k}: induced morphism {rules} is {q}-uniform; common base {base}",
-            {"k": k, "uniform_length": q, "base": base, "rules": rules},
+            f"k={k}: induced morphism {rules} is {q}-uniform",
+            {"k": k, "uniform_length": q, "rules": rules},
         )
         if decided:
             return [outcome], None
         how = f"{k}-block morphism {rules}"
         cert = BlockCertificate(blk, spec.coding)
-        return [outcome], Verdict.automatic(base, cert, "block", opts.depth, how)
-    return [partial or StageOutcome("block", "no", "; ".join(failures) or "no block structure")], None
+        return [outcome], Verdict.automatic(q, cert, "block", opts.depth, how)
+    return [StageOutcome("block", "no", "; ".join(failures))], None
 
 
 def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):

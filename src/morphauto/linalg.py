@@ -250,6 +250,12 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
     polynomial.  Candidates are 0 and the divisors of the constant term no
     larger than B = 2 * max_i 2^ceil(bits(c_i) / i), which bounds every root
     from above by Fujiwara's bound 2 * max_i |c_i|^(1/i).
+
+    At most B divisors are tried, and B <= 8 n rho for degree n and largest
+    root modulus rho, since |c_i| <= C(n, i) rho^i and 2^ceil(bits(c_i) / i)
+    <= 4 |c_i|^(1/i).  An incidence matrix has rho <= its longest image, so
+    on a characteristic polynomial the cost grows with the size of the
+    ``.morph`` input, not exponentially in its bit length.
     """
     coeffs = p.coeffs
     found: dict[int, int] = {}

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive and shares no code path with the
-package: token-level string rewriting, cofactor-expansion determinants,
-the Faddeev-LeVerrier recursion, set-based factor counting, the
-spectral-radius bracket on dense rows, and Perron vectors from a scan of
-the column-sum range with rational kernels.
+package: token-level string rewriting, the position-letter form of a
+uniform block morphism, cofactor-expansion determinants, the
+Faddeev-LeVerrier recursion, set-based factor counting, the spectral-radius
+bracket on dense rows, and Perron vectors from a scan of the column-sum
+range with rational kernels.
 """
 
 from fractions import Fraction
@@ -36,6 +37,31 @@ def rules_of(spec) -> dict[str, list[str]]:
     return {
         tok: [a.letters[c] for c in img] for tok, img in zip(a.letters, spec.morphism.images)
     }
+
+
+def block_to_uniform(blk, coding: dict[str, str] | None = None):
+    """The q-uniform morphism on the letters (B, j), j < k, of a q-uniform
+    k-block morphism tau: (B, j) -> (tau(B)[(qj+t) div k], (qj+t) mod k)
+    for t < q.  With y the fixed point of tau, its fixed point from
+    (seed block, 0) is z[m] = (y[m div k], m mod k), so sending (B, j) to
+    letter j of block B, then through ``coding``, gives the input back.
+
+    Returns token-level rules, the seed token and the output of each letter.
+    """
+    k, images, letters = blk.k, blk.morphism.images, blk.source.alphabet.letters
+    q = len(images[blk.seed_block])
+
+    def name(b, j):
+        return f"{b}.{j}"
+
+    rules, output = {}, {}
+    for b, block in enumerate(blk.blocks):
+        assert len(images[b]) == q, "oracle: the block morphism is not uniform"
+        for j in range(k):
+            rules[name(b, j)] = [name(images[b][(q * j + t) // k], (q * j + t) % k) for t in range(q)]
+            token = letters[block[j]]
+            output[name(b, j)] = token if coding is None else coding[token]
+    return rules, name(blk.seed_block, 0), output
 
 
 # --- polynomials as ascending integer coefficient lists ---------------------

@@ -10,6 +10,7 @@ import pytest
 
 from morphauto import InternalCheckError, iso_equivalent, parse_morphism, prefix_equal
 from morphauto.cli import main
+from morphauto import constructions
 from morphauto.constructions import representation_from_spec
 
 
@@ -183,6 +184,14 @@ class TestOtherCommands:
         assert main(["blocks", morph(corpus_path, "fib_bc"), "-k", "2"]) == 1
         assert "not a multiple" in capsys.readouterr().err
 
+    def test_blocks_closure_bound(self, corpus_path, capsys, monkeypatch):
+        # lysenok has three 2-blocks
+        monkeypatch.setattr(constructions, "_MAX_BLOCKS", 2)
+        assert main(["blocks", morph(corpus_path, "lysenok"), "-k", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "no 2-block morphism: block closure exceeded its bound\n"
+        )
+
     def test_generate(self, corpus_path, capsys):
         assert main(["generate", morph(corpus_path, "fibonacci"), "-n", "10"]) == 0
         assert capsys.readouterr().out.strip() == "0100101001"
@@ -233,7 +242,7 @@ class TestCorpusCommand:
         # every automatic entry
         assert main(["corpus", "--run"]) == 0
         out = capsys.readouterr().out
-        assert "all 37 corpus entries match" in out
+        assert "all 39 corpus entries match" in out
 
     def test_listing(self, capsys):
         assert main(["corpus"]) == 0

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from morphauto import (
     Alphabet,
@@ -18,7 +19,8 @@ from morphauto import (
 )
 from morphauto.constructions import BlockConstructionError, representation_from_spec
 
-from oracles import naive_iterate, rules_of
+from oracles import block_to_uniform, naive_iterate, rules_of
+from strategies import PROPERTY, prolongable_specs
 
 COLLIDING_BLOCKS = (
     "letters: a+b c a b+c\n"
@@ -28,6 +30,11 @@ COLLIDING_BLOCKS = (
     "b+c -> a+b c\n"
     "seed: a+b\n"
 )
+
+
+def flattened(blk, n: int) -> tuple[str, ...]:
+    """The first n letters of a block morphism's flattened fixed point."""
+    return blk.source.alphabet.tokens(blk.flatten_prefix(n))
 
 
 def morphism_shape(m: Morphism, seed: int):
@@ -233,7 +240,7 @@ class TestBlocks:
     def test_flattening_reproduces_fixed_point(self, lysenok, acaba, muntyan_pd):
         for spec in (lysenok, acaba, muntyan_pd):
             blk = block_morphism(spec, 2)
-            assert blk.prefix(10_000) == spec.prefix(10_000)
+            assert flattened(blk, 10_000) == spec.prefix(10_000)
 
     @pytest.mark.parametrize(
         "text, k",
@@ -248,7 +255,7 @@ class TestBlocks:
         spec = parse_morphism(text)
         blk = block_morphism(spec, k)
         for n in (1, k + 1, 1000, 1001):
-            assert blk.prefix(n) == spec.prefix(n)
+            assert flattened(blk, n) == spec.prefix(n)
 
     def test_blocks_that_render_alike_get_distinct_tokens(self):
         # the 2-blocks (a+b, c) and (a, b+c) both render as a+b+c
@@ -256,7 +263,7 @@ class TestBlocks:
         blk = block_morphism(spec, 2)
         assert blk.morphism.alphabet.letters == ("a+b+c", "a+b+c'", "c+c")
         assert blk.blocks[:2] == ((0, 1), (2, 3))
-        assert blk.prefix(1000) == spec.prefix(1000)
+        assert flattened(blk, 1000) == spec.prefix(1000)
 
     def test_divisibility_failure_reports_block(self, fib_bc):
         with pytest.raises(BlockConstructionError) as err:
@@ -266,6 +273,27 @@ class TestBlocks:
     def test_k_must_be_at_least_two(self, lysenok):
         with pytest.raises(ValueError):
             block_morphism(lysenok, 1)
+
+    @PROPERTY
+    @given(prolongable_specs())
+    def test_uniform_block_morphisms_give_uniform_position_letters(self, drawn):
+        # any q-uniform k-block morphism, whatever k and q, yields the
+        # q-uniform morphism on the letters (B, j) whose coded fixed point
+        # is the input; the oracle rewrites 200 rounds, a letter per round
+        # unless the seed recurs in its own image
+        n = 1000 if drawn.doubling else 200
+        expected = drawn.code(naive_iterate(drawn.rules, drawn.seed, n))
+        for k in range(2, 9):
+            try:
+                blk = block_morphism(drawn.spec, k)
+            except BlockConstructionError:
+                continue
+            q = blk.morphism.uniform_length
+            if q is None or q < 2:
+                continue
+            rules, seed, output = block_to_uniform(blk, drawn.coding)
+            assert {len(img) for img in rules.values()} == {q}
+            assert [output[t] for t in naive_iterate(rules, seed, n)] == expected
 
 
 class TestCup:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from morphauto import (
     Alphabet,
@@ -34,30 +35,33 @@ from morphauto.linalg import _radius_sign
 
 from family import coverage
 from oracles import naive_iterate, rules_of
+from strategies import PROPERTY, prolongable_specs
 
 # The (name, status) of every stage analyze records on each corpus entry, in
 # order: this pins skips, cross-checks and info stages, not only verdicts.
 CORPUS_STAGES = {
     "a284775": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
-    "a284878": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
-    "a284905": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
-    "a284912": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a284878": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
+    "a284905": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
+    "a284912": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
     "a284935": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
     "a285159": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
     "a285162": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
-    "a285249": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
-    "a285252": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
-    "a285255": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
-    "a285258": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
-    "a285305": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "a285249": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
+    "a285252": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
+    "a285255": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
+    "a285258": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
+    "a285305": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
     "a285345": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
     "ab_omega": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:no evidence:info",
     "abc_cycle_cube": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
     "acaba": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
-    "anagram7": "uniform:no eigenvector:success anagram:success block:info irrationality:no",
+    "anagram7": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
+    "bacc": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
     "bartholdi": "uniform:no eigenvector:no anagram:no block:no irrationality:no evidence:info",
     "benli": "uniform:no eigenvector:no anagram:no block:no irrationality:no evidence:info",
     "berstel": "uniform:success eigenvector:success anagram:no block:success irrationality:skipped",
+    "erasing_tm": "uniform:no eigenvector:skipped anagram:skipped block:success irrationality:skipped",
     "fib_bc": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
     "fib_cd": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
     "fib_constant": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:skipped evidence:info",
@@ -85,6 +89,9 @@ CORPUS_STAGES = {
 # before the uniform stage's certificate stopped replaying itself.  The
 # nine NotAutomatic entries were recorded again when the radius bracket
 # came to be computed by Newton's method, which moved only its lo and hi.
+# The 18 entries with a block outcome were recorded again when any
+# q-uniform block morphism came to certify Automatic(q): their block stage
+# succeeds without a common base of q and k, and acaba's q went from 2 to 4.
 PINNED_REPORTS = json.loads((Path(__file__).parent / "corpus_reports.json").read_text())
 UNKNOWN_ENTRIES = ["ab_omega", "bartholdi", "benli", "fib_constant"]
 
@@ -268,24 +275,33 @@ class TestAnalyze:
             again = analyze(relabelled)
             assert (again.verdict.kind, again.verdict.q) == (base.verdict.kind, base.verdict.q)
 
-    def test_erasing_morphism_gets_honest_unknown(self):
-        # exact criteria need non-erasing input; they are skipped, not faked
+    def test_erasing_morphism_skips_the_exact_criteria(self):
+        # exact criteria need non-erasing input; they are skipped, not faked,
+        # and the 5-blocks abcca, caabc form the Thue-Morse morphism
         spec = parse_morphism("letters: a b c\na -> abc\nb ->\nc -> ca")
+        report = analyze(spec)
+        assert (report.verdict.kind, report.verdict.q) == ("automatic", 2)
+        assert report.verdict.summary.startswith("Automatic(2) via 5-block morphism abcca->")
+        skipped = {s.name for s in report.stages if s.status == "skipped"}
+        assert skipped >= {"eigenvector", "anagram", "irrationality"}
+
+    def test_erasing_morphism_gets_honest_unknown(self):
+        # the Fibonacci word with a c after every a: no stage decides it
+        spec = parse_morphism("letters: a b c\na -> abc\nb -> a\nc ->")
         report = analyze(spec)
         assert report.verdict.kind == "unknown"
         skipped = {s.name for s in report.stages if s.status == "skipped"}
         assert skipped >= {"eigenvector", "anagram", "irrationality"}
 
-    def test_common_base_rule(self):
-        from morphauto.criteria import _common_base
+    def test_block_closure_bound(self, lysenok, monkeypatch):
+        # lysenok has three 2-blocks; with room for two, every k fails
+        from morphauto import constructions
 
-        assert _common_base(2, 2) == 2
-        assert _common_base(4, 2) == 2
-        assert _common_base(8, 8) == 2
-        assert _common_base(9, 3) == 3
-        assert _common_base(6, 6) == 6
-        assert _common_base(6, 2) is None
-        assert _common_base(5, 3) is None
+        monkeypatch.setattr(constructions, "_MAX_BLOCKS", 2)
+        report = analyze(lysenok)
+        stage = next(s for s in report.stages if s.name == "block")
+        assert stage.status == "no"
+        assert "k=2: block closure exceeded its bound" in stage.detail
 
     def test_coded_input_through_eigenvector_stage(self):
         # external coding is composed onto the reshuffled certificate
@@ -306,6 +322,27 @@ class TestAnalyze:
         assert (report.verdict.kind, report.verdict.q) == ("automatic", 2)
         assert report.verdict.provenance == "block"
         assert report.verdict.certificate.prefix(3000) == spec.prefix(3000)
+
+    @staticmethod
+    def assert_q_is_the_certificate_length(spec, options=None):
+        # a verdict's q is the uniform length of the morphism its certificate
+        # iterates: the block morphism of a block certificate
+        verdict = analyze(spec, options).verdict
+        if verdict.kind == "automatic":
+            cert = verdict.certificate
+            morphism = cert.block.morphism if isinstance(cert, BlockCertificate) else cert.morphism
+            assert verdict.q == morphism.uniform_length
+
+    def test_q_is_the_certificate_length_on_corpus(self, corpus_path):
+        for path in sorted(corpus_path.glob("*.morph")):
+            self.assert_q_is_the_certificate_length(
+                parse_morphism(path.read_text(encoding="utf-8"))
+            )
+
+    @PROPERTY
+    @given(prolongable_specs())
+    def test_q_is_the_certificate_length(self, drawn):
+        self.assert_q_is_the_certificate_length(drawn.spec, AnalyzeOptions(depth=500))
 
     def test_anagram_success_implies_eigenvector_on_corpus(self, corpus_path):
         for path in sorted(corpus_path.glob("*.morph")):
