@@ -8,9 +8,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from morphauto import InternalCheckError, iso_equivalent, parse_morphism, prefix_equal
+from morphauto import InternalCheckError, constructions, iso_equivalent, parse_morphism, prefix_equal
 from morphauto.cli import main
-from morphauto import constructions
 from morphauto.constructions import representation_from_spec
 
 
@@ -188,9 +187,7 @@ class TestOtherCommands:
         # lysenok has three 2-blocks
         monkeypatch.setattr(constructions, "_MAX_BLOCKS", 2)
         assert main(["blocks", morph(corpus_path, "lysenok"), "-k", "2"]) == 1
-        assert capsys.readouterr().err == (
-            "no 2-block morphism: block closure exceeded its bound\n"
-        )
+        assert capsys.readouterr().err == "no 2-block morphism: block closure exceeded its bound\n"
 
     def test_generate(self, corpus_path, capsys):
         assert main(["generate", morph(corpus_path, "fibonacci"), "-n", "10"]) == 0
