@@ -1,28 +1,26 @@
 """Automaticity decision procedures and the orchestrating analyzer.
 
-``analyze`` checks that the seed is prolongable and runs a table of
-stages in order: already uniform; the left-eigenvector criterion, which
+``analyze`` checks that the seed is prolongable and runs every deciding
+stage in order: already uniform; the left-eigenvector criterion, which
 also runs the anagram decomposition as its cross-check (an anagram degree
 d >= 2 must equal its q); induced k-block morphisms, where the first k whose
-block morphism is q-uniform gives Automatic(q); the irrational-dominant
-obstruction; and last the complexity evidence, which runs only when no
-earlier stage has decided and returns an honest Unknown.  Every stage's
-outcome is recorded.  A stage that needs a non-erasing morphism is recorded
-as skipped on an erasing one.  The first verdict wins: a later Automatic
-stage records its success without building a certificate, and any later
-stage that returns a verdict of its own is a contradiction and raises
-``InternalCheckError``.  Each verdict carries its own one-line summary.
-Every Automatic verdict ships a certificate that is replayed before it is
-returned: it must write over the same output alphabet as the input and
-produce the same coded letter indices up to the verification depth.  The
-``uniform`` stage's certificate is the input itself, so its replay is the
-alphabet check alone.
+block morphism is q-uniform gives Automatic(q); and the irrational-dominant
+obstruction.  Every stage's outcome is recorded; a stage that needs a
+non-erasing morphism records itself as skipped on an erasing one.  The
+first claim is the verdict, and every later claim must agree with it in
+kind and q, or ``InternalCheckError`` names both stages.  When no stage
+claims, the complexity evidence returns an honest Unknown.  Each verdict
+carries its own one-line summary.  Every Automatic verdict ships a
+certificate that is replayed before it is returned: it must write over the
+same output alphabet as the input and produce the same coded letter
+indices up to the verification depth.  The ``uniform`` stage's certificate
+is the input itself, so its replay is the alphabet check alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 from .constructions import (
@@ -227,9 +225,9 @@ class Verdict:
     verified_depth: int | None = None
 
     @classmethod
-    def automatic(cls, q, certificate, provenance, depth, how):
+    def automatic(cls, q, certificate, provenance, how):
         summary = f"Automatic({q}) via {how}"
-        return cls(AUTOMATIC, provenance, summary, q=q, certificate=certificate, verified_depth=depth)
+        return cls(AUTOMATIC, provenance, summary, q=q, certificate=certificate)
 
     @classmethod
     def not_automatic(cls, report, provenance):
@@ -265,7 +263,7 @@ class Verdict:
 @dataclass(frozen=True)
 class StageOutcome:
     name: str
-    status: str  # success | no | skipped | info | error
+    status: str  # success | no | skipped | info
     detail: str
     data: dict | None = None
 
@@ -360,27 +358,28 @@ def _invariant_subalphabets(m: Morphism) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda sub: (len(sub), sub))
 
 
-# Each stage takes (spec, options, decided) and returns its outcomes and an
-# optional verdict.  ``decided`` says a verdict is already fixed: an
-# Automatic stage then records its success without building a certificate,
-# and the evidence stage does nothing.  The uniform stage runs first, so it
-# is never decided.
+# Each stage takes (spec, options) and returns its outcomes and an optional
+# claim, a verdict of its own.  Every deciding stage runs on every input;
+# ``analyze`` alone picks the first claim and checks the later ones.
 
-def _uniform_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+def _uniform_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     k = spec.morphism.uniform_length
     if k is None or k < 2:
         return [StageOutcome("uniform", "no", "image lengths differ")], None
     outcome = StageOutcome("uniform", "success", f"all images have length {k}")
     how = f"uniform morphism of length {k}"
     cert = representation_from_spec(spec)
-    return [outcome], Verdict.automatic(k, cert, "uniform", opts.depth, how)
+    return [outcome], Verdict.automatic(k, cert, "uniform", how)
 
 
-def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     """The left-eigenvector criterion, the gcd note on two letters, and the
     anagram decomposition as a cross-check: when it holds, L*M = d*L, so
     this stage has found q = d."""
     m = spec.morphism
+    if m.is_erasing:
+        names = ("eigenvector", "anagram")
+        return [StageOutcome(name, "skipped", "erasing morphism") for name in names], None
     q = eigenvector_criterion(m)
     verdict = None
     if q is None:
@@ -389,10 +388,12 @@ def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
     else:
         detail = f"length vector is a left eigenvector with eigenvalue {q}"
         outcomes = [StageOutcome("eigenvector", "success", detail, {"q": q})]
-        if not decided:
+        # a uniform morphism with q >= 2 has length q: the uniform stage
+        # certifies it, so only the other morphisms need a certificate here
+        if m.uniform_length is None:
             cert = minimize_uniform(reshuffle_uniformize(spec))
             how = f"left-eigenvector criterion, q={q}"
-            verdict = Verdict.automatic(q, cert, "eigenvector", opts.depth, how)
+            verdict = Verdict.automatic(q, cert, "eigenvector", how)
     # the obstruction needs both letters to occur in the images
     if len(m.alphabet) == 2 and {c for img in m.images for c in img} == {0, 1} and gcd_obstruction(m):
         outcomes.append(
@@ -420,7 +421,7 @@ def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
     return outcomes, verdict
 
 
-def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     """The first k in 2..kmax whose k-block morphism tau is q-uniform, q >= 2,
     decides Automatic(q).  Any k will do: if y is tau's fixed point, then
     z[m] = (y[m div k], m mod k) is the fixed point of the q-uniform morphism
@@ -444,15 +445,15 @@ def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
             f"k={k}: induced morphism {rules} is {q}-uniform",
             {"k": k, "uniform_length": q, "rules": rules},
         )
-        if decided:
-            return [outcome], None
         how = f"{k}-block morphism {rules}"
         cert = BlockCertificate(blk, spec.coding)
-        return [outcome], Verdict.automatic(q, cert, "block", opts.depth, how)
+        return [outcome], Verdict.automatic(q, cert, "block", how)
     return [StageOutcome("block", "no", "; ".join(failures))], None
 
 
-def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions):
+    if spec.morphism.is_erasing:
+        return [StageOutcome("irrationality", "skipped", "erasing morphism")], None
     if spec.coding is not None and not spec.coding.is_injective:
         # a coding that merges letters can make the coded word's letter
         # frequencies rational even when the Perron root is irrational
@@ -471,11 +472,9 @@ def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool)
     return [outcome], Verdict.not_automatic(report, "irrationality")
 
 
-def _evidence_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
+def _evidence_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     """Factor complexity of the input and Sturmian witnesses on its
     invariant subalphabets: the evidence of an honest Unknown."""
-    if decided:
-        return [], None
     nmax, length = opts.evidence_nmax, opts.evidence_prefix
     profile = factor_complexity(spec, nmax, length)
     witnesses = []
@@ -493,40 +492,37 @@ def _evidence_stage(spec: MorphicSpec, opts: AnalyzeOptions, decided: bool):
     return [StageOutcome("evidence", "info", detail)], Verdict.unknown(evidence, "evidence")
 
 
-# (stage names it records, stage function, needs a non-erasing morphism)
-_STAGES = (
-    (("uniform",), _uniform_stage, False),
-    (("eigenvector", "anagram"), _eigenvector_stage, True),
-    (("block",), _block_stage, False),
-    (("irrationality",), _irrationality_stage, True),
-    (("evidence",), _evidence_stage, False),
-)
+_STAGES = (_uniform_stage, _eigenvector_stage, _block_stage, _irrationality_stage)
 
 
 def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> AnalysisReport:
     opts = options or AnalyzeOptions()
-    m = spec.morphism
-    if not m.is_prolongable(spec.seed):
+    if not spec.morphism.is_prolongable(spec.seed):
         raise SpecError(
             f"seed {spec.seed_token!r} is not prolongable; there is no fixed point to analyze"
         )
 
     stages: list[StageOutcome] = []
     verdict: Verdict | None = None
-    for names, run, needs_non_erasing in _STAGES:
-        if needs_non_erasing and m.is_erasing:
-            stages.extend(StageOutcome(name, "skipped", "erasing morphism") for name in names)
-            continue
-        outcomes, claim = run(spec, opts, verdict is not None)
+    for run in _STAGES:
+        outcomes, claim = run(spec, opts)
         stages.extend(outcomes)
         if claim is None:
             continue
-        if verdict is not None:
+        if verdict is None:
+            if claim.kind == AUTOMATIC:
+                _verify_certificate(spec, claim.certificate, opts.depth)
+                claim = replace(claim, verified_depth=opts.depth)
+            verdict = claim
+        # q is fixed by the input: tau q'-uniform on k-blocks gives |sigma(x[:n])|
+        # = q'n + O(k max|sigma(c)|), and L*M = qL (or sigma q-uniform) gives
+        # |sigma(x[:n])| = qn at n = |sigma^j(seed)|; letting j -> oo, q' = q
+        elif (claim.kind, claim.q) != (verdict.kind, verdict.q):
             raise InternalCheckError(
-                f"stage {verdict.provenance} certified {verdict.kind}, "
-                f"but stage {claim.provenance} decided {claim.kind}"
+                f"stage {verdict.provenance} certified {verdict.kind} (q={verdict.q}), "
+                f"but stage {claim.provenance} decided {claim.kind} (q={claim.q})"
             )
-        if claim.kind == AUTOMATIC:
-            _verify_certificate(spec, claim.certificate, opts.depth)
-        verdict = claim
+    if verdict is None:
+        outcomes, verdict = _evidence_stage(spec, opts)
+        stages.extend(outcomes)
     return AnalysisReport(spec, verdict, tuple(stages), opts)

@@ -86,6 +86,11 @@ def a285249():
 
 
 @pytest.fixture(scope="session")
+def a284878():
+    return load("a284878")
+
+
+@pytest.fixture(scope="session")
 def fibonacci():
     return load("fibonacci")
 

@@ -366,7 +366,8 @@ class TestAnalyze:
         self, istrail, thue_morse, monkeypatch
     ):
         # the traced benchmark times the builder by this name; a uniform
-        # input is decided first, so its eigenvector stage builds nothing
+        # input is certified by the uniform stage, so its eigenvector stage
+        # builds nothing
         from morphauto import criteria
 
         calls = []
@@ -401,6 +402,20 @@ class TestAnalyze:
         monkeypatch.setattr(criteria, "irrationality_verdict", lambda m: irrational)
         with pytest.raises(InternalCheckError, match="stage eigenvector certified"):
             analyze(istrail)
+
+    def test_block_q_unlike_eigenvector_q_is_an_internal_error(
+        self, a284878, thue_morse, monkeypatch
+    ):
+        # a284878 is certified with q=3 by the eigenvector stage; a patched
+        # block stage that finds a 2-uniform block morphism contradicts it
+        from morphauto import criteria
+
+        assert analyze(a284878).verdict.q == 3
+        two_uniform = block_morphism(thue_morse, 2)
+        assert two_uniform.morphism.uniform_length == 2
+        monkeypatch.setattr(criteria, "block_morphism", lambda spec, k: two_uniform)
+        with pytest.raises(InternalCheckError, match="stage eigenvector certified.*stage block"):
+            analyze(a284878)
 
     def test_report_json_shape(self, lysenok):
         report = analyze(lysenok)

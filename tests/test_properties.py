@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -273,3 +276,32 @@ def test_constant_coding_is_never_not_automatic(morphism):
     spec = MorphicSpec(Morphism(alphabet, images), 0, coding)
     options = AnalyzeOptions(depth=200, kmax=3)
     assert analyze(spec, options).verdict.kind != "not_automatic"
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers(min_value=0, max_value=10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_property_prints_its_example(tmp_path):
+    # run under this project's pytest settings, where a warning is an error:
+    # a failing property must still report its falsifying example
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY, encoding="utf-8")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-c", str(pyproject),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
