@@ -149,7 +149,7 @@ def irrationality_verdict(m: Morphism) -> SpectralReport | None:
     matrix = incidence(m).matrix
     if not is_primitive(matrix):
         return None
-    report = spectral_report(matrix)
+    report = spectral_report(matrix, blocks=[matrix])
     if report.dominant_is_integer:
         return None
     return report

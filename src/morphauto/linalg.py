@@ -2,16 +2,18 @@
 
 Everything here is decided exactly, so no verdict ever depends on floating
 point.  Characteristic polynomials are reduced to Hessenberg form modulo a
-few Mersenne primes and lifted by the Chinese remainder theorem under
-Hadamard's coefficient bound prod_j (1 + ||column j||_2), with the trace as
-an exact check.  Whether the spectral radius is a given integer c is read
-off the signs of the leading principal minors of cI - B for each
-irreducible diagonal block B (one fraction-free elimination), and when it
-is, the Perron vector is back-substituted in the rows of that same
-elimination.  The diagonal blocks are the strongly connected components of
-the support digraph (a bitmask Warshall closure), and a matrix is
-primitive when that split finds one component and a breadth-first search
-finds its period to be 1.
+few Mersenne primes, with the matrix stored by columns, and lifted by the
+Chinese remainder theorem under Hadamard's coefficient bound
+prod_j (1 + ||column j||_2), with the trace as an exact check.  Whether
+the spectral radius is a given integer c is read off the signs of the
+leading principal minors of cI - B for each irreducible diagonal block B
+(one fraction-free elimination), and when it is, the Perron vector is
+back-substituted in the rows of that same elimination.  The diagonal
+blocks are the strongly connected components of the support digraph (a
+bitmask Warshall closure), and a matrix is primitive when that split finds
+one component and a breadth-first search finds its period to be 1.  A
+primitive matrix is its own single block, so a verdict splits the digraph
+and checks for negative entries once, in ``is_primitive``.
 
 Spectral-radius brackets come from Newton's method on the exact
 characteristic polynomial chi of each irreducible block B, in scaled
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from operator import mul
 
 from .words import Morphism, parikh_vector
@@ -54,7 +57,7 @@ def mat_mul(a, b):
 
 
 def _check_nonnegative(m) -> None:
-    if any(entry < 0 for row in m for entry in row):
+    if min(map(min, m), default=0) < 0:
         raise ValueError("matrix must be nonnegative")
 
 
@@ -70,9 +73,8 @@ class IncidenceData:
         return len(self.length_vector)
 
     def __post_init__(self):
-        for j, length in enumerate(self.length_vector):
-            if sum(row[j] for row in self.matrix) != length:
-                raise ValueError("column sums must equal the length vector")
+        if list(map(sum, zip(*self.matrix))) != list(self.length_vector):
+            raise ValueError("column sums must equal the length vector")
 
     def to_json(self) -> dict:
         # row-major, entries as decimal strings so arbitrary sizes survive
@@ -150,39 +152,45 @@ def _char_poly_mod(matrix, p: int) -> list[int]:
     (Gauss transforms with row swaps), then the characteristic polynomials
     p_m of the leading m x m blocks of H follow from
     p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_i.
+    H is kept by columns: step k takes u_i times row k+1 from rows i > k+1
+    in one slice per column j > k (column k is not read below row k+1
+    again), then adds u_i times column i to column k+1 for each nonzero u_i.
     """
     n = len(matrix)
-    h = [[entry % p for entry in row] for row in matrix]
+    cols = [[entry % p for entry in col] for col in zip(*matrix)]
     for k in range(n - 2):
-        pivot = next((i for i in range(k + 1, n) if h[i][k]), None)
+        col_k = cols[k]
+        pivot = next((i for i in range(k + 1, n) if col_k[i]), None)
         if pivot is None:
             continue
         if pivot != k + 1:
-            h[k + 1], h[pivot] = h[pivot], h[k + 1]
-            for row in h:
-                row[k + 1], row[pivot] = row[pivot], row[k + 1]
-        top = h[k + 1][k:]
-        inv = pow(top[0], -1, p)
-        # rows i > k+1 lose u_i times row k+1; the inverse similarity then
-        # adds u_i times column i to column k+1
-        factors = [h[i][k] * inv % p for i in range(k + 2, n)]
-        for i, u in enumerate(factors, k + 2):
+            for col in cols[k:]:
+                col[k + 1], col[pivot] = col[pivot], col[k + 1]
+            cols[k + 1], cols[pivot] = cols[pivot], cols[k + 1]
+        inv = pow(col_k[k + 1], -1, p)
+        factors = [entry * inv % p for entry in col_k[k + 2 :]]
+        if not any(factors):
+            continue
+        for col in cols[k + 1 :]:
+            top = col[k + 1]
+            if top:
+                col[k + 2 :] = [(a - u * top) % p for a, u in zip(col[k + 2 :], factors)]
+        target = cols[k + 1]
+        for u, col in zip(factors, cols[k + 2 :]):
             if u:
-                h[i][k:] = [(a - u * b) % p for a, b in zip(h[i][k:], top)]
-        if any(factors):
-            for row in h:
-                row[k + 1] = (row[k + 1] + sum(map(mul, factors, row[k + 2 :]))) % p
+                target = [a + u * b for a, b in zip(target, col)]
+        cols[k + 1] = [a % p for a in target]
     polys = [[1]]
-    for m in range(n):
+    for m, col in enumerate(cols):
         new = [0] + polys[m]
         for t, c in enumerate(polys[m]):
-            new[t] -= h[m][m] * c
+            new[t] -= col[m] * c
         chain = 1
         for i in range(m - 1, -1, -1):
-            chain = chain * h[i + 1][i] % p
+            chain = chain * cols[i][i + 1] % p
             if not chain:
                 break
-            coef = h[i][m] * chain % p
+            coef = col[i] * chain % p
             for t, c in enumerate(polys[i]):
                 new[t] -= coef * c
         polys.append([c % p for c in new])
@@ -312,8 +320,9 @@ def left_eigencheck(vector, matrix) -> Fraction | None:
 # the support digraph: components and primitivity
 
 def _support_rows(matrix) -> list[int]:
-    """Row i as a bitmask with bit j set when entry (i, j) is positive."""
-    return [sum(1 << j for j, entry in enumerate(row) if entry > 0) for row in matrix]
+    """Row i of a nonnegative M as a bitmask, bit j set when m_ij > 0."""
+    bits = [1 << j for j in range(len(matrix))]
+    return [sum(compress(bits, row)) for row in matrix]
 
 
 def _strongly_connected_components(matrix) -> list[list[int]]:
@@ -359,12 +368,14 @@ def is_primitive(matrix) -> bool:
     queue = [0]
     period = 0
     for u in queue:
-        for v in range(len(rows)):
-            if rows[u] >> v & 1:
-                if level[v] is None:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-                period = math.gcd(period, level[u] + 1 - level[v])
+        bits = rows[u]
+        while bits:
+            v = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            if level[v] is None:
+                level[v] = level[u] + 1
+                queue.append(v)
+            period = math.gcd(period, level[u] + 1 - level[v])
     return period == 1
 
 
@@ -536,16 +547,19 @@ class SpectralReport:
         }
 
 
-def spectral_report(matrix) -> SpectralReport:
+def spectral_report(matrix, *, blocks=None) -> SpectralReport:
     """Decide exactly whether the spectral radius is an integer.
 
     For a nonnegative matrix the radius is itself an eigenvalue, so if it
     is an integer it is the largest non-negative integer root c of the
     characteristic polynomial.  As c is an eigenvalue, rho >= c; so rho = c
     exactly when no irreducible diagonal block has a radius above c.
+    A caller that has already split the matrix passes its ``blocks``; a
+    primitive matrix is its own single block.
     """
-    _check_nonnegative(matrix)
-    blocks = _diagonal_blocks(matrix)
+    if blocks is None:
+        _check_nonnegative(matrix)
+        blocks = _diagonal_blocks(matrix)
     p = char_poly(matrix)
     roots = integer_roots(p)
     bracket = radius_bracket(matrix, _BRACKET_TOL, blocks=blocks, poly=p)
@@ -566,10 +580,9 @@ def perron_frequencies(matrix) -> tuple[Fraction, ...] | None:
     and D_n = 0, so M - qI has rank n - 1 and its kernel, the Perron
     direction, follows by back-substitution in those rows with v_n = 1.
     """
-    _check_nonnegative(matrix)
     if not is_primitive(matrix):
         return None
-    report = spectral_report(matrix)
+    report = spectral_report(matrix, blocks=[matrix])
     if not report.dominant_is_integer:
         return None
     _, rows = _radius_elimination(matrix, report.dominant_value)

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from morphauto import (
     char_poly,
     incidence,
     integer_roots,
+    irrationality_verdict,
     is_primitive,
     left_eigencheck,
     parse_morphism,
@@ -67,6 +70,24 @@ class TestIncidence:
             assert sums == data.length_vector
 
 
+def _spectral_morphisms(monkeypatch, seeds):
+    """The morphisms of the benchmark's ``spectral`` inputs: primitive and
+    non-uniform, over 16 to 32 letters."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    return [
+        parse_morphism(item.text).morphism for seed in seeds for item in workloads.spectral_workload(seed)
+    ]
+
+
+def _hessenberg_before(rng, n, k):
+    """A random signed n x n matrix whose columns 0..k-1 are already upper
+    Hessenberg with a nonzero subdiagonal.  The reduction's steps 0..k-1 then
+    find every multiplier zero, so step k sees column k as it is built."""
+    values = (-3, -2, -1, 1, 2, 3, 4)
+    return [[rng.choice(values) if j >= k or i <= j + 1 else 0 for j in range(n)] for i in range(n)]
+
+
 class TestCharPoly:
     def test_grig_aca_aba_quartic(self, grig_aca_aba):
         p = char_poly(incidence(grig_aca_aba.morphism).matrix)
@@ -110,6 +131,42 @@ class TestCharPoly:
         assert char_poly(shift).coeffs == (1, 0, 0, 0, 0, 0, 0)
         for m in (((1, 2, 3), (1, 2, 3), (4, 5, 6)), ((0, 0, 7), (0, 0, 0), (1, 0, 0))):
             assert list(char_poly(m).coeffs) == naive_charpoly(m)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 6])
+    def test_zero_pivot_swaps_rows_and_columns(self, k):
+        # h[k+1][k] = 0 with a nonzero entry lower down: step k swaps rows
+        # and columns k+1 and pivot before it eliminates
+        rng = random.Random(k)
+        m = _hessenberg_before(rng, 9, k)
+        for i in range(k + 1, 9):
+            m[i][k] = 0
+        m[rng.randrange(k + 2, 9)][k] = 5
+        m = tuple(map(tuple, m))
+        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+
+    def test_steps_whose_multipliers_are_all_zero(self):
+        # already upper Hessenberg: every step is skipped, also the one
+        # below a zero subdiagonal entry, which has no pivot at all
+        rng = random.Random(7)
+        m = _hessenberg_before(rng, 8, 7)
+        m[4][3] = 0
+        m = tuple(map(tuple, m))
+        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+
+    @pytest.mark.parametrize("k, row", [(0, 2), (0, 8), (2, 5), (5, 8), (6, 8)])
+    def test_step_with_exactly_one_nonzero_multiplier(self, k, row):
+        rng = random.Random(10 * k + row)
+        m = _hessenberg_before(rng, 9, k)
+        for i in range(k + 2, 9):
+            m[i][k] = 0
+        m[row][k] = -2
+        m = tuple(map(tuple, m))
+        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+
+    def test_benchmark_spectral_inputs(self, monkeypatch):
+        for morphism in _spectral_morphisms(monkeypatch, (1, 2, 3)):
+            m = incidence(morphism).matrix
+            assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
 
     def test_hadamard_bound_reached_exactly(self):
         # 2^14 H_4 (Sylvester) has columns of norm 2^15 and determinant
@@ -516,6 +573,71 @@ class TestSpectralReport:
         monkeypatch.setattr(linalg, "radius_bracket", lambda *a, **k: RadiusBracket(3, 4))
         with pytest.raises(InternalArithmeticError, match="outside its bracket"):
             spectral_report(incidence(istrail.morphism).matrix)
+
+
+class TestOneSplitPerVerdict:
+    # a primitive matrix is its own single block, so the split that
+    # is_primitive makes is the only one, and its nonnegativity check the
+    # only check
+    ONE_OF_EACH = ["_check_nonnegative", "_strongly_connected_components"]
+
+    @staticmethod
+    def _record_calls(monkeypatch):
+        calls = []
+        for name in TestOneSplitPerVerdict.ONE_OF_EACH:
+            real = getattr(linalg, name)
+
+            def counted(matrix, name=name, real=real):
+                calls.append(name)
+                return real(matrix)
+
+            monkeypatch.setattr(linalg, name, counted)
+        return calls
+
+    def test_irrationality_verdict(self, monkeypatch, grig_aca_aba):
+        morphisms = [grig_aca_aba.morphism] + _spectral_morphisms(monkeypatch, (1,))
+        calls = self._record_calls(monkeypatch)
+        fired = 0
+        for m in morphisms:
+            calls.clear()
+            fired += irrationality_verdict(m) is not None
+            assert sorted(calls) == self.ONE_OF_EACH
+        assert fired > 10
+
+    def test_perron_frequencies(self, monkeypatch, thue_morse, fibonacci):
+        calls = self._record_calls(monkeypatch)
+        for spec, found in ((thue_morse, True), (fibonacci, False)):
+            calls.clear()
+            assert (perron_frequencies(incidence(spec.morphism).matrix) is not None) is found
+            assert sorted(calls) == self.ONE_OF_EACH
+
+    def test_reducible_reports_split_themselves(self, monkeypatch, lysenok):
+        # called without blocks, the report splits the matrix itself, once;
+        # the two reports are pinned as they were before blocks could be passed
+        fib_below_golden_square = ((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 1))
+        expected = [
+            {
+                "char_poly": "x^4 - 2*x^3 - x + 2",
+                "coefficients": ["1", "-2", "0", "-1", "2"],
+                "integer_roots": [[1, 1], [2, 1]],
+                "radius_bracket": {"lo": "2", "hi": "2", "loose": False},
+                "dominant_is_integer": True,
+                "dominant_value": 2,
+            },
+            {
+                "char_poly": "x^4 - 4*x^3 + 3*x^2 + 2*x - 1",
+                "coefficients": ["1", "-4", "3", "2", "-1"],
+                "integer_roots": [],
+                "radius_bracket": {"lo": "2745207/1048576", "hi": "343151/131072", "loose": False},
+                "dominant_is_integer": False,
+                "dominant_value": None,
+            },
+        ]
+        calls = self._record_calls(monkeypatch)
+        for m, report in zip((incidence(lysenok.morphism).matrix, fib_below_golden_square), expected):
+            calls.clear()
+            assert spectral_report(m).to_json() == report
+            assert sorted(calls) == self.ONE_OF_EACH
 
 
 FIB_PLUS_ONE = ((1, 1, 0), (1, 0, 0), (0, 0, 1))
