@@ -10,10 +10,11 @@ leading principal minors of cI - B for each irreducible diagonal block B
 (one fraction-free elimination), and when it is, the Perron vector is
 back-substituted in the rows of that same elimination.  The diagonal
 blocks are the strongly connected components of the support digraph (a
-bitmask Warshall closure), and a matrix is primitive when that split finds
-one component and a breadth-first search finds its period to be 1.  A
-primitive matrix is its own single block, so a verdict splits the digraph
-and checks for negative entries once, in ``is_primitive``.
+bitmask Warshall closure).  A matrix is primitive when a breadth-first
+search from letter 0 reaches every letter and finds period 1, and a
+backward sweep from letter 0 over the column bitmasks reaches every letter
+too.  A primitive matrix is its own single block, so a verdict checks for
+negative entries once, in ``is_primitive``, and splits no digraph.
 
 Spectral-radius brackets come from Newton's method on the exact
 characteristic polynomial chi of each irreducible block B, in scaled
@@ -24,10 +25,12 @@ integer arithmetic on a grid of step 2^-s.  Why every bracket holds:
      is positive, increasing and convex on (rho, oo).
   3. A Newton step from u > rho therefore lands in [rho, u), and rounding
      it up onto the grid keeps it an upper bound; the first u is the
-     largest row sum, which is >= rho.
+     smaller of the largest row sum and the largest column sum, each of
+     which is >= rho since rho(B) = rho(B^T).
   4. A real t with chi(t) <= 0 is <= rho: by 2 if chi(t) < 0, and by 1 if
      t is a root.  So each proven lower end costs one evaluation.
-  5. The smallest row sum is <= rho too, and an iterate below it, or one
+  5. The larger of the smallest row sum and the smallest column sum is
+     <= rho too, by the same transpose, and an iterate below it, or one
      where chi or chi' is not positive, is an internal error.
 
 Convention: for a morphism s, ``incidence(s).matrix[i][j]`` counts the
@@ -87,8 +90,7 @@ class IncidenceData:
 def incidence(m: Morphism) -> IncidenceData:
     """Column j of the matrix is the Parikh vector of the image of letter j."""
     r = len(m.alphabet)
-    cols = [parikh_vector(img, r) for img in m.images]
-    matrix = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+    matrix = tuple(zip(*(parikh_vector(img, r) for img in m.images)))
     return IncidenceData(matrix, m.lengths)
 
 
@@ -154,9 +156,12 @@ def _char_poly_mod(matrix, p: int) -> list[int]:
     p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_i.
     H is kept by columns: step k takes u_i times row k+1 from rows i > k+1
     in one slice per column j > k (column k is not read below row k+1
-    again), then adds u_i times column i to column k+1 for each nonzero u_i.
+    again), then adds u_i times column i to column k+1 for each nonzero
+    u_i, walking only the nonzero rows of column i, and reduces column k+1
+    mod p once.  The recurrence skips every zero h_im.
     """
     n = len(matrix)
+    rows = range(n)
     cols = [[entry % p for entry in col] for col in zip(*matrix)]
     for k in range(n - 2):
         col_k = cols[k]
@@ -178,7 +183,8 @@ def _char_poly_mod(matrix, p: int) -> list[int]:
         target = cols[k + 1]
         for u, col in zip(factors, cols[k + 2 :]):
             if u:
-                target = [a + u * b for a, b in zip(target, col)]
+                for i in compress(rows, col):
+                    target[i] += u * col[i]
         cols[k + 1] = [a % p for a in target]
     polys = [[1]]
     for m, col in enumerate(cols):
@@ -190,9 +196,10 @@ def _char_poly_mod(matrix, p: int) -> list[int]:
             chain = chain * cols[i][i + 1] % p
             if not chain:
                 break
-            coef = col[i] * chain % p
-            for t, c in enumerate(polys[i]):
-                new[t] -= coef * c
+            if col[i]:
+                coef = col[i] * chain % p
+                for t, c in enumerate(polys[i]):
+                    new[t] -= coef * c
         polys.append([c % p for c in new])
     return polys[n]
 
@@ -211,7 +218,7 @@ def char_poly(matrix) -> IntPolynomial:
     n = len(matrix)
     bound = 2
     for col in zip(*matrix):
-        squares = sum(entry * entry for entry in col)
+        squares = sum(map(mul, col, col))
         bound *= 1 + (math.isqrt(squares - 1) + 1 if squares else 0)
     primes, modulus = [], 1
     for p in _CRT_PRIMES:
@@ -355,13 +362,16 @@ def _diagonal_blocks(matrix) -> list[Matrix]:
 def is_primitive(matrix) -> bool:
     """M is primitive iff it is irreducible with period 1 (Horn-Johnson §8.5).
 
-    Irreducible: the support digraph, with an edge u -> v when entry (u, v)
-    is positive, is one strongly connected component.  Its period is then
-    the gcd of level[u] + 1 - level[v] over all edges u -> v, where level
-    is the breadth-first distance from letter 0.
+    Irreducible: in the support digraph, with an edge u -> v when entry
+    (u, v) is positive, letter 0 reaches every letter and every letter
+    reaches letter 0.  A breadth-first search from letter 0 along the rows
+    settles the first; a backward sweep from letter 0 along the columns, as
+    bitmasks, settles the second.  The period is then the gcd of
+    level[u] + 1 - level[v] over all edges u -> v, where level is the
+    breadth-first distance from letter 0.
     """
     _check_nonnegative(matrix)
-    if len(_strongly_connected_components(matrix)) != 1:
+    if not matrix:
         return False
     rows = _support_rows(matrix)
     level = [0] + [None] * (len(rows) - 1)
@@ -376,7 +386,19 @@ def is_primitive(matrix) -> bool:
                 level[v] = level[u] + 1
                 queue.append(v)
             period = math.gcd(period, level[u] + 1 - level[v])
-    return period == 1
+    if len(queue) != len(rows) or period != 1:
+        return False
+    cols = _support_rows(tuple(zip(*matrix)))
+    back = frontier = 1
+    while frontier:
+        reached = 0
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            reached |= cols[v]
+        frontier = reached & ~back
+        back |= frontier
+    return back == (1 << len(rows)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -415,16 +437,18 @@ def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
     """Bracket the spectral radius rho of one irreducible diagonal block B
     by Newton's method from above on chi = det(xI - B), ``poly`` if given.
 
-    The row sums bound rho, min <= rho <= max, and pin it when they are
-    all equal.  Otherwise, on a grid of step 2^-s, the upper end a starts
-    at the largest row sum and steps to a - P // Q, P and Q being chi and
-    chi' at a scaled to integers: Newton's iterate, rounded up.  Once a
-    step would move a by less than one grid step, a - 1 becomes the lower
-    end if chi(a - 1) <= 0, and the grid is refined while the bracket is
-    still wider than tol.  Returns (lo, hi, loose).
+    The row sums bound rho, min <= rho <= max, and so do the column sums,
+    as rho(B) = rho(B^T); the lower end starts at the larger of the two
+    minima, and the bracket is pinned when the row sums or the column sums
+    are all equal.  Otherwise, on a grid of step 2^-s, the upper end a
+    starts at the smaller of the two maxima and steps to a - P // Q, P and
+    Q being chi and chi' at a scaled to integers: Newton's iterate, rounded
+    up.  Once a step would move a by less than one grid step, a - 1 becomes
+    the lower end if chi(a - 1) <= 0, and the grid is refined while the
+    bracket is still wider than tol.  Returns (lo, hi, loose).
     """
-    sums = list(map(sum, block))
-    low, high = min(sums), max(sums)
+    rows, cols = list(map(sum, block)), list(map(sum, zip(*block)))
+    low, high = max(min(rows), min(cols)), min(max(rows), max(cols))
     tn, td = tol.numerator, tol.denominator
     if (high - low) * td <= tn:
         return Fraction(low), Fraction(high), False
@@ -435,7 +459,9 @@ def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
     scaled = [c << s * k for k, c in enumerate(coeffs)]
     while True:
         if a < low << s:
-            raise InternalArithmeticError("Newton iterate left the row-sum bounds of its block")
+            raise InternalArithmeticError(
+                "Newton iterate left the row-sum bounds or the column-sum bounds of its block"
+            )
         p, d = _scaled_values(scaled, a)
         if p <= 0 or d <= 0:
             raise InternalArithmeticError("Newton iterate is not above the Perron root")

@@ -70,11 +70,16 @@ class TestIncidence:
             assert sums == data.length_vector
 
 
+def _workloads(monkeypatch):
+    """The benchmark's input generators, ``perfbench/workloads.py``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module("workloads")
+
+
 def _spectral_morphisms(monkeypatch, seeds):
     """The morphisms of the benchmark's ``spectral`` inputs: primitive and
     non-uniform, over 16 to 32 letters."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    workloads = importlib.import_module("workloads")
+    workloads = _workloads(monkeypatch)
     return [
         parse_morphism(item.text).morphism for seed in seeds for item in workloads.spectral_workload(seed)
     ]
@@ -167,6 +172,41 @@ class TestCharPoly:
         for morphism in _spectral_morphisms(monkeypatch, (1, 2, 3)):
             m = incidence(morphism).matrix
             assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+
+    @pytest.mark.parametrize(
+        "r, change, primes",
+        [
+            (40, None, 1),
+            (48, None, 2),
+            (64, None, 2),
+            (48, "zero column", 2),
+            (64, "negative entry", 2),
+        ],
+    )
+    def test_large_sparse_cycle_plus_extras(self, monkeypatch, r, change, primes):
+        # the benchmark's spectral inputs at more letters: a cycle through
+        # every letter, a self-loop at letter 0 and 0-2 extra letters per
+        # image, so each column has at most four nonzero rows.  From r = 48
+        # on, Hadamard's bound needs the 89-bit prime as well, and the
+        # sparse column additions run on a second residue
+        rng = random.Random(r)
+        images = _workloads(monkeypatch)._spectral_images(rng, r, anagram_pair=False)
+        if change == "zero column":
+            images[rng.randrange(1, r)] = []
+        m = [[img.count(i) for img in images] for i in range(r)]
+        if change == "negative entry":
+            m[rng.randrange(r)][rng.randrange(r)] = -3
+        m = tuple(map(tuple, m))
+        used = []
+        real = linalg._char_poly_mod
+
+        def counted(matrix, p):
+            used.append(p)
+            return real(matrix, p)
+
+        monkeypatch.setattr(linalg, "_char_poly_mod", counted)
+        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+        assert used == list(linalg._CRT_PRIMES[:primes])
 
     def test_hadamard_bound_reached_exactly(self):
         # 2^14 H_4 (Sylvester) has columns of norm 2^15 and determinant
@@ -286,6 +326,10 @@ class TestPrimitivity:
         assert is_primitive(((5,),))
         assert not is_primitive(((0,),))
 
+    def test_empty(self):
+        # no letters, no strongly connected component
+        assert not is_primitive(())
+
     def test_random_against_oracle_exponent(self):
         rng = random.Random(2718)
         for _ in range(300):
@@ -332,6 +376,14 @@ class TestPrimitivityByPeriod:
         m = _from_edges(4, {(0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (2, 1)})
         assert is_primitive(m) == _wielandt(m) is False
 
+    def test_reducible_with_letter_zero_in_a_primitive_sink_component(self):
+        # the mirror image: letter 0 lies in the primitive component
+        # {0, 1, 2} (cycles of lengths 2 and 3), which every other letter
+        # reaches, but 0 reaches neither 3 nor 4: every letter reaches 0,
+        # and every level gap from 0 has gcd 1, yet the matrix is reducible
+        m = _from_edges(5, {(0, 1), (1, 2), (2, 0), (1, 0), (3, 3), (3, 1), (4, 3), (3, 4)})
+        assert is_primitive(m) == _wielandt(m) is False
+
 
 class TestRadiusBracket:
     def test_tm_cube_is_exact(self, tm_cube):
@@ -355,6 +407,15 @@ class TestRadiusBracket:
         br = radius_bracket(incidence(lysenok.morphism).matrix, Fraction(1, 10**6))
         assert br.lo <= 2 <= br.hi
         assert br.width <= Fraction(1, 10**6)
+
+    def test_constant_column_sums_pin_the_bracket(self, monkeypatch):
+        # a 3-uniform morphism has column sums 3 but row sums 5, 3 and 1;
+        # rho(B) = rho(B^T) is the column sum, with no Newton step
+        m = incidence(parse_morphism("letters: a b c\na -> a b a\nb -> c a b\nc -> a a b").morphism).matrix
+        assert sorted(map(sum, m)) == [1, 3, 5]
+        monkeypatch.setattr(linalg, "char_poly", None)
+        br = radius_bracket(m, Fraction(1, 10**6))
+        assert (br.lo, br.hi, br.loose) == (3, 3, False)
 
     def test_permutation_matrix(self):
         br = radius_bracket(((0, 1), (1, 0)), Fraction(1, 10**6))
@@ -576,10 +637,12 @@ class TestSpectralReport:
 
 
 class TestOneSplitPerVerdict:
-    # a primitive matrix is its own single block, so the split that
-    # is_primitive makes is the only one, and its nonnegativity check the
-    # only check
+    # a primitive matrix is its own single block, and is_primitive decides
+    # irreducibility by reachability from letter 0, so a verdict splits no
+    # components; its nonnegativity check is the only check.  A report on a
+    # reducible matrix splits it once.
     ONE_OF_EACH = ["_check_nonnegative", "_strongly_connected_components"]
+    CHECK_ONLY = ["_check_nonnegative"]
 
     @staticmethod
     def _record_calls(monkeypatch):
@@ -601,7 +664,7 @@ class TestOneSplitPerVerdict:
         for m in morphisms:
             calls.clear()
             fired += irrationality_verdict(m) is not None
-            assert sorted(calls) == self.ONE_OF_EACH
+            assert calls == self.CHECK_ONLY
         assert fired > 10
 
     def test_perron_frequencies(self, monkeypatch, thue_morse, fibonacci):
@@ -609,7 +672,7 @@ class TestOneSplitPerVerdict:
         for spec, found in ((thue_morse, True), (fibonacci, False)):
             calls.clear()
             assert (perron_frequencies(incidence(spec.morphism).matrix) is not None) is found
-            assert sorted(calls) == self.ONE_OF_EACH
+            assert calls == self.CHECK_ONLY
 
     def test_reducible_reports_split_themselves(self, monkeypatch, lysenok):
         # called without blocks, the report splits the matrix itself, once;
