@@ -70,7 +70,11 @@ def cmd_uniformize(args) -> int:
                   + (", minimized)" if args.minimize else ")")]
     )
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"wrote {args.output} ({rep.q}-uniform, {len(rep.morphism.alphabet)} letters)")
     else:
         print(text, end="")

@@ -9,12 +9,12 @@ the spectral radius is a given integer c is read off the signs of the
 leading principal minors of cI - B for each irreducible diagonal block B
 (one fraction-free elimination), and when it is, the Perron vector is
 back-substituted in the rows of that same elimination.  The diagonal
-blocks are the strongly connected components of the support digraph (a
-bitmask Warshall closure).  A matrix is primitive when a breadth-first
-search from letter 0 reaches every letter and finds period 1, and a
-backward sweep from letter 0 over the column bitmasks reaches every letter
-too.  A primitive matrix is its own single block, so a verdict checks for
-negative entries once, in ``is_primitive``, and splits no digraph.
+blocks are the strongly connected components of the support digraph, and
+a matrix is primitive when letter 0 reaches every letter along the rows
+and along the columns and its breadth-first levels give period 1; one
+breadth-first sweep over bitmasks serves both.  A primitive matrix is its
+own single block, so a verdict checks for negative entries once, in
+``is_primitive``, and splits no digraph.
 
 Spectral-radius brackets come from Newton's method on the exact
 characteristic polynomial chi of each irreducible block B, in scaled
@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from operator import mul
 
 from .words import Morphism, parikh_vector
@@ -247,14 +247,12 @@ class InternalArithmeticError(AssertionError):
     pass
 
 
-def _deflate(coeffs: tuple[int, ...], root: int) -> tuple[int, ...]:
-    # synthetic division by (x - root); remainder must be zero
+def _deflate(coeffs: tuple[int, ...], root: int) -> tuple[tuple[int, ...], int]:
+    # synthetic division by (x - root): the quotient and the remainder
     out = [coeffs[0]]
     for c in coeffs[1:]:
         out.append(c + root * out[-1])
-    if out[-1] != 0:
-        raise ValueError("not a root")
-    return tuple(out[:-1])
+    return tuple(out[:-1]), out[-1]
 
 
 def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
@@ -291,10 +289,11 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
                     divisors.add(const // d)
         for d in divisors:
             for cand in (d, -d):
+                # a monic constant leaves remainder 1, so the loop ends
                 mult = 0
-                work = coeffs
-                while len(work) > 1 and IntPolynomial(work)(cand) == 0:
-                    work = _deflate(work, cand)
+                work, rem = _deflate(coeffs, cand)
+                while not rem:
+                    work, rem = _deflate(work, cand)
                     mult += 1
                 if mult:
                     found[cand] = mult
@@ -326,28 +325,45 @@ def left_eigencheck(vector, matrix) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # the support digraph: components and primitivity
 
-def _support_rows(matrix) -> list[int]:
-    """Row i of a nonnegative M as a bitmask, bit j set when m_ij > 0."""
+def _support(matrix) -> tuple[list[int], list[int]]:
+    """Rows and columns of a nonnegative M as bitmasks, bit j of row i set when m_ij > 0."""
     bits = [1 << j for j in range(len(matrix))]
-    return [sum(compress(bits, row)) for row in matrix]
+    return [sum(compress(bits, row)) for row in matrix], [sum(compress(bits, col)) for col in zip(*matrix)]
+
+
+def _levels(masks, start: int) -> list[tuple[int, int]]:
+    """Breadth-first sweep from ``start`` over successor bitmasks: level t,
+    the letters first reached in t steps, paired with its successors."""
+    levels = []
+    seen = frontier = 1 << start
+    while frontier:
+        succ, bits = 0, frontier
+        while bits:
+            low = bits & -bits
+            succ |= masks[low.bit_length() - 1]
+            bits ^= low
+        levels.append((frontier, succ))
+        frontier = succ & ~seen
+        seen |= frontier
+    return levels
+
+
+def _reach(masks, start: int) -> int:
+    return sum(level for level, _ in _levels(masks, start))
 
 
 def _strongly_connected_components(matrix) -> list[list[int]]:
-    # Warshall's reachability closure on bitmask rows
+    # the component of v, the lowest letter not yet placed: the letters v
+    # reaches along the rows that also reach v, found along the columns
     r = len(matrix)
-    reach = [bits | 1 << i for i, bits in enumerate(_support_rows(matrix))]
-    for k in range(r):
-        for i in range(r):
-            if reach[i] >> k & 1:
-                reach[i] |= reach[k]
-    seen = 0
+    rows, cols = _support(matrix)
     comps: list[list[int]] = []
-    for i in range(r):
-        if seen >> i & 1:
-            continue
-        comp = [j for j in range(r) if reach[i] >> j & 1 and reach[j] >> i & 1]
-        seen |= sum(1 << j for j in comp)
-        comps.append(comp)
+    seen = 0
+    for v in range(r):
+        if not seen >> v & 1:
+            comp = _reach(rows, v) & _reach(cols, v)
+            seen |= comp
+            comps.append([j for j in range(r) if comp >> j & 1])
     return comps
 
 
@@ -363,42 +379,22 @@ def is_primitive(matrix) -> bool:
     """M is primitive iff it is irreducible with period 1 (Horn-Johnson §8.5).
 
     Irreducible: in the support digraph, with an edge u -> v when entry
-    (u, v) is positive, letter 0 reaches every letter and every letter
-    reaches letter 0.  A breadth-first search from letter 0 along the rows
-    settles the first; a backward sweep from letter 0 along the columns, as
-    bitmasks, settles the second.  The period is then the gcd of
-    level[u] + 1 - level[v] over all edges u -> v, where level is the
-    breadth-first distance from letter 0.
+    (u, v) is positive, letter 0 reaches every letter along the rows and
+    along the columns.  The period is then the gcd of t + 1 - t' over the
+    edges u -> v, u in level t and v in level t' of the breadth-first sweep
+    from letter 0; all edges from level t into level t' give the same term,
+    so the gcd runs over those level pairs, and stops once it is 1.
     """
     _check_nonnegative(matrix)
     if not matrix:
         return False
-    rows = _support_rows(matrix)
-    level = [0] + [None] * (len(rows) - 1)
-    queue = [0]
-    period = 0
-    for u in queue:
-        bits = rows[u]
-        while bits:
-            v = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if level[v] is None:
-                level[v] = level[u] + 1
-                queue.append(v)
-            period = math.gcd(period, level[u] + 1 - level[v])
-    if len(queue) != len(rows) or period != 1:
+    rows, cols = _support(matrix)
+    levels, full = _levels(rows, 0), (1 << len(matrix)) - 1
+    if sum(level for level, _ in levels) != full or _reach(cols, 0) != full:
         return False
-    cols = _support_rows(tuple(zip(*matrix)))
-    back = frontier = 1
-    while frontier:
-        reached = 0
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            reached |= cols[v]
-        frontier = reached & ~back
-        back |= frontier
-    return back == (1 << len(rows)) - 1
+    terms = (t + 1 - t2 for t, (_, succ) in enumerate(levels)
+             for t2, (level, _) in enumerate(levels[: t + 1]) if succ & level)
+    return 1 in accumulate(terms, math.gcd)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Everything here is deliberately naive and shares no code path with the
 package: token-level string rewriting, the position-letter form of a
 uniform block morphism, cofactor-expansion determinants, the
-Faddeev-LeVerrier recursion, set-based factor counting, the spectral-radius
-bracket on dense rows, and Perron vectors from a scan of the column-sum
-range with rational kernels.
+Faddeev-LeVerrier recursion, set-based factor counting, strongly connected
+components from set-based reachability, the spectral-radius bracket on
+dense rows, and Perron vectors from a scan of the column-sum range with
+rational kernels.
 """
 
 from fractions import Fraction
@@ -145,6 +146,28 @@ def naive_bool_power_positive(matrix, exponent: int) -> bool:
             for i in range(n)
         ]
     return all(all(row) for row in acc)
+
+
+def naive_components(matrix) -> list[list[int]]:
+    """Strongly connected components of the support digraph, with an edge
+    i -> j when m_ij > 0: i and j share one when each reaches the other,
+    found by growing a set of reached letters from every letter.  Listed
+    by their lowest letter, each in increasing order."""
+    n = len(matrix)
+    succ = [{j for j in range(n) if matrix[i][j] > 0} for i in range(n)]
+    reach = []
+    for i in range(n):
+        seen, todo = {i}, [i]
+        while todo:
+            new = succ[todo.pop()] - seen
+            seen |= new
+            todo.extend(new)
+        reach.append(seen)
+    comps: list[list[int]] = []
+    for i in range(n):
+        if not any(i in comp for comp in comps):
+            comps.append(sorted(j for j in reach[i] if i in reach[j]))
+    return comps
 
 
 def naive_factor_count(word, n: int) -> int:

@@ -54,6 +54,33 @@ class TestAnalyzeCommand:
             assert main(["analyze", str(path), "--json", "--depth", "1000"]) == 0
             jsonschema.validate(json.loads(capsys.readouterr().out), schema)
 
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [
+            ("grig_aca_aba", ("verdict", "spectral", "dominant_value"), None),
+            ("benli", ("verdict", "evidence", "subalphabet_witnesses"), None),
+            ("benli", ("verdict", "evidence", "complexity", "lower_bound_only"), None),
+            ("benli", ("verdict", "evidence", "subalphabet_witnesses", 0, "profile", "lower_bound_only"), None),
+            ("a285249", ("options", "depth"), 0),
+            ("a285249", ("verdict", "verified_depth"), 0),
+        ],
+    )
+    def test_schema_requires_what_every_report_carries(self, schema, name, path, value):
+        # a pinned corpus report validates, and fails once the key is
+        # removed (value None) or set to value
+        report = json.loads((Path(__file__).parent / "corpus_reports.json").read_text())[name]
+        jsonschema.validate(report, schema)
+        *head, key = path
+        parent = report
+        for step in head:
+            parent = parent[step]
+        if value is None:
+            del parent[key]
+        else:
+            parent[key] = value
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, schema)
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.morph"
         bad.write_text("letters: a\na -> b\n", encoding="utf-8")
@@ -159,6 +186,16 @@ class TestUniformize:
         bad.write_text("letters: a b\na -> b\nb -> b\nseed: a\n", encoding="utf-8")
         assert main(["uniformize", str(bad)]) == 2
         assert "prolongable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing/out.morph", "."], ids=["missing directory", "a directory"])
+    def test_unwritable_output_is_an_input_error(self, corpus_path, tmp_path, capsys, target):
+        out_path = tmp_path / target
+        assert main(["uniformize", morph(corpus_path, "istrail"), "-o", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out_path}: ")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
 
 
 class TestOtherCommands:

@@ -35,6 +35,7 @@ from oracles import (
     faddeev_leverrier_charpoly,
     naive_bool_power_positive,
     naive_charpoly,
+    naive_components,
 )
 
 
@@ -333,7 +334,7 @@ class TestPrimitivity:
     def test_random_against_oracle_exponent(self):
         rng = random.Random(2718)
         for _ in range(300):
-            r = rng.randint(1, 6)
+            r = rng.randint(1, 12)
             m = tuple(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(r)) for _ in range(r))
             assert is_primitive(m) == naive_bool_power_positive(m, r * r - 2 * r + 2)
 
@@ -383,6 +384,40 @@ class TestPrimitivityByPeriod:
         # and every level gap from 0 has gcd 1, yet the matrix is reducible
         m = _from_edges(5, {(0, 1), (1, 2), (2, 0), (1, 0), (3, 3), (3, 1), (4, 3), (3, 4)})
         assert is_primitive(m) == _wielandt(m) is False
+
+
+def _component_inputs(rng, count):
+    """Seeded matrices over r = 1..64 letters: zero matrices, permutation
+    matrices with and without one extra edge, shuffled block-triangular
+    matrices with many components, and sparse random ones."""
+    for k in range(count):
+        r = 1 + k % 64
+        kind = k % 4
+        if kind == 0:
+            density = rng.choice((0.0, 0.02, 0.05, 0.1, 0.25))
+            yield tuple(tuple(rng.randint(1, 3) if rng.random() < density else 0 for _ in range(r)) for _ in range(r))
+        elif kind == 1:
+            perm, extra = _shuffled(rng, r), (rng.randrange(r), rng.randrange(r))
+            edge = rng.random() < 0.5
+            yield tuple(tuple(int(perm[i] == j or edge and (i, j) == extra) for j in range(r)) for i in range(r))
+        else:
+            blocks = []
+            while (size := sum(map(len, blocks))) < r:
+                block = _random_irreducible_block(rng)
+                if size + len(block) <= r:
+                    blocks.append(block)
+            yield _permuted(_block_triangular(blocks, rng), _shuffled(rng, r))
+
+
+class TestComponents:
+    def test_random_against_set_reachability(self):
+        rng = random.Random(1926)
+        several = 0
+        for m in _component_inputs(rng, 2000):
+            comps = _strongly_connected_components(m)
+            assert comps == naive_components(m)
+            several += len(comps) > 1
+        assert several > 1500
 
 
 class TestRadiusBracket:
@@ -941,10 +976,9 @@ class TestInputChecks:
             IntPolynomial(coeffs)
 
     def test_deflate_at_a_non_root(self):
-        # x^2 - 3x + 2 = (x - 1)(x - 2)
-        assert linalg._deflate((1, -3, 2), 2) == (1, -1)
-        with pytest.raises(ValueError, match="not a root"):
-            linalg._deflate((1, -3, 2), 3)
+        # x^2 - 3x + 2 = (x - 1)(x - 2) = x (x - 3) + 2
+        assert linalg._deflate((1, -3, 2), 2) == ((1, -1), 0)
+        assert linalg._deflate((1, -3, 2), 3) == ((1, 0), 2)
 
     def test_left_eigencheck_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
