@@ -1,14 +1,13 @@
 """Exact integer and rational linear algebra for incidence matrices.
 
 Everything here is decided exactly, so no verdict ever depends on floating
-point.  Characteristic polynomials are reduced to Hessenberg form modulo a
-few Mersenne primes, with the matrix stored by columns, and lifted by the
-Chinese remainder theorem under Hadamard's coefficient bound
-prod_j (1 + ||column j||_2), with the trace as an exact check.  Whether
-the spectral radius is a given integer c is read off the signs of the
-leading principal minors of cI - B for each irreducible diagonal block B
-(one fraction-free elimination), and when it is, the Perron vector is
-back-substituted in the rows of that same elimination.  The diagonal
+point.  Characteristic polynomials come from the power sums tr(M^k) by
+Newton's identities over Z (Le Verrier's method), each row of M^k packed
+into one integer of fixed-width slots.  Whether the spectral radius is a
+given integer c is read off the signs of the leading principal minors of
+cI - B for each irreducible diagonal block B (one fraction-free
+elimination), and when it is, the Perron vector is back-substituted in
+the rows of that same elimination.  The diagonal
 blocks are the strongly connected components of the support digraph, and
 a matrix is primitive when letter 0 reaches every letter along the rows
 and along the columns and its breadth-first levels give period 1; one
@@ -43,8 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress
-from operator import mul
+from itertools import accumulate, compress, repeat
+from operator import add, and_, mul, rshift
 
 from .words import Morphism, parikh_vector
 
@@ -53,11 +52,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 # ---------------------------------------------------------------------------
 # matrices
-
-def mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
 
 def _check_nonnegative(m) -> None:
     if min(map(min, m), default=0) < 0:
@@ -138,108 +132,45 @@ class IntPolynomial:
         return " ".join(parts) if parts else "0"
 
 
-# Mersenne primes 2^e - 1, taken in this order until their product exceeds
-# twice the coefficient bound; together they cover about 159000 bits
-_CRT_PRIMES = tuple(
-    (1 << e) - 1
-    for e in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
-              11213, 19937, 21701, 23209, 44497)
-)
-
-
-def _char_poly_mod(matrix, p: int) -> list[int]:
-    """det(xI - M) mod p, lowest coefficient first.
-
-    M is brought to upper Hessenberg form H by elimination similarities
-    (Gauss transforms with row swaps), then the characteristic polynomials
-    p_m of the leading m x m blocks of H follow from
-    p_(m+1) = (x - h_mm) p_m - sum_(i<m) h_im (h_(i+1,i) ... h_(m,m-1)) p_i.
-    H is kept by columns: step k takes u_i times row k+1 from rows i > k+1
-    in one slice per column j > k (column k is not read below row k+1
-    again), then adds u_i times column i to column k+1 for each nonzero
-    u_i, walking only the nonzero rows of column i, and reduces column k+1
-    mod p once.  The recurrence skips every zero h_im.
-    """
-    n = len(matrix)
-    rows = range(n)
-    cols = [[entry % p for entry in col] for col in zip(*matrix)]
-    for k in range(n - 2):
-        col_k = cols[k]
-        pivot = next((i for i in range(k + 1, n) if col_k[i]), None)
-        if pivot is None:
-            continue
-        if pivot != k + 1:
-            for col in cols[k:]:
-                col[k + 1], col[pivot] = col[pivot], col[k + 1]
-            cols[k + 1], cols[pivot] = cols[pivot], cols[k + 1]
-        inv = pow(col_k[k + 1], -1, p)
-        factors = [entry * inv % p for entry in col_k[k + 2 :]]
-        if not any(factors):
-            continue
-        for col in cols[k + 1 :]:
-            top = col[k + 1]
-            if top:
-                col[k + 2 :] = [(a - u * top) % p for a, u in zip(col[k + 2 :], factors)]
-        target = cols[k + 1]
-        for u, col in zip(factors, cols[k + 2 :]):
-            if u:
-                for i in compress(rows, col):
-                    target[i] += u * col[i]
-        cols[k + 1] = [a % p for a in target]
-    polys = [[1]]
-    for m, col in enumerate(cols):
-        new = [0] + polys[m]
-        for t, c in enumerate(polys[m]):
-            new[t] -= col[m] * c
-        chain = 1
-        for i in range(m - 1, -1, -1):
-            chain = chain * cols[i][i + 1] % p
-            if not chain:
-                break
-            if col[i]:
-                coef = col[i] * chain % p
-                for t, c in enumerate(polys[i]):
-                    new[t] -= coef * c
-        polys.append([c % p for c in new])
-    return polys[n]
-
-
 def char_poly(matrix) -> IntPolynomial:
-    """det(xI - M), exactly over Z.
+    """det(xI - M), exactly over Z, from the power sums p_k = tr(M^k).
 
-    c_k is, up to sign, the sum of the principal k x k minors, and
-    Hadamard's inequality bounds each minor by the product of its columns'
-    Euclidean norms, which are at most those of the full columns a_j; so
-    |c_k| <= e_k(a_1, ..., a_n) <= prod_j (1 + a_j) (Horn-Johnson, Matrix
-    Analysis, 7.8).  Residues modulo Mersenne primes whose product exceeds
-    twice that bound, with each a_j rounded up to an integer, determine
-    every coefficient by the Chinese remainder theorem and a symmetric lift.
+    Row i of M^k is kept as one integer whose W-bit slot j holds
+    (M^k)_ij, W = bits(L^n) + 2 with L the largest absolute column sum:
+    |(M^k)_ij| <= ||M||_1^k <= L^n for k <= n, so a slot holds any entry
+    plus 2^(W-1), which is added before each read when M has a negative
+    entry.  Row i of M^(k+1) is the sum of the rows of M^k named by the
+    nonzeros of row i of M, unit entries added without a product; p_k is
+    the sum of the diagonal slots.  Newton's identities then give
+    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), and a division that
+    leaves a remainder is an internal error.
     """
     n = len(matrix)
-    bound = 2
-    for col in zip(*matrix):
-        squares = sum(map(mul, col, col))
-        bound *= 1 + (math.isqrt(squares - 1) + 1 if squares else 0)
-    primes, modulus = [], 1
-    for p in _CRT_PRIMES:
-        if modulus > bound:
-            break
-        primes.append(p)
-        modulus *= p
-    if modulus <= bound:
-        raise InternalArithmeticError(
-            f"charpoly coefficient bound needs more than {modulus.bit_length()} bits of primes"
-        )
-    coeffs, done = [0] * (n + 1), 1
-    for p in primes:
-        # Garner step: keep c mod done, make it r mod p
-        inv = pow(done, -1, p)
-        residues = _char_poly_mod(matrix, p)
-        coeffs = [c + done * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
-        done *= p
-    coeffs = [c - modulus if 2 * c > modulus else c for c in reversed(coeffs)]
-    if n and coeffs[1] != -sum(matrix[i][i] for i in range(n)):
-        raise InternalArithmeticError("characteristic polynomial fails the trace check")
+    width = (max((sum(map(abs, col)) for col in zip(*matrix)), default=0) ** n).bit_length() + 2
+    mask = (1 << width) - 1
+    shifts = range(0, width * n, width)
+    half = 1 << (width - 1) if min(map(min, matrix), default=0) < 0 else 0
+    offset = half * ((1 << width * n) - 1) // mask  # half in every slot
+    rows = [[(j, m) for j, m in enumerate(row) if m] for row in matrix]
+    power = [sum(m << width * j for j, m in row) for row in rows]
+    sums = []
+    for k in range(n):
+        read = map(add, power, repeat(offset)) if half else power
+        sums.append(sum(map(and_, map(rshift, read, shifts), repeat(mask))) - n * half)
+        if k < n - 1:
+            nxt = []
+            for row in rows:
+                acc = 0
+                for j, m in row:
+                    acc += power[j] if m == 1 else power[j] * m
+                nxt.append(acc)
+            power = nxt
+    coeffs = [1]
+    for k in range(1, n + 1):
+        c, rem = divmod(-sum(map(mul, coeffs, sums[k - 1 :: -1])), k)
+        if rem:
+            raise InternalArithmeticError(f"power sums fail Newton's identity at c_{k}")
+        coeffs.append(c)
     return IntPolynomial(tuple(coeffs))
 
 
@@ -289,37 +220,18 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
                     divisors.add(const // d)
         for d in divisors:
             for cand in (d, -d):
-                # a monic constant leaves remainder 1, so the loop ends
+                # p and its deflation by x^zero_mult share their nonzero
+                # roots; a root is then deflated while it leaves no
+                # remainder, and a monic constant leaves remainder 1
+                if p(cand):
+                    continue
                 mult = 0
                 work, rem = _deflate(coeffs, cand)
                 while not rem:
                     work, rem = _deflate(work, cand)
                     mult += 1
-                if mult:
-                    found[cand] = mult
+                found[cand] = mult
     return tuple(sorted(found.items()))
-
-
-# ---------------------------------------------------------------------------
-# left eigenvector check (the heart of the automaticity criterion)
-
-def left_eigencheck(vector, matrix) -> Fraction | None:
-    """Return the rational lambda with ``vector @ matrix == lambda * vector``.
-
-    The vector must be strictly positive; for a nonnegative matrix any such
-    eigenvalue is automatically the spectral radius, which is what makes
-    this check decisive.  Returns None when no exact eigenvalue exists.
-    """
-    if len(vector) != len(matrix):
-        raise ValueError("dimension mismatch")
-    if any(v <= 0 for v in vector):
-        raise ValueError("left eigenvector check requires a positive vector")
-    (product,) = mat_mul((vector,), matrix)
-    lam = Fraction(product[0], vector[0])
-    for vm, v in zip(product, vector):
-        if Fraction(vm, v) != lam:
-            return None
-    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +243,13 @@ def _support(matrix) -> tuple[list[int], list[int]]:
     return [sum(compress(bits, row)) for row in matrix], [sum(compress(bits, col)) for col in zip(*matrix)]
 
 
-def _levels(masks, start: int) -> list[tuple[int, int]]:
-    """Breadth-first sweep from ``start`` over successor bitmasks: level t,
-    the letters first reached in t steps, paired with its successors."""
+def _levels(masks, start: int, seen: int = 0) -> list[tuple[int, int]]:
+    """Breadth-first sweep from ``start`` over successor bitmasks, never
+    entering a letter of ``seen``: level t, the letters first reached in t
+    steps, paired with its successors."""
     levels = []
-    seen = frontier = 1 << start
+    frontier = 1 << start
+    seen |= frontier
     while frontier:
         succ, bits = 0, frontier
         while bits:
@@ -348,21 +262,24 @@ def _levels(masks, start: int) -> list[tuple[int, int]]:
     return levels
 
 
-def _reach(masks, start: int) -> int:
-    return sum(level for level, _ in _levels(masks, start))
+def _reach(masks, start: int, seen: int = 0) -> int:
+    return sum(level for level, _ in _levels(masks, start, seen))
 
 
 def _strongly_connected_components(matrix) -> list[list[int]]:
     # the component of v, the lowest letter not yet placed: the letters v
-    # reaches along the rows that also reach v, found along the columns
+    # reaches along the rows that also reach v, found along the columns.
+    # A path between two letters of one component stays inside it, so the
+    # forward sweep skips the placed letters and the backward sweep keeps
+    # to the letters the forward one reached
     r = len(matrix)
     rows, cols = _support(matrix)
     comps: list[list[int]] = []
-    seen = 0
+    placed = 0
     for v in range(r):
-        if not seen >> v & 1:
-            comp = _reach(rows, v) & _reach(cols, v)
-            seen |= comp
+        if not placed >> v & 1:
+            comp = _reach(cols, v, ~_reach(rows, v, placed))
+            placed |= comp
             comps.append([j for j in range(r) if comp >> j & 1])
     return comps
 

@@ -5,7 +5,8 @@ package: token-level string rewriting, the position-letter form of a
 uniform block morphism, cofactor-expansion determinants, the
 Faddeev-LeVerrier recursion, set-based factor counting, strongly connected
 components from set-based reachability, the spectral-radius bracket on
-dense rows, and Perron vectors from a scan of the column-sum range with
+dense rows, dense matrix products, the left-eigenvector check in
+fractions, and Perron vectors from a scan of the column-sum range with
 rational kernels.
 """
 
@@ -211,9 +212,28 @@ def _dense_round_up(rows, prec: int):
     return tuple(tuple(-(-entry >> shift) for entry in row) for row in rows)
 
 
-def _dense_mat_mul(a, b):
+def mat_mul(a, b):
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def left_eigencheck(vector, matrix) -> Fraction | None:
+    """The rational lambda with ``vector @ matrix == lambda * vector``, or
+    None when there is none.
+
+    The vector must be strictly positive; for a nonnegative matrix any such
+    eigenvalue is then the spectral radius.
+    """
+    if len(vector) != len(matrix):
+        raise ValueError("dimension mismatch")
+    if any(v <= 0 for v in vector):
+        raise ValueError("left eigenvector check requires a positive vector")
+    (product,) = mat_mul((vector,), matrix)
+    lam = Fraction(product[0], vector[0])
+    for vm, v in zip(product, vector):
+        if Fraction(vm, v) != lam:
+            return None
+    return lam
 
 
 def dense_irreducible_bracket(block, tol: Fraction, prec: int, max_squarings: int):
@@ -246,7 +266,7 @@ def dense_irreducible_bracket(block, tol: Fraction, prec: int, max_squarings: in
         if steps % n == 0:
             if squarings >= max_squarings:
                 return lo, hi, True
-            power = _dense_round_up(_dense_mat_mul(power, power), prec)
+            power = _dense_round_up(mat_mul(power, power), prec)
             squarings += 1
         x = _dense_round_up((tuple(sum(map(mul, row, x)) for row in power),), prec)[0]
 

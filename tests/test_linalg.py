@@ -14,7 +14,6 @@ from morphauto import (
     integer_roots,
     irrationality_verdict,
     is_primitive,
-    left_eigencheck,
     parse_morphism,
     perron_frequencies,
     radius_bracket,
@@ -33,6 +32,8 @@ from oracles import (
     column_sum_scan_perron,
     dense_irreducible_bracket,
     faddeev_leverrier_charpoly,
+    left_eigencheck,
+    mat_mul,
     naive_bool_power_positive,
     naive_charpoly,
     naive_components,
@@ -88,8 +89,8 @@ def _spectral_morphisms(monkeypatch, seeds):
 
 def _hessenberg_before(rng, n, k):
     """A random signed n x n matrix whose columns 0..k-1 are already upper
-    Hessenberg with a nonzero subdiagonal.  The reduction's steps 0..k-1 then
-    find every multiplier zero, so step k sees column k as it is built."""
+    Hessenberg with a nonzero subdiagonal: a Hessenberg reduction would find
+    every multiplier of its steps 0..k-1 zero and reach step k unchanged."""
     values = (-3, -2, -1, 1, 2, 3, 4)
     return [[rng.choice(values) if j >= k or i <= j + 1 else 0 for j in range(n)] for i in range(n)]
 
@@ -122,8 +123,9 @@ class TestCharPoly:
         assert list(char_poly(cubed).coeffs) == naive_charpoly(cubed)
 
     def test_against_faddeev_leverrier(self):
-        # signed entries, so the lift must produce negative and positive
-        # coefficients; the 2^200 entries need several primes of the table
+        # signed entries, read with 2^(W-1) added to every slot, give
+        # negative and positive coefficients; the 2^200 entries make slots
+        # of some 1600 bits
         rng = random.Random(31337)
         for n, span in [(1, 5), (2, 5), (3, 9), (5, 3), (8, 2**200), (13, 4), (21, 3), (32, 2)]:
             for _ in range(3):
@@ -131,8 +133,8 @@ class TestCharPoly:
                 assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
 
     def test_singular_and_hessenberg_shapes(self):
-        # zero columns below the diagonal make the Hessenberg reduction skip
-        # steps; a nilpotent shift and a repeated row make it hit zero pivots
+        # zero columns below the diagonal, a nilpotent shift and a repeated
+        # row: the skipped steps and zero pivots of a Hessenberg reduction
         shift = tuple(tuple(int(j == i + 1) for j in range(6)) for i in range(6))
         assert char_poly(shift).coeffs == (1, 0, 0, 0, 0, 0, 0)
         for m in (((1, 2, 3), (1, 2, 3), (4, 5, 6)), ((0, 0, 7), (0, 0, 0), (1, 0, 0))):
@@ -140,8 +142,8 @@ class TestCharPoly:
 
     @pytest.mark.parametrize("k", [0, 1, 3, 6])
     def test_zero_pivot_swaps_rows_and_columns(self, k):
-        # h[k+1][k] = 0 with a nonzero entry lower down: step k swaps rows
-        # and columns k+1 and pivot before it eliminates
+        # h[k+1][k] = 0 with a nonzero entry lower down: a Hessenberg
+        # reduction would swap rows and columns k+1 and pivot at step k
         rng = random.Random(k)
         m = _hessenberg_before(rng, 9, k)
         for i in range(k + 1, 9):
@@ -151,8 +153,7 @@ class TestCharPoly:
         assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
 
     def test_steps_whose_multipliers_are_all_zero(self):
-        # already upper Hessenberg: every step is skipped, also the one
-        # below a zero subdiagonal entry, which has no pivot at all
+        # already upper Hessenberg, with one zero subdiagonal entry
         rng = random.Random(7)
         m = _hessenberg_before(rng, 8, 7)
         m[4][3] = 0
@@ -175,21 +176,15 @@ class TestCharPoly:
             assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
 
     @pytest.mark.parametrize(
-        "r, change, primes",
-        [
-            (40, None, 1),
-            (48, None, 2),
-            (64, None, 2),
-            (48, "zero column", 2),
-            (64, "negative entry", 2),
-        ],
+        "r, change",
+        [(40, None), (48, None), (64, None), (48, "zero column"), (64, "negative entry")],
     )
-    def test_large_sparse_cycle_plus_extras(self, monkeypatch, r, change, primes):
+    def test_large_sparse_cycle_plus_extras(self, monkeypatch, r, change):
         # the benchmark's spectral inputs at more letters: a cycle through
         # every letter, a self-loop at letter 0 and 0-2 extra letters per
-        # image, so each column has at most four nonzero rows.  From r = 48
-        # on, Hadamard's bound needs the 89-bit prime as well, and the
-        # sparse column additions run on a second residue
+        # image, so each row of M^(k+1) adds a few rows of M^k; a zero
+        # column leaves a row of every power empty, and a negative entry
+        # makes every slot read with 2^(W-1) added
         rng = random.Random(r)
         images = _workloads(monkeypatch)._spectral_images(rng, r, anagram_pair=False)
         if change == "zero column":
@@ -198,22 +193,11 @@ class TestCharPoly:
         if change == "negative entry":
             m[rng.randrange(r)][rng.randrange(r)] = -3
         m = tuple(map(tuple, m))
-        used = []
-        real = linalg._char_poly_mod
-
-        def counted(matrix, p):
-            used.append(p)
-            return real(matrix, p)
-
-        monkeypatch.setattr(linalg, "_char_poly_mod", counted)
         assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
-        assert used == list(linalg._CRT_PRIMES[:primes])
 
     def test_hadamard_bound_reached_exactly(self):
         # 2^14 H_4 (Sylvester) has columns of norm 2^15 and determinant
-        # (2^15)^4 = 2^60, Hadamard's bound itself; 2 (1 + 2^15)^4 exceeds
-        # the first prime 2^61 - 1, and without the factor 2 that prime
-        # alone would lift c_4 to -(2^60 - 1)
+        # (2^15)^4 = 2^60, Hadamard's bound itself
         h2 = ((1, 1), (1, -1))
         h4 = tuple(tuple(a * b for a in ra for b in rb) for ra in h2 for rb in h2)
         m = tuple(tuple(2**14 * entry for entry in row) for row in h4)
@@ -221,27 +205,25 @@ class TestCharPoly:
         assert coeffs[4] == 2**60
         assert list(coeffs) == faddeev_leverrier_charpoly(m)
 
-    def test_four_ones_per_column_take_one_prime(self, monkeypatch):
-        # columns of norm 2 bound |c_k| by 3^32 < 2^51, so the first prime
-        # 2^61 - 1 suffices; the column-sum bound 5^32 needed two
+    def test_four_ones_per_column(self):
         rng = random.Random(1032)
         cols = [rng.sample(range(32), 4) for _ in range(32)]
         m = tuple(tuple(int(i in cols[j]) for j in range(32)) for i in range(32))
-        primes = []
-        real = linalg._char_poly_mod
-
-        def counted(matrix, p):
-            primes.append(p)
-            return real(matrix, p)
-
-        monkeypatch.setattr(linalg, "_char_poly_mod", counted)
         assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
-        assert primes == [2**61 - 1]
 
-    def test_bound_beyond_the_prime_table_raises(self):
-        # |c_1| <= 2^200000 needs more bits than the whole prime table holds
-        with pytest.raises(InternalArithmeticError, match="bound"):
-            char_poly(((2**200000, 0), (0, 1)))
+    def test_huge_diagonal_entry_is_exact(self):
+        # L^n = 2^400000 makes slots of 400003 bits; chi = (x - 2^200000)(x - 1)
+        big = 2**200000
+        assert char_poly(((big, 0), (0, 1))).coeffs == (1, -(big + 1), big)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    @pytest.mark.parametrize("weight", [1000, -1000, 3**40, -(3**40)])
+    def test_weighted_cycle_fills_its_slots(self, n, weight):
+        # c P for the n-cycle P has M^n = c^n I, so the diagonal of the
+        # last power reaches L^n = |c|^n, the bound the slots are sized
+        # for, and chi = x^n - c^n
+        m = tuple(tuple(weight if j == (i + 1) % n else 0 for j in range(n)) for i in range(n))
+        assert char_poly(m).coeffs == (1, *[0] * (n - 1), -(weight**n))
 
 
 class TestIntegerRoots:
@@ -411,9 +393,12 @@ def _component_inputs(rng, count):
 
 class TestComponents:
     def test_random_against_set_reachability(self):
+        # first the 64-letter path with self-loops (m_ii = m_i,i+1 = 1) and
+        # its transpose, where every sweep runs into letters already placed
+        path = tuple(tuple(int(j in (i, i + 1)) for j in range(64)) for i in range(64))
         rng = random.Random(1926)
         several = 0
-        for m in _component_inputs(rng, 2000):
+        for m in itertools.chain((path, tuple(zip(*path))), _component_inputs(rng, 2000)):
             comps = _strongly_connected_components(m)
             assert comps == naive_components(m)
             several += len(comps) > 1
@@ -945,16 +930,12 @@ class TestAgainstFloatOracle:
 
 class TestMultiplicativity:
     def test_incidence_of_compose(self, lysenok, lysenok_psi):
-        from morphauto.linalg import mat_mul
-
         tau, psi = lysenok.morphism, lysenok_psi.morphism
         left = incidence(tau.compose(psi)).matrix
         right = mat_mul(incidence(tau).matrix, incidence(psi).matrix)
         assert left == right
 
     def test_incidence_of_power(self, acaba):
-        from morphauto.linalg import mat_mul
-
         m = acaba.morphism
         a = incidence(m).matrix
         assert incidence(m.power(3)).matrix == mat_mul(mat_mul(a, a), a)

@@ -20,17 +20,18 @@ from morphauto import (
     eigenvector_criterion,
     gcd_obstruction,
     incidence,
-    left_eigencheck,
     minimize_uniform,
     parikh_vector,
     parse_morphism,
     prefix_equal,
     analyze,
+    char_poly,
     reshuffle_uniformize,
     verify_back,
 )
 from morphauto.constructions import representation_from_spec
-from morphauto.linalg import mat_mul
+
+from oracles import left_eigencheck, mat_mul, naive_charpoly
 
 TOKENS = ("a", "b", "c", "d", "e")
 
@@ -114,6 +115,23 @@ def test_incidence_multiplicativity(pair):
     outer, inner = pair
     composed = incidence(outer.compose(inner)).matrix
     assert composed == mat_mul(incidence(outer).matrix, incidence(inner).matrix)
+
+
+@SUITE
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+def test_char_poly_matches_cofactor_expansion(rows):
+    # the power sums and Newton's identities against det(xI - M) expanded
+    # by cofactors, on signed matrices with small and 70-bit entries
+    m = tuple(map(tuple, rows))
+    assert list(char_poly(m).coeffs) == naive_charpoly(m)
 
 
 @SUITE
