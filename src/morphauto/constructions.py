@@ -190,46 +190,6 @@ def minimize_uniform(u: UniformRepresentation) -> UniformRepresentation:
     )
 
 
-def iso_equivalent(u1: UniformRepresentation, u2: UniformRepresentation) -> dict[str, str] | None:
-    """Letter bijection between two representations, or None.
-
-    Synchronized breadth-first traversal from both seeds, matching images
-    position by position and coding outputs token by token.  Both alphabets
-    must be fully reachable from their seeds (minimize first if unsure).
-    """
-    if u1.q != u2.q:
-        return None
-    if set(u1.coding.target.letters) != set(u2.coding.target.letters):
-        return None
-    if len(u1.morphism.alphabet) != len(u2.morphism.alphabet):
-        return None
-    out1, out2 = u1.coding.target.letters, u2.coding.target.letters
-    forward = {u1.seed: u2.seed}
-    used = {u2.seed}
-    queue = [u1.seed]
-    while queue:
-        x = queue.pop(0)
-        y = forward[x]
-        if out1[u1.coding.table[x]] != out2[u2.coding.table[y]]:
-            return None
-        for a, b in zip(u1.morphism.image(x), u2.morphism.image(y)):
-            if a in forward:
-                if forward[a] != b:
-                    return None
-            else:
-                if b in used:
-                    return None
-                forward[a] = b
-                used.add(b)
-                queue.append(a)
-    if len(forward) != len(u1.morphism.alphabet):
-        return None
-    return {
-        u1.morphism.alphabet.letters[a]: u2.morphism.alphabet.letters[b]
-        for a, b in forward.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # non-overlapping k-block morphisms
 

@@ -3,14 +3,14 @@
 Everything here is decided exactly, so no verdict ever depends on floating
 point.  Characteristic polynomials come from the power sums tr(M^k) by
 Newton's identities over Z (Le Verrier's method), each row of M^k packed
-into one integer of fixed-width slots.  Whether the spectral radius is a
-given integer c is read off the signs of the leading principal minors of
-cI - B for each irreducible diagonal block B (one fraction-free
-elimination), and when it is, the Perron vector is back-substituted in
-the rows of that same elimination.  The diagonal
-blocks are the strongly connected components of the support digraph, and
-a matrix is primitive when letter 0 reaches every letter along the rows
-and along the columns and its breadth-first levels give period 1; one
+into one integer of fixed-width slots.  Whether the spectral radius is an
+integer is read off chi alone: only the largest non-negative integer root
+c can be it, and it is exactly when the Taylor coefficients of chi at c
+after the zero ones, those of chi(x + c) / x^m for the multiplicity m, are
+all positive.  The diagonal blocks, which the brackets below work on, are
+the strongly connected components of the support digraph, and a matrix
+is primitive when letter 0 reaches every letter along the rows and along
+the columns and its breadth-first levels give period 1; one
 breadth-first sweep over bitmasks serves both.  A primitive matrix is its
 own single block, so a verdict checks for negative entries once, in
 ``is_primitive``, and splits no digraph.
@@ -42,8 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
-from operator import add, and_, mul, rshift
+from itertools import accumulate, compress, dropwhile, repeat, takewhile
+from operator import add, and_, mul, not_, rshift
 
 from .words import Morphism, parikh_vector
 
@@ -186,14 +186,29 @@ def _deflate(coeffs: tuple[int, ...], root: int) -> tuple[tuple[int, ...], int]:
     return tuple(out[:-1]), out[-1]
 
 
+def _taylor(coeffs: tuple[int, ...], c: int):
+    """The Taylor coefficients a_0, a_1, ..., a_n of a polynomial at c,
+    p(x) = sum a_k (x - c)^k, lazily: a_k is the remainder of the
+    (k + 1)-th synthetic division by (x - c), and at 0 the coefficient of
+    x^k itself."""
+    if not c:
+        yield from reversed(coeffs)
+        return
+    while coeffs:
+        coeffs, rem = _deflate(coeffs, c)
+        yield rem
+
+
 def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
     """All integer roots with multiplicities.
 
     Rational roots of a monic integer polynomial are integers, so this is
     the full list of rational eigenvalues when ``p`` is a characteristic
-    polynomial.  Candidates are 0 and the divisors of the constant term no
-    larger than B = 2 * max_i 2^ceil(bits(c_i) / i), which bounds every root
-    from above by Fujiwara's bound 2 * max_i |c_i|^(1/i).
+    polynomial.  Candidates are 0 and the divisors of the lowest nonzero
+    coefficient no larger than B = 2 * max_i 2^ceil(bits(c_i) / i), which
+    bounds every root from above by Fujiwara's bound 2 * max_i |c_i|^(1/i).
+    A root's multiplicity is the number of its leading zero Taylor
+    coefficients.
 
     At most B divisors are tried, and B <= 8 n rho for degree n and largest
     root modulus rho, since |c_i| <= C(n, i) rho^i and 2^ceil(bits(c_i) / i)
@@ -202,36 +217,21 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
     ``.morph`` input, not exponentially in its bit length.
     """
     coeffs = p.coeffs
-    found: dict[int, int] = {}
-    zero_mult = 0
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
-        zero_mult += 1
-    if zero_mult:
-        found[0] = zero_mult
-    if len(coeffs) > 1:
-        const = abs(coeffs[-1])
-        bound = 2 * max(1 << -(-abs(c).bit_length() // i) for i, c in enumerate(coeffs[1:], 1))
-        divisors = set()
-        for d in range(1, min(bound, math.isqrt(const)) + 1):
-            if const % d == 0:
-                divisors.add(d)
-                if const // d <= bound:
-                    divisors.add(const // d)
-        for d in divisors:
-            for cand in (d, -d):
-                # p and its deflation by x^zero_mult share their nonzero
-                # roots; a root is then deflated while it leaves no
-                # remainder, and a monic constant leaves remainder 1
-                if p(cand):
-                    continue
-                mult = 0
-                work, rem = _deflate(coeffs, cand)
-                while not rem:
-                    work, rem = _deflate(work, cand)
-                    mult += 1
-                found[cand] = mult
-    return tuple(sorted(found.items()))
+    # the nonzero roots are those of p / x^m, whose constant term is this
+    const = abs(next(c for c in reversed(coeffs) if c))
+    bound = 2 * max((1 << -(-abs(c).bit_length() // i) for i, c in enumerate(coeffs[1:], 1)),
+                    default=0)
+    candidates = {0}
+    for d in range(1, min(bound, math.isqrt(const)) + 1):
+        if const % d == 0:
+            candidates |= {d, -d}
+            if const // d <= bound:
+                candidates |= {const // d, -(const // d)}
+    # Horner's rule first: a candidate that is not a root is not expanded
+    return tuple(sorted(
+        (cand, sum(1 for _ in takewhile(not_, _taylor(coeffs, cand))))
+        for cand in candidates if not p(cand)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -422,46 +422,7 @@ def radius_bracket(matrix, tol, *, blocks=None, poly=None) -> RadiusBracket:
 
 
 # ---------------------------------------------------------------------------
-# exact comparison of the spectral radius with an integer
-
-def _radius_elimination(block, c: int) -> tuple[int, list[list[int]]]:
-    """The sign of rho(B) - c for an irreducible nonnegative block B, and
-    the rows of cI - B after the elimination that decided it.
-
-    A = cI - B is a Z-matrix, and it is a nonsingular M-matrix (c > rho(B))
-    exactly when its leading principal minors D_1..D_n are all positive
-    (Berman-Plemmons, ch. 6).  D_k <= 0 for some k < n means c <= rho of a
-    proper principal block, which is < rho(B) since B is irreducible.  With
-    D_1..D_(n-1) > 0 the Schur complement of the leading block is strictly
-    increasing in c and vanishes at rho(B), so D_n has the sign of c - rho(B).
-    Bareiss elimination without pivoting produces the D_k as its pivots;
-    row k of its result, from column k on, is a nonzero multiple of row k
-    of cI - B minus a combination of rows 0..k-1.
-    """
-    n = len(block)
-    a = [[(c if i == j else 0) - block[i][j] for j in range(n)] for i in range(n)]
-    prev = 1
-    for k in range(n - 1):
-        pivot = a[k][k]
-        if pivot <= 0:
-            return 1, a
-        row_k = a[k]
-        for row in a[k + 1 :]:
-            factor = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot * row[j] - factor * row_k[j]) // prev
-        prev = pivot
-    last = a[n - 1][n - 1]
-    return (last < 0) - (last > 0), a
-
-
-def _radius_sign(block, c: int) -> int:
-    """The sign of rho(B) - c for an irreducible nonnegative block B."""
-    return _radius_elimination(block, c)[0]
-
-
-# ---------------------------------------------------------------------------
-# spectral report and Perron frequencies
+# spectral report
 
 @dataclass(frozen=True)
 class SpectralReport:
@@ -489,51 +450,29 @@ class SpectralReport:
 def spectral_report(matrix, *, blocks=None) -> SpectralReport:
     """Decide exactly whether the spectral radius is an integer.
 
-    For a nonnegative matrix the radius is itself an eigenvalue, so if it
-    is an integer it is the largest non-negative integer root c of the
-    characteristic polynomial.  As c is an eigenvalue, rho >= c; so rho = c
-    exactly when no irreducible diagonal block has a radius above c.
-    A caller that has already split the matrix passes its ``blocks``; a
-    primitive matrix is its own single block.
+    For a nonnegative matrix the radius rho is itself an eigenvalue, so if
+    it is an integer it is the largest non-negative integer root c of chi,
+    the characteristic polynomial.  Let m be the multiplicity of c; then
+    rho = c exactly when every Taylor coefficient of chi at c after the m
+    zero ones is positive:
+      1. if rho = c, every other root lambda has |lambda| <= c and
+         lambda != c, so Re(lambda - c) < 0, and chi(x + c) / x^m, whose
+         roots are these lambda - c, is Hurwitz-stable: a real product of
+         factors x + a and x^2 + bx + d with a, b, d > 0;
+      2. if all those coefficients are positive, chi(x + c) has no root
+         x > 0, so the real root rho is <= c, and rho >= c as c is an
+         eigenvalue.
+    This holds for any nonnegative matrix, reducible or not; the bracket
+    checks that the entries are, unless the caller has already split the
+    matrix and passes its ``blocks``.  A primitive matrix is its own single
+    block.
     """
-    if blocks is None:
-        _check_nonnegative(matrix)
-        blocks = _diagonal_blocks(matrix)
     p = char_poly(matrix)
     roots = integer_roots(p)
     bracket = radius_bracket(matrix, _BRACKET_TOL, blocks=blocks, poly=p)
     candidate = max((root for root, _ in roots if root >= 0), default=None)
-    if candidate is None or any(_radius_sign(block, candidate) > 0 for block in blocks):
+    if candidate is None or any(a <= 0 for a in dropwhile(not_, _taylor(p.coeffs, candidate))):
         return SpectralReport(p, roots, bracket, False, None)
     if candidate not in bracket:
         raise InternalArithmeticError(f"integer radius {candidate} lies outside its bracket")
     return SpectralReport(p, roots, bracket, True, candidate)
-
-
-def perron_frequencies(matrix) -> tuple[Fraction, ...] | None:
-    """Exact normalized right Perron eigenvector, for primitive matrices
-    whose dominant eigenvalue is an integer; None otherwise.
-
-    ``spectral_report`` decides whether rho is an integer q.  The
-    elimination of qI - M that shows it leaves the pivots D_1..D_(n-1) > 0
-    and D_n = 0, so M - qI has rank n - 1 and its kernel, the Perron
-    direction, follows by back-substitution in those rows with v_n = 1.
-    """
-    if not is_primitive(matrix):
-        return None
-    report = spectral_report(matrix, blocks=[matrix])
-    if not report.dominant_is_integer:
-        return None
-    _, rows = _radius_elimination(matrix, report.dominant_value)
-    n = len(matrix)
-    v = [Fraction(0)] * n
-    v[n - 1] = Fraction(1)
-    for k in range(n - 2, -1, -1):
-        v[k] = -sum(rows[k][j] * v[j] for j in range(k + 1, n)) / rows[k][k]
-    total = sum(v)
-    if total == 0:
-        raise InternalArithmeticError("degenerate Perron eigenvector")
-    v = [x / total for x in v]
-    if any(x <= 0 for x in v):
-        raise InternalArithmeticError("Perron eigenvector is not positive")
-    return tuple(v)

@@ -1,16 +1,15 @@
-"""Prefix comparison, factor complexity and letter frequencies.
+"""Factor complexity over a finite prefix.
 
-This is the evidence layer: finite-prefix computations that verify
-certificates and attach empirical witnesses to otherwise undecided inputs.
-``factor_complexity``, ``sturmian_witness`` and ``empirical_frequencies``
-accept anything with ``coded_prefix(n)`` and ``output_alphabet`` (morphic
-specs, uniform representations among them, and block certificates) and
-work on that word of output-letter indices, which comes packed, one byte
-per letter, over an output alphabet of at most 256 letters.  Factor
-complexity takes such a word as it is and packs a larger alphabet's word
-into fixed-width items of 2, 4 or 8 bytes, slices byte windows from its
-distinct chunks only, and takes every count from the longest common
-prefixes of the sorted distinct windows.
+This is the evidence layer: finite-prefix computations that attach
+empirical witnesses to otherwise undecided inputs.  ``factor_complexity``
+and ``sturmian_witness`` accept anything with ``coded_prefix(n)`` and
+``output_alphabet`` (morphic specs, uniform representations among them,
+and block certificates) and work on that word of output-letter indices,
+which comes packed, one byte per letter, over an output alphabet of at
+most 256 letters.  Factor complexity takes such a word as it is and packs
+a larger alphabet's word into fixed-width items of 2, 4 or 8 bytes, slices
+byte windows from its distinct chunks only, and takes every count from
+the longest common prefixes of the sorted distinct windows.
 Complexity counts over a finite prefix are lower bounds on the true factor
 complexity and are labelled as such.
 """
@@ -19,10 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
-
-from .words import parikh_vector
 
 VALIDITY_FACTOR = 4  # required ratio between prefix length and window size
 
@@ -50,15 +46,6 @@ class ComplexityProfile:
             "validity_margin": self.validity_margin,
             "lower_bound_only": True,
         }
-
-
-def prefix_equal(first, second, n: int) -> bool:
-    """Whether two generators agree on their first n output letters.
-
-    Accepts anything with a ``prefix(n) -> tuple[str, ...]`` method
-    (morphic specs, uniform representations among them, block morphisms).
-    """
-    return first.prefix(n) == second.prefix(n)
 
 
 def factor_complexity(spec, n_max: int = 30, prefix_length: int = 10_000) -> ComplexityProfile:
@@ -134,12 +121,3 @@ def sturmian_witness(
     profile = factor_complexity(spec, n_max, prefix_length)
     ok = all(profile.p(n) == n + 1 for n in range(1, n_max + 1))
     return ok, profile
-
-
-def empirical_frequencies(spec, prefix_length: int) -> tuple[Fraction, ...]:
-    """Letter counts over a prefix, divided by its length, in output-alphabet
-    order."""
-    if prefix_length < 1:
-        raise ValueError("prefix length must be positive")
-    counts = parikh_vector(spec.coded_prefix(prefix_length), spec.output_alphabet)
-    return tuple(Fraction(c, prefix_length) for c in counts)

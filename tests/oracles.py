@@ -5,9 +5,12 @@ package: token-level string rewriting, the position-letter form of a
 uniform block morphism, cofactor-expansion determinants, the
 Faddeev-LeVerrier recursion, set-based factor counting, strongly connected
 components from set-based reachability, the spectral-radius bracket on
-dense rows, dense matrix products, the left-eigenvector check in
-fractions, and Perron vectors from a scan of the column-sum range with
-rational kernels.
+dense rows, the sign of rho(B) - c from the leading principal minors of
+cI - B, dense matrix products, the left-eigenvector check in fractions,
+and Perron vectors from a scan of the column-sum range with rational
+kernels.  The comparisons of two generated words (``prefix_equal``,
+``iso_equivalent`` and ``empirical_frequencies``) read the words through
+the package's own ``prefix`` and ``coded_prefix``.
 """
 
 from fractions import Fraction
@@ -271,6 +274,51 @@ def dense_irreducible_bracket(block, tol: Fraction, prec: int, max_squarings: in
         x = _dense_round_up((tuple(sum(map(mul, row, x)) for row in power),), prec)[0]
 
 
+def radius_sign(block, c: int) -> int:
+    """The sign of rho(B) - c for an irreducible nonnegative block B.
+
+    A = cI - B is a Z-matrix, and it is a nonsingular M-matrix (c > rho(B))
+    exactly when its leading principal minors D_1..D_n are all positive
+    (Berman-Plemmons, ch. 6).  D_k <= 0 for some k < n means c <= rho of a
+    proper principal block, which is < rho(B) since B is irreducible.  With
+    D_1..D_(n-1) > 0 the Schur complement of the leading block is strictly
+    increasing in c and vanishes at rho(B), so D_n has the sign of c - rho(B).
+    Bareiss elimination without pivoting produces the D_k as its pivots.
+    """
+    n = len(block)
+    a = [[(c if i == j else 0) - block[i][j] for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n - 1):
+        pivot = a[k][k]
+        if pivot <= 0:
+            return 1
+        for row in a[k + 1 :]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - factor * a[k][j]) // prev
+        prev = pivot
+    last = a[n - 1][n - 1]
+    return (last < 0) - (last > 0)
+
+
+def integer_radius(matrix) -> int | None:
+    """The spectral radius of a nonnegative matrix if it is an integer, else
+    None.  rho lies between the smallest and the largest column sum, and
+    rho = max rho(B) over the irreducible diagonal blocks B; the first c
+    from the smallest column sum up with no block of radius above c, by
+    ``radius_sign``, is the ceiling of rho."""
+    n = len(matrix)
+    blocks = [
+        tuple(tuple(matrix[i][j] for j in comp) for i in comp) for comp in naive_components(matrix)
+    ]
+    sums = [sum(row[j] for row in matrix) for j in range(n)]
+    for c in range(min(sums), max(sums) + 1):
+        sign = max(radius_sign(block, c) for block in blocks)
+        if sign <= 0:
+            return c if sign == 0 else None
+    raise AssertionError("oracle: the radius exceeds the largest column sum")
+
+
 def _rational_kernel(rows) -> list[list[Fraction]]:
     """A basis of the right kernel of a square matrix, by Gauss-Jordan
     elimination over the rationals."""
@@ -319,3 +367,61 @@ def column_sum_scan_perron(matrix) -> tuple[Fraction, ...] | None:
             if v is not None and all(x > 0 for x in v):
                 return v
     return None
+
+
+def prefix_equal(first, second, n: int) -> bool:
+    """Whether two generators agree on their first n output letters.
+
+    Accepts anything with a ``prefix(n) -> tuple[str, ...]`` method
+    (morphic specs, uniform representations among them, block morphisms).
+    """
+    return first.prefix(n) == second.prefix(n)
+
+
+def empirical_frequencies(spec, prefix_length: int) -> tuple[Fraction, ...]:
+    """Letter counts over a coded prefix, divided by its length, in
+    output-alphabet order."""
+    if prefix_length < 1:
+        raise ValueError("prefix length must be positive")
+    word = spec.coded_prefix(prefix_length)
+    return tuple(Fraction(word.count(i), prefix_length) for i in range(len(spec.output_alphabet)))
+
+
+def iso_equivalent(u1, u2) -> dict[str, str] | None:
+    """Letter bijection between two uniform representations, or None.
+
+    Synchronized breadth-first traversal from both seeds, matching images
+    position by position and coding outputs token by token.  Both alphabets
+    must be fully reachable from their seeds (minimize first if unsure).
+    """
+    if u1.q != u2.q:
+        return None
+    if set(u1.coding.target.letters) != set(u2.coding.target.letters):
+        return None
+    if len(u1.morphism.alphabet) != len(u2.morphism.alphabet):
+        return None
+    out1, out2 = u1.coding.target.letters, u2.coding.target.letters
+    forward = {u1.seed: u2.seed}
+    used = {u2.seed}
+    queue = [u1.seed]
+    while queue:
+        x = queue.pop(0)
+        y = forward[x]
+        if out1[u1.coding.table[x]] != out2[u2.coding.table[y]]:
+            return None
+        for a, b in zip(u1.morphism.image(x), u2.morphism.image(y)):
+            if a in forward:
+                if forward[a] != b:
+                    return None
+            else:
+                if b in used:
+                    return None
+                forward[a] = b
+                used.add(b)
+                queue.append(a)
+    if len(forward) != len(u1.morphism.alphabet):
+        return None
+    return {
+        u1.morphism.alphabet.letters[a]: u2.morphism.alphabet.letters[b]
+        for a, b in forward.items()
+    }

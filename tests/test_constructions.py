@@ -10,16 +10,14 @@ from morphauto import (
     UniformRepresentation,
     block_morphism,
     cup_transform,
-    iso_equivalent,
     minimize_uniform,
     parse_morphism,
-    prefix_equal,
     reshuffle_uniformize,
     verify_back,
 )
 from morphauto.constructions import BlockConstructionError, representation_from_spec
 
-from oracles import block_to_uniform, naive_iterate, rules_of
+from oracles import block_to_uniform, iso_equivalent, naive_iterate, prefix_equal, rules_of
 from strategies import PROPERTY, prolongable_specs
 
 COLLIDING_BLOCKS = (

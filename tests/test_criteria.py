@@ -31,10 +31,9 @@ from morphauto.constructions import (
     reshuffle_uniformize,
 )
 from morphauto.criteria import BlockCertificate, _verify_certificate
-from morphauto.linalg import _radius_sign
 
 from family import coverage
-from oracles import naive_iterate, rules_of
+from oracles import naive_iterate, radius_sign, rules_of
 from strategies import PROPERTY, prolongable_specs
 
 # The (name, status) of every stage analyze records on each corpus entry, in
@@ -457,7 +456,7 @@ class TestAnalyze:
 
         def sign(value):
             scaled = tuple(tuple(value.denominator * entry for entry in row) for row in m)
-            return _radius_sign(scaled, value.numerator)
+            return radius_sign(scaled, value.numerator)
 
         assert sign(lo) >= 0 and sign(hi) <= 0
 

@@ -15,7 +15,6 @@ from morphauto import (
     irrationality_verdict,
     is_primitive,
     parse_morphism,
-    perron_frequencies,
     radius_bracket,
     spectral_report,
 )
@@ -23,7 +22,6 @@ from morphauto import linalg
 from morphauto.linalg import (
     InternalArithmeticError,
     RadiusBracket,
-    _radius_sign,
     _strongly_connected_components,
 )
 
@@ -32,11 +30,13 @@ from oracles import (
     column_sum_scan_perron,
     dense_irreducible_bracket,
     faddeev_leverrier_charpoly,
+    integer_radius,
     left_eigencheck,
     mat_mul,
     naive_bool_power_positive,
     naive_charpoly,
     naive_components,
+    radius_sign,
 )
 
 
@@ -88,9 +88,8 @@ def _spectral_morphisms(monkeypatch, seeds):
 
 
 def _hessenberg_before(rng, n, k):
-    """A random signed n x n matrix whose columns 0..k-1 are already upper
-    Hessenberg with a nonzero subdiagonal: a Hessenberg reduction would find
-    every multiplier of its steps 0..k-1 zero and reach step k unchanged."""
+    """A random signed n x n matrix whose columns 0..k-1 are upper
+    Hessenberg (zero below the subdiagonal) with a nonzero subdiagonal."""
     values = (-3, -2, -1, 1, 2, 3, 4)
     return [[rng.choice(values) if j >= k or i <= j + 1 else 0 for j in range(n)] for i in range(n)]
 
@@ -125,25 +124,35 @@ class TestCharPoly:
     def test_against_faddeev_leverrier(self):
         # signed entries, read with 2^(W-1) added to every slot, give
         # negative and positive coefficients; the 2^200 entries make slots
-        # of some 1600 bits
+        # of some 1600 bits.  Then singular shapes: a nilpotent shift, a
+        # repeated row, mostly zero columns, and an upper Hessenberg matrix
+        # with one zero subdiagonal entry
         rng = random.Random(31337)
-        for n, span in [(1, 5), (2, 5), (3, 9), (5, 3), (8, 2**200), (13, 4), (21, 3), (32, 2)]:
-            for _ in range(3):
-                m = tuple(tuple(rng.randint(-span, span) for _ in range(n)) for _ in range(n))
-                assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
-
-    def test_singular_and_hessenberg_shapes(self):
-        # zero columns below the diagonal, a nilpotent shift and a repeated
-        # row: the skipped steps and zero pivots of a Hessenberg reduction
+        inputs = [
+            tuple(tuple(rng.randint(-span, span) for _ in range(n)) for _ in range(n))
+            for n, span in [(1, 5), (2, 5), (3, 9), (5, 3), (8, 2**200), (13, 4), (21, 3), (32, 2)]
+            for _ in range(3)
+        ]
         shift = tuple(tuple(int(j == i + 1) for j in range(6)) for i in range(6))
         assert char_poly(shift).coeffs == (1, 0, 0, 0, 0, 0, 0)
-        for m in (((1, 2, 3), (1, 2, 3), (4, 5, 6)), ((0, 0, 7), (0, 0, 0), (1, 0, 0))):
-            assert list(char_poly(m).coeffs) == naive_charpoly(m)
+        hessenberg = _hessenberg_before(random.Random(7), 8, 7)
+        hessenberg[4][3] = 0
+        inputs += [
+            shift,
+            ((1, 2, 3), (1, 2, 3), (4, 5, 6)),
+            ((0, 0, 7), (0, 0, 0), (1, 0, 0)),
+            tuple(map(tuple, hessenberg)),
+        ]
+        for m in inputs:
+            expected = faddeev_leverrier_charpoly(m)
+            assert list(char_poly(m).coeffs) == expected, m
+            if len(m) <= 6:
+                assert naive_charpoly(m) == expected, m
 
     @pytest.mark.parametrize("k", [0, 1, 3, 6])
     def test_zero_pivot_swaps_rows_and_columns(self, k):
-        # h[k+1][k] = 0 with a nonzero entry lower down: a Hessenberg
-        # reduction would swap rows and columns k+1 and pivot at step k
+        # upper Hessenberg in columns 0..k-1, and column k zero below the
+        # diagonal but for one entry two or more rows down
         rng = random.Random(k)
         m = _hessenberg_before(rng, 9, k)
         for i in range(k + 1, 9):
@@ -152,16 +161,10 @@ class TestCharPoly:
         m = tuple(map(tuple, m))
         assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
 
-    def test_steps_whose_multipliers_are_all_zero(self):
-        # already upper Hessenberg, with one zero subdiagonal entry
-        rng = random.Random(7)
-        m = _hessenberg_before(rng, 8, 7)
-        m[4][3] = 0
-        m = tuple(map(tuple, m))
-        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
-
     @pytest.mark.parametrize("k, row", [(0, 2), (0, 8), (2, 5), (5, 8), (6, 8)])
     def test_step_with_exactly_one_nonzero_multiplier(self, k, row):
+        # upper Hessenberg in columns 0..k-1, and column k has one nonzero
+        # entry below the subdiagonal, in ``row``
         rng = random.Random(10 * k + row)
         m = _hessenberg_before(rng, 9, k)
         for i in range(k + 2, 9):
@@ -655,6 +658,65 @@ class TestSpectralReport:
         with pytest.raises(InternalArithmeticError, match="outside its bracket"):
             spectral_report(incidence(istrail.morphism).matrix)
 
+    def test_decided_inside_a_wide_bracket(self, monkeypatch):
+        # the bracket cannot rule the candidate out here, so the Taylor
+        # coefficients decide alone.  chi = (x - 1)(x^2 - 5x + 5)
+        # = (x - 1)^3 - 3(x - 1)^2 + (x - 1) has chi'(1) = 1 > 0, yet
+        # rho = (5 + sqrt 5) / 2: every coefficient after the zero ones
+        # must be positive, not only the first
+        monkeypatch.setattr(linalg, "radius_bracket", lambda *a, **k: RadiusBracket(0, 10))
+        rep = spectral_report(((1, 0, 0), (0, 2, 1), (0, 1, 3)))
+        assert rep.char_poly.coeffs == (1, -6, 10, -5)
+        assert list(linalg._taylor(rep.char_poly.coeffs, 1)) == [0, 1, -3, 1]
+        assert dict(rep.integer_roots) == {1: 1}
+        assert not rep.dominant_is_integer and rep.dominant_value is None
+        rep = spectral_report(((2, 0, 0), (0, 1, 1), (0, 1, 0)))
+        assert rep.dominant_is_integer and rep.dominant_value == 2
+
+    def test_agrees_with_the_signs_of_the_minors(self):
+        # the decision from chi against the leading principal minors of
+        # cI - B over the diagonal blocks B, on 2000 matrices of at most 10
+        # letters: reducible ones, direct sums of two blocks with equal
+        # radii, constant column sums and repeated columns
+        rng = random.Random(2200)
+        kinds = ("reducible", "equal radii", "constant column sums", "repeated columns")
+        decided = {"integer": 0, "irrational": 0, "integer root below rho": 0}
+        for t in range(2000):
+            kind = kinds[t % 4]
+            if kind == "reducible":
+                blocks = [_random_irreducible_block(rng) for _ in range(rng.randint(2, 3))]
+                while sum(map(len, blocks)) > 10:
+                    blocks.pop()
+                m = _block_triangular(blocks, rng)
+            elif kind == "equal radii":
+                first = _random_irreducible_block(rng)
+                if rng.random() < 0.5:
+                    second = _permuted(first, _shuffled(rng, len(first)))
+                else:
+                    q = rng.randint(1, 4)
+                    first = _constant_column_sums(rng, rng.randint(1, 5), q)
+                    second = _constant_column_sums(rng, rng.randint(1, 5), q)
+                m = _block_triangular([first, second], rng, coupling=(0,))
+            elif kind == "constant column sums":
+                m = _constant_column_sums(rng, rng.randint(1, 10), rng.randint(1, 5))
+            else:
+                r = rng.randint(2, 10)
+                rows = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(r)] for _ in range(r)]
+                for _ in range(rng.randint(1, r - 1)):
+                    i, j = rng.sample(range(r), 2)
+                    for row in rows:
+                        row[j] = row[i]
+                m = tuple(map(tuple, rows))
+            m = _permuted(m, _shuffled(rng, len(m)))
+            rep = spectral_report(m)
+            assert rep.dominant_value == integer_radius(m), (kind, m)
+            if rep.dominant_is_integer:
+                decided["integer"] += 1
+            else:
+                decided["irrational"] += 1
+                decided["integer root below rho"] += any(root >= 0 for root, _ in rep.integer_roots)
+        assert min(decided.values()) >= 200, decided
+
 
 class TestOneSplitPerVerdict:
     # a primitive matrix is its own single block, and is_primitive decides
@@ -686,13 +748,6 @@ class TestOneSplitPerVerdict:
             fired += irrationality_verdict(m) is not None
             assert calls == self.CHECK_ONLY
         assert fired > 10
-
-    def test_perron_frequencies(self, monkeypatch, thue_morse, fibonacci):
-        calls = self._record_calls(monkeypatch)
-        for spec, found in ((thue_morse, True), (fibonacci, False)):
-            calls.clear()
-            assert (perron_frequencies(incidence(spec.morphism).matrix) is not None) is found
-            assert calls == self.CHECK_ONLY
 
     def test_reducible_reports_split_themselves(self, monkeypatch, lysenok):
         # called without blocks, the report splits the matrix itself, once;
@@ -762,7 +817,16 @@ def _random_irreducible_block(rng):
     return tuple(map(tuple, rows))
 
 
-def _block_triangular(blocks, rng):
+def _constant_column_sums(rng, r, q):
+    """An r x r matrix whose columns each sum to q, so that rho = q."""
+    m = [[0] * r for _ in range(r)]
+    for j in range(r):
+        for _ in range(q):
+            m[rng.randrange(r)][j] += 1
+    return tuple(map(tuple, m))
+
+
+def _block_triangular(blocks, rng, coupling=(0, 0, 1, 5)):
     n = sum(map(len, blocks))
     rows = [[0] * n for _ in range(n)]
     start = 0
@@ -772,7 +836,7 @@ def _block_triangular(blocks, rng):
             for j in range(k):
                 rows[start + i][start + j] = block[i][j]
             for j in range(start + k, n):
-                rows[start + i][j] = rng.choice((0, 0, 1, 5))
+                rows[start + i][j] = rng.choice(coupling)
         start += k
     return tuple(map(tuple, rows))
 
@@ -783,24 +847,26 @@ def _assert_bracket_holds(br, blocks):
 
     def signs(value):
         q, p = value.denominator, value.numerator
-        return [_radius_sign(tuple(tuple(q * e for e in row) for row in b), p) for b in blocks]
+        return [radius_sign(tuple(tuple(q * e for e in row) for row in b), p) for b in blocks]
 
     assert max(signs(br.lo)) >= 0
     assert max(signs(br.hi)) <= 0
 
 
 class TestRadiusSign:
+    # the oracle's sign of rho(B) - c, and the report's decision on
+    # reducible matrices
     def test_grig_aca_aba_between_two_and_three(self, grig_aca_aba):
         m = incidence(grig_aca_aba.morphism).matrix  # rho ~ 2.76
-        assert _radius_sign(m, 2) == 1
-        assert _radius_sign(m, 3) == -1
+        assert radius_sign(m, 2) == 1
+        assert radius_sign(m, 3) == -1
 
     def test_integer_radius_gives_zero(self, istrail):
         m = incidence(istrail.morphism).matrix
-        assert [_radius_sign(m, c) for c in (1, 2, 3)] == [1, 0, -1]
+        assert [radius_sign(m, c) for c in (1, 2, 3)] == [1, 0, -1]
 
     def test_scalar_block(self):
-        assert [_radius_sign(((0,),), c) for c in (0, 1)] == [0, -1]
+        assert [radius_sign(((0,),), c) for c in (0, 1)] == [0, -1]
 
     def test_fibonacci_block_plus_one_is_not_integer(self):
         # charpoly (x^2 - x - 1)(x - 1): 1 is a root, the radius is phi
@@ -825,25 +891,29 @@ class TestRadiusSign:
 
 
 class TestPerron:
+    # the Perron root of primitive matrices, decided from chi, next to the
+    # Perron vector that the column-sum scan finds for it
     def test_period_doubling(self, period_doubling):
         m = incidence(period_doubling.morphism).matrix
         assert m == ((1, 2), (1, 0))
-        assert perron_frequencies(m) == (Fraction(2, 3), Fraction(1, 3))
+        assert spectral_report(m).dominant_value == 2
+        assert column_sum_scan_perron(m) == (Fraction(2, 3), Fraction(1, 3))
 
     def test_symmetric_uniform(self, thue_morse):
         m = incidence(thue_morse.morphism).matrix
-        assert perron_frequencies(m) == (Fraction(1, 2), Fraction(1, 2))
+        assert spectral_report(m).dominant_value == 2
+        assert column_sum_scan_perron(m) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_fibonacci_empty(self, fibonacci):
-        assert perron_frequencies(incidence(fibonacci.morphism).matrix) is None
-
-    def test_non_primitive_empty(self, lysenok):
-        assert perron_frequencies(incidence(lysenok.morphism).matrix) is None
+        m = incidence(fibonacci.morphism).matrix
+        assert spectral_report(m).dominant_value is None
+        assert column_sum_scan_perron(m) is None
 
     def test_lysenok_psi_exact(self, lysenok_psi):
         # hand oracle: solve Mv = 2v, sum v = 1 for the 2-uniform psi
         m = incidence(lysenok_psi.morphism).matrix
-        v = perron_frequencies(m)
+        assert spectral_report(m).dominant_value == 2
+        v = column_sum_scan_perron(m)
         assert v == (Fraction(1, 2), Fraction(1, 7), Fraction(2, 7), Fraction(1, 14))
         for i in range(4):
             assert sum(m[i][j] * v[j] for j in range(4)) == 2 * v[i]
@@ -858,32 +928,33 @@ class TestPerron:
                 m[i][j] += 1
         m = tuple(map(tuple, m))
         assert is_primitive(m)
-        v = perron_frequencies(m)
+        assert spectral_report(m, blocks=[m]).dominant_value == 3
+        v = column_sum_scan_perron(m)
         assert sum(v) == 1 and all(x > 0 for x in v)
         for i in range(r):
             assert sum(m[i][j] * v[j] for j in range(r)) == 3 * v[i]
 
-
     def test_matches_the_column_sum_scan(self):
         # half the matrices have constant column sums, so an integer rho;
-        # the others mostly have an irrational one
+        # the others mostly have an irrational one.  The scan finds a
+        # positive eigenvector exactly when rho is an integer
         rng = random.Random(1313)
         checked = integer = 0
         while checked < 200:
             r = rng.randint(1, 8)
             if checked % 2:
-                m = [[0] * r for _ in range(r)]
-                q = rng.randint(1, 5)
-                for j in range(r):
-                    for _ in range(q):
-                        m[rng.randrange(r)][j] += 1
+                m = _constant_column_sums(rng, r, rng.randint(1, 5))
             else:
-                m = [[rng.choice((0, 0, 1, 2, 3)) for _ in range(r)] for _ in range(r)]
-            m = tuple(map(tuple, m))
+                m = tuple(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(r)) for _ in range(r))
             if not _wielandt(m):
                 continue
-            v = perron_frequencies(m)
-            assert v == column_sum_scan_perron(m), m
+            rep, v = spectral_report(m, blocks=[m]), column_sum_scan_perron(m)
+            assert rep.dominant_is_integer is (v is not None), m
+            if v is not None:
+                assert all(
+                    sum(m[i][j] * v[j] for j in range(r)) == rep.dominant_value * v[i]
+                    for i in range(r)
+                ), m
             checked += 1
             integer += v is not None
         assert integer > 100
@@ -894,14 +965,11 @@ class TestPerron:
         checked = 0
         while checked < 150:
             r, q = rng.randint(1, 12), rng.randint(1, 5)
-            m = [[0] * r for _ in range(r)]
-            for j in range(r):
-                for _ in range(q):
-                    m[rng.randrange(r)][j] += 1
-            m = tuple(map(tuple, m))
+            m = _constant_column_sums(rng, r, q)
             if not _wielandt(m):
                 continue
-            v = perron_frequencies(m)
+            assert spectral_report(m, blocks=[m]).dominant_value == q
+            v = column_sum_scan_perron(m)
             assert sum(v) == 1 and all(x > 0 for x in v)
             for i in range(r):
                 assert sum(m[i][j] * v[j] for j in range(r)) == q * v[i]

@@ -23,7 +23,6 @@ from morphauto import (
     minimize_uniform,
     parikh_vector,
     parse_morphism,
-    prefix_equal,
     analyze,
     char_poly,
     reshuffle_uniformize,
@@ -31,7 +30,7 @@ from morphauto import (
 )
 from morphauto.constructions import representation_from_spec
 
-from oracles import left_eigencheck, mat_mul, naive_charpoly
+from oracles import left_eigencheck, mat_mul, naive_charpoly, prefix_equal
 
 TOKENS = ("a", "b", "c", "d", "e")
 

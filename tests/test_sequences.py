@@ -8,17 +8,22 @@ from hypothesis import strategies as st
 
 from morphauto import (
     Alphabet,
-    empirical_frequencies,
     factor_complexity,
     incidence,
     parse_morphism,
-    perron_frequencies,
-    prefix_equal,
     sturmian_witness,
 )
 from morphauto.constructions import minimize_uniform, reshuffle_uniformize
 
-from oracles import golden_ratio_frequencies, naive_factor_count, naive_iterate, rules_of
+from oracles import (
+    column_sum_scan_perron,
+    empirical_frequencies,
+    golden_ratio_frequencies,
+    naive_factor_count,
+    naive_iterate,
+    prefix_equal,
+    rules_of,
+)
 from strategies import PROPERTY, prolongable_specs
 
 
@@ -249,7 +254,7 @@ class TestEmpiricalFrequencies:
     def test_period_doubling_near_perron(self, period_doubling):
         n = 3 * 2**10
         emp = empirical_frequencies(period_doubling, n)
-        perron = perron_frequencies(incidence(period_doubling.morphism).matrix)
+        perron = column_sum_scan_perron(incidence(period_doubling.morphism).matrix)
         assert max(abs(e - p) for e, p in zip(emp, perron)) <= Fraction(10, n)
 
     def test_constant(self):
@@ -261,12 +266,12 @@ class TestEmpiricalFrequencies:
         inv_phi, complement = golden_ratio_frequencies()
         assert abs(emp[0] - inv_phi) < Fraction(1, 1000)
         assert abs(emp[1] - complement) < Fraction(1, 1000)
-        assert perron_frequencies(incidence(fibonacci.morphism).matrix) is None
+        assert column_sum_scan_perron(incidence(fibonacci.morphism).matrix) is None
 
     def test_two_scale_improvement(self, period_doubling, thue_morse, lysenok_psi):
         # the deviation bound C/N must hold at N and keep holding at 2N
         for spec in (period_doubling, thue_morse, lysenok_psi):
-            perron = perron_frequencies(incidence(spec.morphism).matrix)
+            perron = column_sum_scan_perron(incidence(spec.morphism).matrix)
             for n in (3001, 6002):
                 emp = empirical_frequencies(spec, n)
                 bound = Fraction(16, n)
