@@ -234,6 +234,7 @@ def _block_token(alphabet: Alphabet, block: Word) -> str:
 
 
 _MAX_BLOCKS = 20_000  # the closure bound on distinct blocks
+_SHOWN_LETTERS = 16  # a longer block is named by its first letters and length
 
 
 def block_morphism(spec: MorphicSpec, k: int) -> BlockMorphism:
@@ -255,8 +256,12 @@ def block_morphism(spec: MorphicSpec, k: int) -> BlockMorphism:
         img = m.apply(block)
         if len(img) % k:
             token = _block_token(m.alphabet, block)
+            name = repr(token)
+            if len(block) > _SHOWN_LETTERS:
+                shown = _block_token(m.alphabet, block[:_SHOWN_LETTERS]) + "…"
+                name = f"{shown!r} ({len(block)} letters)"
             raise BlockConstructionError(
-                f"image of block {token!r} has length {len(img)}, not a multiple of {k}", token
+                f"image of block {name} has length {len(img)}, not a multiple of {k}", token
             )
         row = []
         for start in range(0, len(img), k):

@@ -23,9 +23,13 @@ integer arithmetic on a grid of step 2^-s.  Why every bracket holds:
   2. No derivative of chi has a real root above rho (Gauss-Lucas), so chi
      is positive, increasing and convex on (rho, oo).
   3. A Newton step from u > rho therefore lands in [rho, u), and rounding
-     it up onto the grid keeps it an upper bound; the first u is the
+     it up onto the grid keeps it an upper bound.  The first u is the
      smaller of the largest row sum and the largest column sum, each of
-     which is >= rho since rho(B) = rho(B^T).
+     which is >= rho since rho(B) = rho(B^T), or, when lower, the first
+     grid point strictly above chi's ``root_bound``: the Collatz-Wielandt
+     bound from the column sums of B^(n-1) and B^n, which ``char_poly``
+     reads off its last two powers.  Above, not at, since that bound is
+     rho itself when L B = q L.
   4. A real t with chi(t) <= 0 is <= rho: by 2 if chi(t) < 0, and by 1 if
      t is a root.  So each proven lower end costs one evaluation.
   5. The larger of the smallest row sum and the smallest column sum is
@@ -40,7 +44,7 @@ source letters and column sums equal the image lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, dropwhile, repeat, takewhile
 from operator import add, and_, mul, not_, rshift
@@ -93,9 +97,14 @@ def incidence(m: Morphism) -> IncidenceData:
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """A monic polynomial with integer coefficients, leading term first."""
+    """A monic polynomial with integer coefficients, leading term first.
+
+    ``root_bound``, which ``char_poly`` fills in, is an upper bound on the
+    spectral radius of the matrix the polynomial came from, or None.  It
+    takes no part in equality, hashing or repr."""
 
     coeffs: tuple[int, ...]
+    root_bound: Fraction | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.coeffs or self.coeffs[0] != 1:
@@ -144,15 +153,25 @@ def char_poly(matrix) -> IntPolynomial:
     the sum of the diagonal slots.  Newton's identities then give
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), and a division that
     leaves a remainder is an internal error.
+
+    The result's ``root_bound`` is max_j (1^T M^n)_j / (1^T M^(n-1))_j,
+    an upper bound on rho(M) by Collatz-Wielandt for the positive vector
+    1^T M^(n-1) (Horn-Johnson, Matrix Analysis, §8.1).  The column sums
+    1^T M^k are the sum of the packed rows of M^k, with no carry between
+    slots for M >= 0, as they are at most L^n < 2^(W-2).  It is None when
+    M has a negative entry or some column sum of M^(n-1) is 0, which for
+    M >= 0 and n >= 2 happens exactly when M has a zero column.
     """
     n = len(matrix)
     width = (max((sum(map(abs, col)) for col in zip(*matrix)), default=0) ** n).bit_length() + 2
     mask = (1 << width) - 1
     shifts = range(0, width * n, width)
     half = 1 << (width - 1) if min(map(min, matrix), default=0) < 0 else 0
-    offset = half * ((1 << width * n) - 1) // mask  # half in every slot
+    ones = ((1 << width * n) - 1) // mask  # 1 in every slot: 1^T M^0
+    offset = half * ones
     rows = [[(j, m) for j, m in enumerate(row) if m] for row in matrix]
     power = [sum(m << width * j for j, m in row) for row in rows]
+    before = ones
     sums = []
     for k in range(n):
         read = map(add, power, repeat(offset)) if half else power
@@ -164,6 +183,8 @@ def char_poly(matrix) -> IntPolynomial:
                 for j, m in row:
                     acc += power[j] if m == 1 else power[j] * m
                 nxt.append(acc)
+            if k == n - 2:
+                before = sum(power)
             power = nxt
     coeffs = [1]
     for k in range(1, n + 1):
@@ -171,7 +192,21 @@ def char_poly(matrix) -> IntPolynomial:
         if rem:
             raise InternalArithmeticError(f"power sums fail Newton's identity at c_{k}")
         coeffs.append(c)
-    return IntPolynomial(tuple(coeffs))
+    bound = None if half else _column_ratio_bound(sum(power), before, shifts, mask)
+    return IntPolynomial(tuple(coeffs), bound)
+
+
+def _column_ratio_bound(after: int, before: int, shifts, mask: int) -> Fraction | None:
+    # the largest slot ratio after_j / before_j, None if some before_j is 0
+    p, q = 0, 1
+    for shift in shifts:
+        b = before >> shift & mask
+        if not b:
+            return None
+        a = after >> shift & mask
+        if a * q > p * b:
+            p, q = a, b
+    return Fraction(p, q)
 
 
 class InternalArithmeticError(AssertionError):
@@ -354,22 +389,27 @@ def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
     as rho(B) = rho(B^T); the lower end starts at the larger of the two
     minima, and the bracket is pinned when the row sums or the column sums
     are all equal.  Otherwise, on a grid of step 2^-s, the upper end a
-    starts at the smaller of the two maxima and steps to a - P // Q, P and
-    Q being chi and chi' at a scaled to integers: Newton's iterate, rounded
-    up.  Once a step would move a by less than one grid step, a - 1 becomes
-    the lower end if chi(a - 1) <= 0, and the grid is refined while the
-    bracket is still wider than tol.  Returns (lo, hi, loose).
+    starts at the smaller of the two maxima or, if lower, at the first grid
+    point strictly above chi's ``root_bound`` p/q, floor(2^s p / q) + 1.
+    It then steps to a - P // Q, P and Q being chi and chi' at a scaled to
+    integers: Newton's iterate, rounded up.  Once a step would move a by
+    less than one grid step, a - 1 becomes the lower end if
+    chi(a - 1) <= 0, and the grid is refined while the bracket is still
+    wider than tol.  Returns (lo, hi, loose).
     """
     rows, cols = list(map(sum, block)), list(map(sum, zip(*block)))
     low, high = max(min(rows), min(cols)), min(max(rows), max(cols))
     tn, td = tol.numerator, tol.denominator
     if (high - low) * td <= tn:
         return Fraction(low), Fraction(high), False
-    coeffs = (char_poly(block) if poly is None else poly).coeffs
+    poly = char_poly(block) if poly is None else poly
     s_tol = (-(-td // tn) - 1).bit_length()  # the coarsest grid with 2^-s <= tol
     s = min(s_tol, _GRID_BITS)
     a, lo = high << s, low << s  # the ends of the bracket, in units of 2^-s
-    scaled = [c << s * k for k, c in enumerate(coeffs)]
+    if poly.root_bound is not None:
+        # strictly above the bound, which is rho itself when L B = q L
+        a = min(a, (poly.root_bound.numerator << s) // poly.root_bound.denominator + 1)
+    scaled = [c << s * k for k, c in enumerate(poly.coeffs)]
     while True:
         if a < low << s:
             raise InternalArithmeticError(

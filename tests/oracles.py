@@ -5,12 +5,13 @@ package: token-level string rewriting, the position-letter form of a
 uniform block morphism, cofactor-expansion determinants, the
 Faddeev-LeVerrier recursion, set-based factor counting, strongly connected
 components from set-based reachability, the spectral-radius bracket on
-dense rows, the sign of rho(B) - c from the leading principal minors of
-cI - B, dense matrix products, the left-eigenvector check in fractions,
-and Perron vectors from a scan of the column-sum range with rational
-kernels.  The comparisons of two generated words (``prefix_equal``,
-``iso_equivalent`` and ``empirical_frequencies``) read the words through
-the package's own ``prefix`` and ``coded_prefix``.
+dense rows, Newton's bracket started from the row and column sums with
+chi evaluated term by term, the sign of rho(B) - c from the leading
+principal minors of cI - B, dense matrix products, the left-eigenvector
+check in fractions, and Perron vectors from a scan of the column-sum range
+with rational kernels.  The comparisons of two generated words
+(``prefix_equal``, ``iso_equivalent`` and ``empirical_frequencies``) read
+the words through the package's own ``prefix`` and ``coded_prefix``.
 """
 
 from fractions import Fraction
@@ -272,6 +273,53 @@ def dense_irreducible_bracket(block, tol: Fraction, prec: int, max_squarings: in
             power = _dense_round_up(mat_mul(power, power), prec)
             squarings += 1
         x = _dense_round_up((tuple(sum(map(mul, row, x)) for row in power),), prec)[0]
+
+
+def _scaled_chi(coeffs, s: int, a: int) -> tuple[int, int]:
+    # 2^(sn) chi(t) and 2^(s(n-1)) chi'(t) at t = a / 2^s, term by term
+    n = len(coeffs) - 1
+    value = sum(c * a ** (n - k) << s * k for k, c in enumerate(coeffs))
+    slope = sum((n - k) * c * a ** (n - k - 1) << s * k for k, c in enumerate(coeffs[:-1]))
+    return value, slope
+
+
+def row_sum_start_bracket(block, tol: Fraction, coeffs, grid_bits: int, max_grid_bits: int):
+    """Newton's bracket of rho(B) for an irreducible block B with
+    characteristic polynomial ``coeffs``, started from the smaller of the
+    largest row sum and the largest column sum.
+
+    The lower end starts at the larger of the two smallest sums, and both
+    ends are pinned when they are within tol.  On a grid of step 2^-s, s
+    the smallest with 2^-s <= tol but at most ``grid_bits``, the upper end
+    a steps to a - P // Q, P and Q being chi and chi' at a scaled to
+    integers, while P >= Q; then a - 1 becomes the lower end if chi is not
+    positive there, and the grid is refined by max(s, grid_bits) bits
+    while the bracket is wider than tol, up to ``max_grid_bits``.  Returns
+    (lo, hi, loose)."""
+    row_sums = [sum(row) for row in block]
+    col_sums = [sum(col) for col in zip(*block)]
+    low = max(min(row_sums), min(col_sums))
+    high = min(max(row_sums), max(col_sums))
+    if high - low <= tol:
+        return Fraction(low), Fraction(high), False
+    s = 0
+    while Fraction(1, 2**s) > tol and s < grid_bits:
+        s += 1
+    a, lo = high * 2**s, low * 2**s
+    while True:
+        value, slope = _scaled_chi(coeffs, s, a)
+        assert value > 0 and slope > 0, "oracle: Newton iterate is not above the Perron root"
+        if value >= slope:
+            a -= value // slope
+            continue
+        if lo < a - 1 and _scaled_chi(coeffs, s, a - 1)[0] <= 0:
+            lo = a - 1
+        if Fraction(a - lo, 2**s) <= tol:
+            return Fraction(lo, 2**s), Fraction(a, 2**s), False
+        if s >= max_grid_bits:
+            return Fraction(lo, 2**s), Fraction(a, 2**s), True
+        extra = max(s, grid_bits)
+        s, a, lo = s + extra, a * 2**extra, lo * 2**extra
 
 
 def radius_sign(block, c: int) -> int:

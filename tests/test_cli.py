@@ -42,6 +42,12 @@ class TestAnalyzeCommand:
         out = capsys.readouterr().out
         assert "NotAutomatic" in out and "charpoly x^4 - 2*x^3 - 2*x^2 - x + 2" in out
 
+    def test_block_failures_grow_linearly_in_kmax(self, corpus_path, capsys):
+        # one failure per k; naming each whole k-letter block made the
+        # output quadratic in kmax (105903 bytes here)
+        assert main(["analyze", morph(corpus_path, "fibonacci"), "--kmax", "400"]) == 0
+        assert len(capsys.readouterr().out.encode()) < 120 * 400
+
     def test_json_reports_validate(self, corpus_path, capsys, schema):
         for name in ("lysenok", "grig_aca_aba", "benli", "a285249"):
             assert main(["analyze", morph(corpus_path, name), "--json"]) == 0
@@ -221,6 +227,13 @@ class TestOtherCommands:
     def test_blocks_failure(self, corpus_path, capsys):
         assert main(["blocks", morph(corpus_path, "fib_bc"), "-k", "2"]) == 1
         assert "not a multiple" in capsys.readouterr().err
+
+    def test_long_block_is_named_by_its_first_letters_and_length(self, corpus_path, capsys):
+        assert main(["blocks", morph(corpus_path, "fibonacci"), "-k", "100"]) == 1
+        assert capsys.readouterr().err == (
+            "no 100-block morphism: image of block '0100101001001010…' (100 letters) "
+            "has length 162, not a multiple of 100\n"
+        )
 
     def test_blocks_closure_bound(self, corpus_path, capsys, monkeypatch):
         # lysenok has three 2-blocks

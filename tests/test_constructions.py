@@ -268,6 +268,12 @@ class TestBlocks:
             block_morphism(fib_bc, 2)
         assert err.value.block is not None
 
+    def test_failure_keeps_the_whole_block(self, fibonacci):
+        with pytest.raises(BlockConstructionError) as err:
+            block_morphism(fibonacci, 30)
+        assert err.value.block == "010010100100101001010010010100"
+        assert str(err.value).startswith("image of block '0100101001001010…' (30 letters) has length 49")
+
     def test_k_must_be_at_least_two(self, lysenok):
         with pytest.raises(ValueError):
             block_morphism(lysenok, 1)

@@ -25,6 +25,7 @@ from morphauto.linalg import (
     _strongly_connected_components,
 )
 
+import oracles
 from oracles import (
     bisect_root,
     column_sum_scan_perron,
@@ -37,6 +38,7 @@ from oracles import (
     naive_charpoly,
     naive_components,
     radius_sign,
+    row_sum_start_bracket,
 )
 
 
@@ -235,6 +237,91 @@ class TestCharPoly:
         # for, and chi = x^n - c^n
         m = tuple(tuple(weight if j == (i + 1) % n else 0 for j in range(n)) for i in range(n))
         assert char_poly(m).coeffs == (1, *[0] * (n - 1), -(weight**n))
+
+
+def _bound_inputs(rng, count):
+    """Nonnegative matrices of at most 12 letters: irreducible, reducible
+    (irreducible blocks, some periodic, coupled above the diagonal and
+    permuted), weighted cycles (period r), with a zero row, and sparse ones
+    that may have zero columns."""
+    kinds = ("irreducible", "reducible", "cycle", "zero row", "sparse")
+    for t in range(count):
+        kind = kinds[t % len(kinds)]
+        if kind in ("irreducible", "zero row"):
+            density, top = rng.choice((0.1, 0.3, 0.6)), rng.choice((1, 3, 9))
+            m = _random_irreducible(rng, rng.randint(1, 12), density, top)
+            if kind == "zero row":
+                i = rng.randrange(len(m))
+                m = tuple((0,) * len(row) if k == i else row for k, row in enumerate(m))
+        elif kind == "reducible":
+            blocks = [_random_irreducible_block(rng) for _ in range(rng.randint(2, 3))]
+            m = _permuted(_block_triangular(blocks, rng), _shuffled(rng, sum(map(len, blocks))))
+        elif kind == "cycle":
+            r = rng.randint(2, 9)
+            m = _permuted(_from_edges(r, {(i, (i + 1) % r) for i in range(r)}), _shuffled(rng, r))
+            m = tuple(tuple(e * rng.randint(1, 4) for e in row) for row in m)
+        else:
+            r = rng.randint(1, 10)
+            m = tuple(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(r)) for _ in range(r))
+        yield m
+
+
+def _assert_bound_holds(m):
+    """char_poly(m).root_bound is None exactly when m has two or more
+    letters and a zero column, and otherwise p/q >= rho(B) for every
+    diagonal block B, decided exactly as rho(qB) <= p."""
+    bound = char_poly(m).root_bound
+    assert (bound is None) == (len(m) > 1 and not all(map(any, zip(*m))))
+    if bound is not None:
+        q, p = bound.denominator, bound.numerator
+        for comp in naive_components(m):
+            block = tuple(tuple(q * m[i][j] for j in comp) for i in comp)
+            assert radius_sign(block, p) <= 0
+    return bound
+
+
+class TestRootBound:
+    """``char_poly(m).root_bound``, max_j (1^T M^n)_j / (1^T M^(n-1))_j,
+    bounds the spectral radius from above."""
+
+    def test_sound_on_seeded_matrices(self):
+        bounds = [_assert_bound_holds(m) for m in _bound_inputs(random.Random(2323), 2000)]
+        assert sum(b is not None for b in bounds) > 1500
+
+    @pytest.mark.parametrize("r", [16, 32, 48, 64])
+    def test_sound_on_spectral_shaped_inputs(self, monkeypatch, r):
+        rng = random.Random(23 * r)
+        for anagram_pair in (False, True):
+            images = _workloads(monkeypatch)._spectral_images(rng, r, anagram_pair)
+            m = tuple(tuple(img.count(i) for img in images) for i in range(r))
+            bound = _assert_bound_holds(m)
+            # and within 1/32 of rho, where the row and column sums are 3 or 4
+            # with rho about 2: rho(32 q M) > 32 p - q
+            q, p = bound.denominator, bound.numerator
+            assert radius_sign(tuple(tuple(32 * q * e for e in row) for row in m), 32 * p - q) == 1
+
+    def test_eigenvector_inputs_bound_at_rho_exactly(self, istrail, anagram7):
+        # L M = q L gives 1^T M^k = q^(k-1) L for k >= 1, so every ratio is q
+        for spec in (istrail, anagram7):
+            m = incidence(spec.morphism).matrix
+            q = spectral_report(m).dominant_value
+            assert char_poly(m).root_bound == q
+
+    def test_one_by_one_is_the_entry(self):
+        assert char_poly(((0,),)).root_bound == 0
+        assert char_poly(((7,),)).root_bound == 7
+
+    def test_zero_column_and_signed_matrices_get_none(self):
+        assert char_poly(((1, 0), (1, 0))).root_bound is None
+        assert char_poly(((1, 1), (-1, 2))).root_bound is None
+        # 1^T M = (2, 1) and 1^T M^2 = (3, 2): the ratios are 3/2 and 2
+        assert char_poly(((1, 1), (1, 0))).root_bound == 2
+
+    def test_takes_no_part_in_equality_hash_or_repr(self, grig_aca_aba):
+        p = char_poly(incidence(grig_aca_aba.morphism).matrix)
+        bare = IntPolynomial(p.coeffs)
+        assert p.root_bound is not None and bare.root_bound is None
+        assert p == bare and hash(p) == hash(bare) and repr(p) == repr(bare)
 
 
 class TestIntegerRoots:
@@ -613,6 +700,54 @@ class TestBracketAgainstDense:
             ]
             m = _permuted(_block_triangular(blocks, rng), _shuffled(rng, sum(map(len, blocks))))
             self._assert_agrees(m, blocks, tol)
+
+
+class TestBracketStart:
+    """Newton starts at the smaller of the largest row and column sums or,
+    when lower, one grid step above chi's root bound; the brackets are
+    those of the start at the row and column sums alone
+    (``oracles.row_sum_start_bracket``), reached with fewer evaluations of
+    chi."""
+
+    TOL = Fraction(1, 10**6)
+
+    @classmethod
+    def _assert_same_bracket(cls, block):
+        reference = row_sum_start_bracket(
+            block, cls.TOL, char_poly(block).coeffs, linalg._GRID_BITS, linalg._MAX_GRID_BITS
+        )
+        assert linalg._irreducible_bracket(block, cls.TOL, None) == reference
+
+    def test_seeded_irreducible_blocks(self):
+        rng = random.Random(2424)
+        for _ in range(2000):
+            r = rng.randint(1, 16)
+            top = rng.choice((1, 1, 3, 9))
+            self._assert_same_bracket(_random_irreducible(rng, r, rng.choice((0.05, 0.1, 0.3)), top))
+
+    @pytest.mark.parametrize("r", [16, 32, 48, 64])
+    def test_spectral_shaped_inputs(self, monkeypatch, r):
+        rng = random.Random(24 * r)
+        for t in range(4):
+            images = _workloads(monkeypatch)._spectral_images(rng, r, anagram_pair=t % 2 == 0)
+            self._assert_same_bracket(tuple(tuple(img.count(i) for img in images) for i in range(r)))
+
+    def test_a_third_of_the_evaluations(self, monkeypatch):
+        # calls of the evaluator, no timing: on the benchmark's seed-1
+        # spectral inputs the row-sum start takes 368 and the bound's 79
+        calls = {"package": 0, "reference": 0}
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "_scaled_values", counted("package", linalg._scaled_values))
+        monkeypatch.setattr(oracles, "_scaled_chi", counted("reference", oracles._scaled_chi))
+        for morphism in _spectral_morphisms(monkeypatch, (1,)):
+            self._assert_same_bracket(incidence(morphism).matrix)
+        assert calls["reference"] >= 3 * calls["package"] > 0
 
 
 class TestSpectralReport:
