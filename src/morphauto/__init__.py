@@ -7,7 +7,6 @@ from .constructions import (
     BlockConstructionError,
     BlockMorphism,
     CriterionNotSatisfied,
-    CupParams,
     UniformRepresentation,
     block_morphism,
     cup_transform,
@@ -29,12 +28,10 @@ from .criteria import (
     irrationality_verdict,
 )
 from .linalg import (
-    IncidenceData,
     IntPolynomial,
     RadiusBracket,
     SpectralReport,
     char_poly,
-    incidence,
     integer_roots,
     is_primitive,
     radius_bracket,
@@ -71,8 +68,6 @@ __all__ = [
     "Coding",
     "ComplexityProfile",
     "CriterionNotSatisfied",
-    "CupParams",
-    "IncidenceData",
     "IntPolynomial",
     "InternalCheckError",
     "MorphParseError",
@@ -92,7 +87,6 @@ __all__ = [
     "eigenvector_criterion",
     "factor_complexity",
     "gcd_obstruction",
-    "incidence",
     "integer_roots",
     "irrationality_verdict",
     "is_primitive",

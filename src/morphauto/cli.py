@@ -16,7 +16,6 @@ from pathlib import Path
 from .constructions import (
     BlockConstructionError,
     CriterionNotSatisfied,
-    CupParams,
     block_morphism,
     cup_transform,
     minimize_uniform,
@@ -100,9 +99,8 @@ def cmd_blocks(args) -> int:
 def cmd_cup(args) -> int:
     spec = _load(args.file)
     rep = representation_from_spec(spec)
-    params = CupParams(pair_position=args.pair_pos, split_index=args.split)
-    transformed = cup_transform(rep, params)
-    ok, lam = verify_back(transformed)
+    transformed = cup_transform(rep, args.pair_pos, args.split)
+    ok, lam = verify_back(transformed.morphism)
     print(transformed.to_morph_text(comments=[f"derived-from: {Path(args.file).name} (cup)"]), end="")
     print(f"# eigenvector check: {'holds' if ok else 'fails'}, lambda = {lam}")
     return EXIT_OK if ok else EXIT_MISMATCH

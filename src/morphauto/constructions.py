@@ -67,11 +67,11 @@ def length_product(m: Morphism) -> tuple[int, ...]:
     return tuple(sum(map(m.lengths.__getitem__, img)) for img in m.images)
 
 
-def verify_back(obj: MorphicSpec | Morphism) -> tuple[bool, Fraction | None]:
+def verify_back(m: Morphism) -> tuple[bool, Fraction | None]:
     """Check the left-eigenvector identity L M = lambda L, with L M read off
-    the images; an erasing morphism fails, as its L is not positive.  On a
-    :func:`cup_transform` output, lambda is the uniform length it came from."""
-    m = obj.morphism if isinstance(obj, MorphicSpec) else obj
+    the images; an erasing morphism fails, as its L is not positive.  On the
+    morphism of a :func:`cup_transform` output, lambda is the uniform length
+    it came from."""
     if m.is_erasing:
         return False, None
     lengths, product = m.lengths, length_product(m)
@@ -290,19 +290,6 @@ def block_morphism(spec: MorphicSpec, k: int) -> BlockMorphism:
 # ---------------------------------------------------------------------------
 # CUP transform: uniform -> deliberately non-uniform, and the way back
 
-@dataclass(frozen=True)
-class CupParams:
-    """Where to create the unique pair and where to split its image.
-
-    ``pair_position`` p picks the 2-factor at positions p, p+1 of the
-    seed's image (p >= 1 keeps the seed prolongable); ``split_index`` s cuts
-    the image of that pair into non-empty halves z, t with |z| = s.
-    """
-
-    pair_position: int = 1
-    split_index: int = 1
-
-
 def _fresh_token(taken, base: str) -> str:
     tok = base
     while tok in taken:
@@ -313,13 +300,18 @@ def _fresh_token(taken, base: str) -> str:
 _CUP_CHECK_DEPTH = 512  # letters of the fixed point compared after the rewrite
 
 
-def cup_transform(u: UniformRepresentation, params: CupParams | None = None) -> MorphicSpec:
+def cup_transform(
+    u: UniformRepresentation, pair_position: int = 1, split_index: int = 1
+) -> MorphicSpec:
     """Represent the fixed point of a uniform morphism non-uniformly.
 
     Two fresh letters b', c' replace one occurrence of the pair b c inside
     the seed's image; b' expands to z and c' to t where z t is the image of
     b c.  Projecting b' -> b, c' -> c recovers the original fixed point,
-    which is verified on a prefix before returning.
+    which is verified on a prefix before returning.  ``pair_position`` p
+    picks the pair at positions p, p+1 of the seed's image (p >= 1 keeps
+    the seed prolongable); ``split_index`` s cuts the image of that pair
+    into non-empty halves z, t with |z| = s.
 
     Only uncoded representations are supported; the construction certifies
     the fixed point itself, not a coded image of it.
@@ -327,7 +319,7 @@ def cup_transform(u: UniformRepresentation, params: CupParams | None = None) -> 
     if not u.coding.is_identity:
         raise ValueError("cup transform requires an uncoded uniform representation")
     k = u.q
-    p, s = (params or CupParams()).pair_position, (params or CupParams()).split_index
+    p, s = pair_position, split_index
     if not 1 <= p <= k - 2:
         raise ValueError(f"pair position must lie in [1, {k - 2}]")
     if not 1 <= s <= 2 * k - 1:

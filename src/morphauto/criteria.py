@@ -34,7 +34,7 @@ from .constructions import (
     representation_from_spec,
     reshuffle_uniformize,
 )
-from .linalg import SpectralReport, incidence, is_primitive, spectral_report
+from .linalg import SpectralReport, is_primitive, spectral_report
 from .sequences import ComplexityProfile, factor_complexity, sturmian_witness
 from .words import (
     Alphabet,
@@ -52,16 +52,20 @@ from .words import (
 # individual criteria
 
 def gcd_obstruction(m: Morphism) -> bool:
-    """On two letters, coprime image lengths rule the criterion out.
+    """On two letters that both occur in the images, coprime image lengths
+    rule the criterion out.
 
-    The guarantee needs every letter to occur in some image; when both
-    images are powers of one single letter (say a->aa, b->a) the length
-    vector can be a left eigenvector despite coprime lengths.
+    Why: if L*M = qL with gcd(l_a, l_b) = 1, then l_a divides the count of
+    b in m(a), which is at most l_a, so m(a) is a^(l_a) or b^(l_a), and
+    likewise for m(b).  With both letters occurring, either a -> a^(l_a),
+    b -> b^(l_b) or a -> b^(l_a), b -> a^(l_b), and both force
+    l_a = l_b = q = 1.  When the images are powers of one single letter
+    (say a->aa, b->a) the length vector can be a left eigenvector despite
+    coprime lengths, so the obstruction does not claim those.
     """
     if len(m.alphabet) != 2:
         raise ValueError("gcd obstruction is defined for two-letter alphabets")
-    l0, l1 = m.lengths
-    return math.gcd(l0, l1) == 1
+    return math.gcd(*m.lengths) == 1 and all(map(any, m.incidence))
 
 
 @dataclass(frozen=True)
@@ -146,7 +150,7 @@ def irrationality_verdict(m: Morphism) -> SpectralReport | None:
         raise ValueError("irrationality verdict requires a non-erasing morphism")
     if m.uniform_length is not None:
         return None
-    matrix = incidence(m).matrix
+    matrix = m.incidence
     if not is_primitive(matrix):
         return None
     report = spectral_report(matrix, blocks=[matrix])
@@ -316,7 +320,11 @@ class AnalysisReport:
                     if coding is None
                     else {tok: coding.target.letters[t] for tok, t in zip(a.letters, coding.table)}
                 ),
-                "incidence": incidence(spec.morphism).to_json(),
+                # row-major, entries as decimal strings so arbitrary sizes survive
+                "incidence": {
+                    "matrix": [[str(entry) for entry in row] for row in spec.morphism.incidence],
+                    "length_vector": [str(length) for length in spec.morphism.lengths],
+                },
             },
         }
 
@@ -394,8 +402,7 @@ def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions):
             cert = minimize_uniform(reshuffle_uniformize(spec))
             how = f"left-eigenvector criterion, q={q}"
             verdict = Verdict.automatic(q, cert, "eigenvector", how)
-    # the obstruction needs both letters to occur in the images
-    if len(m.alphabet) == 2 and {c for img in m.images for c in img} == {0, 1} and gcd_obstruction(m):
+    if len(m.alphabet) == 2 and gcd_obstruction(m):
         outcomes.append(
             StageOutcome(
                 "gcd-obstruction",

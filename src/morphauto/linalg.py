@@ -1,4 +1,5 @@
-"""Exact integer and rational linear algebra for incidence matrices.
+"""Exact integer and rational linear algebra for integer matrices, given as
+tuples of rows, such as the incidence matrix ``Morphism.incidence``.
 
 Everything here is decided exactly, so no verdict ever depends on floating
 point.  Characteristic polynomials come from the power sums tr(M^k) by
@@ -35,10 +36,6 @@ integer arithmetic on a grid of step 2^-s.  Why every bracket holds:
   5. The larger of the smallest row sum and the smallest column sum is
      <= rho too, by the same transpose, and an iterate below it, or one
      where chi or chi' is not positive, is an internal error.
-
-Convention: for a morphism s, ``incidence(s).matrix[i][j]`` counts the
-occurrences of letter i in the image of letter j, so columns are indexed by
-source letters and column sums equal the image lengths.
 """
 
 from __future__ import annotations
@@ -49,8 +46,6 @@ from fractions import Fraction
 from itertools import accumulate, compress, dropwhile, repeat, takewhile
 from operator import add, and_, mul, not_, rshift
 
-from .words import Morphism, parikh_vector
-
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -60,36 +55,6 @@ Matrix = tuple[tuple[int, ...], ...]
 def _check_nonnegative(m) -> None:
     if min(map(min, m), default=0) < 0:
         raise ValueError("matrix must be nonnegative")
-
-
-@dataclass(frozen=True)
-class IncidenceData:
-    """Incidence matrix and length vector of a morphism."""
-
-    matrix: Matrix
-    length_vector: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.length_vector)
-
-    def __post_init__(self):
-        if list(map(sum, zip(*self.matrix))) != list(self.length_vector):
-            raise ValueError("column sums must equal the length vector")
-
-    def to_json(self) -> dict:
-        # row-major, entries as decimal strings so arbitrary sizes survive
-        return {
-            "matrix": [[str(entry) for entry in row] for row in self.matrix],
-            "length_vector": [str(length) for length in self.length_vector],
-        }
-
-
-def incidence(m: Morphism) -> IncidenceData:
-    """Column j of the matrix is the Parikh vector of the image of letter j."""
-    r = len(m.alphabet)
-    matrix = tuple(zip(*(parikh_vector(img, r) for img in m.images)))
-    return IncidenceData(matrix, m.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +434,11 @@ class SpectralReport:
     char_poly: IntPolynomial
     integer_roots: tuple[tuple[int, int], ...]
     bracket: RadiusBracket
-    dominant_is_integer: bool
     dominant_value: int | None
+
+    @property
+    def dominant_is_integer(self) -> bool:
+        return self.dominant_value is not None
 
     def to_json(self) -> dict:
         return {
@@ -512,7 +480,7 @@ def spectral_report(matrix, *, blocks=None) -> SpectralReport:
     bracket = radius_bracket(matrix, _BRACKET_TOL, blocks=blocks, poly=p)
     candidate = max((root for root, _ in roots if root >= 0), default=None)
     if candidate is None or any(a <= 0 for a in dropwhile(not_, _taylor(p.coeffs, candidate))):
-        return SpectralReport(p, roots, bracket, False, None)
+        return SpectralReport(p, roots, bracket, None)
     if candidate not in bracket:
         raise InternalArithmeticError(f"integer radius {candidate} lies outside its bracket")
-    return SpectralReport(p, roots, bracket, True, candidate)
+    return SpectralReport(p, roots, bracket, candidate)

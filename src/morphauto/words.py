@@ -7,9 +7,12 @@ when its alphabet has at most 256 letters, and a tuple of ints over a larger
 alphabet.  Both index, iterate and compare letter by letter, and two prefixes
 over the same alphabet always have the same format, so they are compared
 without conversion.  A morphism maps every letter to a word over the same
-alphabet and extends to words by concatenation.  Fixed points of prolongable
-morphisms are generated lazily, by expanding a growing prefix in place, so
-producing ``n`` letters costs O(n) time and memory.
+alphabet and extends to words by concatenation.  It carries the integer
+data of the exact tests: its length vector (``Morphism.lengths``) and its
+incidence matrix (``Morphism.incidence``), a plain tuple of rows, which is
+what ``linalg`` takes.  Fixed points of prolongable morphisms are generated
+lazily, by expanding a growing prefix in place, so producing ``n`` letters
+costs O(n) time and memory.
 
 Letters are whitespace-free token strings, not single characters, so
 alphabets like ``{1, 1*, 2, 2*}`` work throughout.
@@ -110,9 +113,9 @@ class Alphabet:
         return tuple(self.letters[i] for i in word)
 
 
-def parikh_vector(word: Word, alphabet: Alphabet | int) -> tuple[int, ...]:
-    """Occurrence count of every letter in ``word``, in alphabet order."""
-    size = len(alphabet) if isinstance(alphabet, Alphabet) else alphabet
+def parikh_vector(word: Word, size: int) -> tuple[int, ...]:
+    """Occurrence count of every letter in ``word``, for an alphabet of
+    ``size`` letters, in alphabet order."""
     counts = [0] * size
     for c in word:
         counts[c] += 1
@@ -153,6 +156,17 @@ class Morphism:
     @cached_property
     def lengths(self) -> tuple[int, ...]:
         return tuple(len(img) for img in self.images)
+
+    @cached_property
+    def incidence(self) -> tuple[tuple[int, ...], ...]:
+        """The incidence matrix, as a tuple of rows.
+
+        Convention: entry (i, j) counts the occurrences of letter i in the
+        image of letter j, so column j is the Parikh vector of that image,
+        columns are indexed by source letters and column sums equal the
+        image lengths."""
+        r = len(self.alphabet)
+        return tuple(zip(*(parikh_vector(img, r) for img in self.images)))
 
     @property
     def is_erasing(self) -> bool:

@@ -9,13 +9,11 @@ from fractions import Fraction
 from hypothesis import is_hypothesis_test
 
 from morphauto import (
-    CupParams,
     analyze,
     anagram_decomposition,
     char_poly,
     cup_transform,
     eigenvector_criterion,
-    incidence,
     integer_roots,
     minimize_uniform,
     parse_morphism,
@@ -98,8 +96,8 @@ def test_criterion_3_anagram_verdicts():
 
 def test_criterion_4_exact_spectra():
     grig_aca_aba, be = load("grig_aca_aba"), load("xzy")
-    p1 = char_poly(incidence(grig_aca_aba.morphism).matrix)
-    p2 = char_poly(incidence(be.morphism).matrix)
+    p1 = char_poly(grig_aca_aba.morphism.incidence)
+    p2 = char_poly(be.morphism.incidence)
     ok = p1.coeffs == (1, -2, -2, -1, 2)
     ok &= p2.coeffs == (1, -1, -2, -4)
     ok &= integer_roots(p1) == () and integer_roots(p2) == ()
@@ -108,7 +106,7 @@ def test_criterion_4_exact_spectra():
 
     # x^3 - 7x^2 + 12x - 8 belongs to the incidence matrix of the cube
     base = parse_morphism("letters: a b c\na -> c\nb -> aba\nc -> b").morphism
-    p3 = char_poly(incidence(base.power(3)).matrix)
+    p3 = char_poly(base.power(3).incidence)
     ok &= p3.coeffs == (1, -7, 12, -8)
     ok &= (p3(1), p3(2), p3(4)) == (-2, -4, -8)
     ok &= integer_roots(p3) == ()
@@ -142,8 +140,8 @@ def test_criterion_6_cup_property_suite():
     tm_cube = representation_from_spec(load("tm_cube"))
     ok = True
     for s in range(1, 16):
-        spec = cup_transform(tm_cube, CupParams(pair_position=3, split_index=s))
-        held, lam = verify_back(spec)
+        spec = cup_transform(tm_cube, pair_position=3, split_index=s)
+        held, lam = verify_back(spec.morphism)
         ok &= held and lam == 8
         ok &= prefix_equal(spec, thue_morse, 10_000)
 
@@ -156,8 +154,8 @@ def test_criterion_6_cup_property_suite():
             rep = UniformRepresentation(rep.morphism.power(3), rep.seed, rep.coding)
         k = rep.q
         for s in range(1, 2 * k):
-            transformed = cup_transform(rep, CupParams(pair_position=1, split_index=s))
-            held, lam = verify_back(transformed)
+            transformed = cup_transform(rep, pair_position=1, split_index=s)
+            held, lam = verify_back(transformed.morphism)
             ok &= held and lam == k
             ok &= prefix_equal(transformed, spec, 10_000)
     elapsed = time.perf_counter() - start
@@ -200,11 +198,11 @@ def test_criterion_8_property_suites():
 
 def test_criterion_9_frequencies():
     pd = load("period_doubling")
-    ok = column_sum_scan_perron(incidence(pd.morphism).matrix) == (Fraction(2, 3), Fraction(1, 3))
+    ok = column_sum_scan_perron(pd.morphism.incidence) == (Fraction(2, 3), Fraction(1, 3))
 
     fib = load("fibonacci")
     emp = empirical_frequencies(fib, 10_000)
     ok &= abs(emp[0] - Fraction(6180339887, 10**10)) < Fraction(1, 1000)
     ok &= abs(emp[1] - Fraction(3819660113, 10**10)) < Fraction(1, 1000)
-    ok &= column_sum_scan_perron(incidence(fib.morphism).matrix) is None
+    ok &= column_sum_scan_perron(fib.morphism.incidence) is None
     report(9, "exact and empirical letter frequencies", ok)

@@ -5,7 +5,6 @@ from morphauto import (
     Alphabet,
     Coding,
     CriterionNotSatisfied,
-    CupParams,
     Morphism,
     UniformRepresentation,
     block_morphism,
@@ -303,7 +302,7 @@ class TestBlocks:
 class TestCup:
     def test_worked_example(self, tm_cube):
         rep = representation_from_spec(tm_cube)
-        spec = cup_transform(rep, CupParams(pair_position=3, split_index=1))
+        spec = cup_transform(rep, pair_position=3, split_index=1)
         a = spec.morphism.alphabet
         assert a.letters == ("0", "1", "0'", "1'")
         assert a.render(spec.morphism.image(0)) == "0 1 1 0' 1' 0 0 1"
@@ -317,24 +316,24 @@ class TestCup:
 
     def test_symmetric_split(self, tm_cube):
         rep = representation_from_spec(tm_cube)
-        spec = cup_transform(rep, CupParams(pair_position=3, split_index=8))
+        spec = cup_transform(rep, pair_position=3, split_index=8)
         assert spec.morphism.image(2) == rep.morphism.image(0)
         assert spec.morphism.image(3) == rep.morphism.image(1)
 
     def test_zero_split_is_rejected(self, tm_cube):
         rep = representation_from_spec(tm_cube)
         with pytest.raises(ValueError):
-            cup_transform(rep, CupParams(pair_position=3, split_index=0))
+            cup_transform(rep, pair_position=3, split_index=0)
 
     def test_pair_position_zero_is_rejected(self, tm_cube):
         rep = representation_from_spec(tm_cube)
         with pytest.raises(ValueError):
-            cup_transform(rep, CupParams(pair_position=0, split_index=1))
+            cup_transform(rep, pair_position=0, split_index=1)
 
     def test_length_vector_structure(self, tm_cube):
         rep = representation_from_spec(tm_cube)
         for s in range(1, 16):
-            spec = cup_transform(rep, CupParams(3, s))
+            spec = cup_transform(rep, pair_position=3, split_index=s)
             lengths = spec.morphism.lengths
             assert lengths[:2] == (8, 8)
             z = spec.morphism.image(2)
@@ -346,14 +345,14 @@ class TestCup:
     def test_verify_back_all_splits(self, tm_cube, thue_morse):
         rep = representation_from_spec(tm_cube)
         for s in range(1, 16):
-            spec = cup_transform(rep, CupParams(3, s))
-            ok, lam = verify_back(spec)
+            spec = cup_transform(rep, pair_position=3, split_index=s)
+            ok, lam = verify_back(spec.morphism)
             assert ok and lam == 8
             assert prefix_equal(spec, thue_morse, 4000)
 
     def test_broken_transform_fails_verify_back(self, tm_cube):
         rep = representation_from_spec(tm_cube)
-        spec = cup_transform(rep, CupParams(3, 1))
+        spec = cup_transform(rep, pair_position=3, split_index=1)
         images = list(spec.morphism.images)
         images[3] = images[3] + (0,)  # perturb t by one extra letter
         broken = Morphism(spec.morphism.alphabet, tuple(images))
@@ -362,11 +361,11 @@ class TestCup:
 
     def test_coded_representation_is_rejected(self, berstel):
         with pytest.raises(ValueError):
-            cup_transform(representation_from_spec(berstel), CupParams(1, 1))
+            cup_transform(representation_from_spec(berstel), pair_position=1, split_index=1)
 
     def test_repeated_pair_letters_get_distinct_names(self, tm_cube):
         rep = representation_from_spec(tm_cube)
-        spec = cup_transform(rep, CupParams(pair_position=1, split_index=3))
+        spec = cup_transform(rep, pair_position=1, split_index=3)
         # pair at positions 1, 2 of 01101001 is "11"
         assert spec.morphism.alphabet.letters == ("0", "1", "1'", "1''")
         assert prefix_equal(spec, tm_cube, 4000)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from morphauto import (
     Alphabet,
     factor_complexity,
-    incidence,
     parse_morphism,
     sturmian_witness,
 )
@@ -254,7 +253,7 @@ class TestEmpiricalFrequencies:
     def test_period_doubling_near_perron(self, period_doubling):
         n = 3 * 2**10
         emp = empirical_frequencies(period_doubling, n)
-        perron = column_sum_scan_perron(incidence(period_doubling.morphism).matrix)
+        perron = column_sum_scan_perron(period_doubling.morphism.incidence)
         assert max(abs(e - p) for e, p in zip(emp, perron)) <= Fraction(10, n)
 
     def test_constant(self):
@@ -266,12 +265,12 @@ class TestEmpiricalFrequencies:
         inv_phi, complement = golden_ratio_frequencies()
         assert abs(emp[0] - inv_phi) < Fraction(1, 1000)
         assert abs(emp[1] - complement) < Fraction(1, 1000)
-        assert column_sum_scan_perron(incidence(fibonacci.morphism).matrix) is None
+        assert column_sum_scan_perron(fibonacci.morphism.incidence) is None
 
     def test_two_scale_improvement(self, period_doubling, thue_morse, lysenok_psi):
         # the deviation bound C/N must hold at N and keep holding at 2N
         for spec in (period_doubling, thue_morse, lysenok_psi):
-            perron = column_sum_scan_perron(incidence(spec.morphism).matrix)
+            perron = column_sum_scan_perron(spec.morphism.incidence)
             for n in (3001, 6002):
                 emp = empirical_frequencies(spec, n)
                 bound = Fraction(16, n)

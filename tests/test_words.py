@@ -347,17 +347,17 @@ class TestCoding:
 class TestParikh:
     def test_counts(self):
         alpha = Alphabet(("a", "b", "c"))
-        assert parikh_vector(alpha.word("aabc"), alpha) == (2, 1, 1)
-        assert parikh_vector((), alpha) == (0, 0, 0)
+        assert parikh_vector(alpha.word("aabc"), 3) == (2, 1, 1)
+        assert parikh_vector((), 3) == (0, 0, 0)
 
     def test_anagrams_share_vector(self):
         alpha = Alphabet(("a", "b", "c"))
-        assert parikh_vector(alpha.word("baca"), alpha) == parikh_vector(alpha.word("aabc"), alpha)
+        assert parikh_vector(alpha.word("baca"), 3) == parikh_vector(alpha.word("aabc"), 3)
 
     def test_length_is_sum(self, anagram7):
         m = anagram7.morphism
         w = anagram7.uncoded_prefix(37)
-        vec = parikh_vector(w, m.alphabet)
+        vec = parikh_vector(w, len(m.alphabet))
         assert len(m.apply(w)) == sum(l * v for l, v in zip(m.lengths, vec))
 
 
