@@ -100,10 +100,10 @@ def cmd_cup(args) -> int:
     spec = _load(args.file)
     rep = representation_from_spec(spec)
     transformed = cup_transform(rep, args.pair_pos, args.split)
-    ok, lam = verify_back(transformed.morphism)
+    lam = verify_back(transformed.morphism)
     print(transformed.to_morph_text(comments=[f"derived-from: {Path(args.file).name} (cup)"]), end="")
-    print(f"# eigenvector check: {'holds' if ok else 'fails'}, lambda = {lam}")
-    return EXIT_OK if ok else EXIT_MISMATCH
+    print(f"# eigenvector check: {'fails' if lam is None else 'holds'}, lambda = {lam}")
+    return EXIT_MISMATCH if lam is None else EXIT_OK
 
 
 def cmd_compare(args) -> int:

@@ -67,17 +67,17 @@ def length_product(m: Morphism) -> tuple[int, ...]:
     return tuple(sum(map(m.lengths.__getitem__, img)) for img in m.images)
 
 
-def verify_back(m: Morphism) -> tuple[bool, Fraction | None]:
-    """Check the left-eigenvector identity L M = lambda L, with L M read off
-    the images; an erasing morphism fails, as its L is not positive.  On the
-    morphism of a :func:`cup_transform` output, lambda is the uniform length
-    it came from."""
+def verify_back(m: Morphism) -> Fraction | None:
+    """lambda when the left-eigenvector identity L M = lambda L holds, with
+    L M read off the images, else None; an erasing morphism fails, as its L
+    is not positive.  On the morphism of a :func:`cup_transform` output,
+    lambda is the uniform length it came from."""
     if m.is_erasing:
-        return False, None
+        return None
     lengths, product = m.lengths, length_product(m)
     if any(p * lengths[0] != product[0] * n for p, n in zip(product, lengths)):
-        return False, None
-    return True, Fraction(product[0], lengths[0])
+        return None
+    return Fraction(product[0], lengths[0])
 
 
 def eigenvector_criterion(m: Morphism) -> int | None:
@@ -86,7 +86,7 @@ def eigenvector_criterion(m: Morphism) -> int | None:
     letter a); the fixed points are then q-automatic.  None otherwise."""
     if m.is_erasing:
         raise ValueError("eigenvector criterion requires a non-erasing morphism")
-    _, lam = verify_back(m)
+    lam = verify_back(m)
     if lam is None:
         return None
     if lam.denominator != 1:
@@ -237,18 +237,25 @@ _MAX_BLOCKS = 20_000  # the closure bound on distinct blocks
 _SHOWN_LETTERS = 16  # a longer block is named by its first letters and length
 
 
-def block_morphism(spec: MorphicSpec, k: int) -> BlockMorphism:
+def block_morphism(spec: MorphicSpec, k: int, prefix: Word | None = None) -> BlockMorphism:
     """Discover the k-blocks at positions 0 mod k of the fixed point.
 
     Closure: start from the first k letters; for every discovered block b
     the image of b must cut evenly into k-blocks, which are discovered in
     turn.  Raises BlockConstructionError when an image length is not a
     multiple of k or the closure exceeds ``_MAX_BLOCKS`` blocks.
+
+    ``prefix``, when given, is a prefix of ``spec.uncoded_prefix`` at least
+    k letters long, from which the first block is read: the block stage
+    expands the fixed point once for every k it tries.  Without it the
+    first k letters are expanded here.
     """
     if k < 2:
         raise ValueError("block length must be at least 2")
     m = spec.morphism
-    seed_block = tuple(spec.uncoded_prefix(k))  # block keys are tuples, like Morphism.apply's
+    if prefix is None:
+        prefix = spec.uncoded_prefix(k)
+    seed_block = tuple(prefix[:k])  # block keys are tuples, like Morphism.apply's
     blocks: dict[Word, int] = {seed_block: 0}
     order: list[Word] = [seed_block]
     images: list[Word] = []

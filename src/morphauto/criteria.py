@@ -435,9 +435,10 @@ def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     (B, j) -> ((tau(B)[(qj+t) div k], (qj+t) mod k) for t < q), and the input
     is a coding of z (Allouche-Shallit, Automatic Sequences, ch. 6)."""
     failures = []
+    prefix = spec.uncoded_prefix(opts.kmax)  # every k's first block, from one expansion
     for k in range(2, opts.kmax + 1):
         try:
-            blk = block_morphism(spec, k)
+            blk = block_morphism(spec, k, prefix)
         except BlockConstructionError as exc:
             failures.append(f"k={k}: {exc}")
             continue

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, compress, dropwhile, repeat, takewhile
 from operator import add, and_, mul, not_, rshift
 
@@ -86,6 +87,12 @@ class IntPolynomial:
         return acc
 
     def __str__(self):
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        # rendered once: a verdict prints chi in its summary, its stage
+        # detail and its report
         parts = []
         n = self.degree
         for i, c in enumerate(self.coeffs):
@@ -114,7 +121,10 @@ def char_poly(matrix) -> IntPolynomial:
     |(M^k)_ij| <= ||M||_1^k <= L^n for k <= n, so a slot holds any entry
     plus 2^(W-1), which is added before each read when M has a negative
     entry.  Row i of M^(k+1) is the sum of the rows of M^k named by the
-    nonzeros of row i of M, unit entries added without a product; p_k is
+    nonzeros of row i of M, unit entries added without a product.  The sum
+    starts from its first term, not from 0, whose sum with it would copy a
+    whole packed row, so a row of M with a single unit entry costs no
+    big-integer operation; a zero row starts from row 0 times 0.  p_k is
     the sum of the diagonal slots.  Newton's identities then give
     k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), and a division that
     leaves a remainder is an internal error.
@@ -136,6 +146,8 @@ def char_poly(matrix) -> IntPolynomial:
     offset = half * ones
     rows = [[(j, m) for j, m in enumerate(row) if m] for row in matrix]
     power = [sum(m << width * j for j, m in row) for row in rows]
+    # each row's first nonzero (j0, m0) and the rest
+    steps = [(row[0][0], row[0][1], row[1:]) if row else (0, 0, ()) for row in rows]
     before = ones
     sums = []
     for k in range(n):
@@ -143,9 +155,9 @@ def char_poly(matrix) -> IntPolynomial:
         sums.append(sum(map(and_, map(rshift, read, shifts), repeat(mask))) - n * half)
         if k < n - 1:
             nxt = []
-            for row in rows:
-                acc = 0
-                for j, m in row:
+            for j0, m0, rest in steps:
+                acc = power[j0] if m0 == 1 else power[j0] * m0
+                for j, m in rest:
                     acc += power[j] if m == 1 else power[j] * m
                 nxt.append(acc)
             if k == n - 2:

@@ -20,6 +20,7 @@ alphabets like ``{1, 1*, 2, 2*}`` work throughout.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -375,9 +376,10 @@ class MorphicSpec:
         every call, with B = max(``_POWER_IMAGE``, n / 8 per letter reachable
         from the seed), so that building it costs less than the prefix.  Only
         a prefix longer than ``_POWER_IMAGE`` letters per alphabet letter is
-        expanded with it; a shorter one, like the k-letter prefixes of the
-        block stage, is expanded with sigma itself.  The images are packed
-        like the prefix, also on every call.
+        expanded with it; a shorter one, like the kmax letters that the block
+        stage expands once and reads every k's first block from, is expanded
+        with sigma itself.  The images are packed like the prefix, also on
+        every call.
 
         Expansion is lazy: one growing buffer ``out`` holds the prefix, and
         ``out[:done]`` are the letters already expanded, so that ``out`` is
@@ -449,8 +451,14 @@ def _parse_image(rhs: str, alphabet: Alphabet, lineno: int, raw_line: str) -> Wo
     tokens = alphabet.split(rhs)
     for tok in tokens:
         if tok not in alphabet:
-            # rhs is a part of raw_line, so the token is found there
-            raise MorphParseError(f"undeclared letter {tok!r}", lineno, raw_line.find(tok) + 1)
+            # its first whole-token match in rhs, as the tokens before it are
+            # declared; rhs starts after the first "->" of raw_line
+            if alphabet.single_char:
+                at = rhs.find(tok)
+            else:
+                at = re.search(rf"(?<!\S){re.escape(tok)}(?!\S)", rhs).start()
+            column = raw_line.index("->") + 3 + at
+            raise MorphParseError(f"undeclared letter {tok!r}", lineno, column)
     return tuple(map(alphabet.index, tokens))
 
 

@@ -25,6 +25,7 @@ from morphauto import (
     parse_morphism,
 )
 from morphauto.constructions import (
+    BlockConstructionError,
     UniformRepresentation,
     block_morphism,
     representation_from_spec,
@@ -32,7 +33,7 @@ from morphauto.constructions import (
 )
 from morphauto.criteria import BlockCertificate, _verify_certificate
 
-from family import coverage
+from family import SEEDS, coverage, family
 from oracles import naive_iterate, radius_sign, rules_of
 from strategies import PROPERTY, prolongable_specs
 
@@ -412,7 +413,7 @@ class TestAnalyze:
         assert analyze(a284878).verdict.q == 3
         two_uniform = block_morphism(thue_morse, 2)
         assert two_uniform.morphism.uniform_length == 2
-        monkeypatch.setattr(criteria, "block_morphism", lambda spec, k: two_uniform)
+        monkeypatch.setattr(criteria, "block_morphism", lambda spec, k, prefix: two_uniform)
         with pytest.raises(InternalCheckError, match="stage eigenvector certified.*stage block"):
             analyze(a284878)
 
@@ -459,6 +460,61 @@ class TestAnalyze:
             return radius_sign(scaled, value.numerator)
 
         assert sign(lo) >= 0 and sign(hi) <= 0
+
+
+class TestBlockStage:
+    def test_expands_the_fixed_point_once(self, fibonacci, monkeypatch):
+        # fibonacci's block stage tries every k up to kmax and none succeeds;
+        # each k reads its first block from one prefix of kmax letters
+        from morphauto import criteria
+
+        calls = []
+        expand = MorphicSpec.uncoded_prefix
+
+        def counted(spec, n):
+            calls.append(n)
+            return expand(spec, n)
+
+        monkeypatch.setattr(MorphicSpec, "uncoded_prefix", counted)
+        outcomes, claim = criteria._block_stage(fibonacci, AnalyzeOptions())
+        assert claim is None and [o.status for o in outcomes] == ["no"]
+        assert outcomes[0].detail.count("k=") == 7
+        assert calls == [8]
+
+    def test_every_k_gets_what_block_morphism_builds_alone(self, corpus_path, monkeypatch):
+        # every k the stage tries, on every corpus spec and every family
+        # draw, gives the same BlockMorphism or the same error text as
+        # block_morphism(spec, k) expanding its own k letters
+        from morphauto import criteria
+
+        texts = [path.read_text(encoding="utf-8") for path in sorted(corpus_path.glob("*.morph"))]
+        texts += [text for seed in SEEDS for text in family(seed)]
+        opts = AnalyzeOptions()
+        seen = []
+
+        def recorded(spec, k, prefix):
+            try:
+                blk = block_morphism(spec, k, prefix)
+            except BlockConstructionError as exc:
+                seen.append((k, str(exc)))
+                raise
+            seen.append((k, blk))
+            return blk
+
+        monkeypatch.setattr(criteria, "block_morphism", recorded)
+        for text in texts:
+            spec = parse_morphism(text)
+            seen.clear()
+            _, claim = criteria._block_stage(spec, opts)
+            last = seen[-1][0]
+            assert [k for k, _ in seen] == list(range(2, last + 1))
+            assert last == opts.kmax or claim is not None
+            for k, got in seen:
+                try:
+                    alone = block_morphism(spec, k)
+                except BlockConstructionError as exc:
+                    alone = str(exc)
+                assert got == alone, (text, k)
 
 
 class TestVerifyCertificate:

@@ -59,6 +59,22 @@ class TestParse:
         assert "b" in str(err.value)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            pytest.param("letters: a b\nb -> x", 6, id="single-character"),
+            pytest.param("letters: ab c\nab -> a c", 7, id="token-inside-the-left-side"),
+            pytest.param("letters: ab c\nc -> ab a", 9, id="token-inside-an-earlier-token"),
+            pytest.param("letters: a b\na -> a-b", 7, id="character-of-the-arrow"),
+            pytest.param("letters: ab c\n  ab  ->  ab   c  abc", 19, id="indented-and-spaced"),
+        ],
+    )
+    def test_undeclared_image_letter_names_its_column(self, text, column):
+        with pytest.raises(MorphParseError) as err:
+            parse_morphism(text)
+        assert "undeclared letter" in str(err.value)
+        assert (err.value.line, err.value.column) == (2, column)
+
     def test_duplicate_rule_is_an_error(self):
         with pytest.raises(MorphParseError, match="duplicate rule"):
             parse_morphism("letters: a\na -> aa\na -> a")
