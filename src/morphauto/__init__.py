@@ -16,15 +16,12 @@ from .constructions import (
     verify_back,
 )
 from .criteria import (
-    AnagramCertificate,
     AnalysisReport,
     AnalyzeOptions,
     BlockCertificate,
     Verdict,
     analyze,
-    anagram_decomposition,
     eigenvector_criterion,
-    gcd_obstruction,
     irrationality_verdict,
 )
 from .linalg import (
@@ -59,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "AnagramCertificate",
     "AnalysisReport",
     "AnalyzeOptions",
     "BlockCertificate",
@@ -80,13 +76,11 @@ __all__ = [
     "Verdict",
     "Word",
     "analyze",
-    "anagram_decomposition",
     "block_morphism",
     "char_poly",
     "cup_transform",
     "eigenvector_criterion",
     "factor_complexity",
-    "gcd_obstruction",
     "integer_roots",
     "irrationality_verdict",
     "is_primitive",

@@ -61,23 +61,33 @@ def representation_from_spec(spec: MorphicSpec) -> UniformRepresentation:
 # ---------------------------------------------------------------------------
 # the left-eigenvector criterion and its uniform certificate
 
+def _length_products(m: Morphism):
+    """The entries of L*M for the length vector L and incidence matrix M of
+    m, one at a time: entry j is |m(m(j))|, the sum of |m(c)| over the
+    letters c of m(j)."""
+    lengths = m.lengths
+    return (sum(map(lengths.__getitem__, img)) for img in m.images)
+
+
 def length_product(m: Morphism) -> tuple[int, ...]:
-    """L*M for the length vector L and incidence matrix M of m: entry j is
-    |m(m(j))|, the sum of |m(c)| over the letters c of m(j)."""
-    return tuple(sum(map(m.lengths.__getitem__, img)) for img in m.images)
+    """L*M, read off the images."""
+    return tuple(_length_products(m))
 
 
 def verify_back(m: Morphism) -> Fraction | None:
     """lambda when the left-eigenvector identity L M = lambda L holds, with
     L M read off the images, else None; an erasing morphism fails, as its L
-    is not positive.  On the morphism of a :func:`cup_transform` output,
-    lambda is the uniform length it came from."""
+    is not positive.  The entries of L M are summed only up to the first
+    one that breaks the identity.  On the morphism of a
+    :func:`cup_transform` output, lambda is the uniform length it came
+    from."""
     if m.is_erasing:
         return None
-    lengths, product = m.lengths, length_product(m)
-    if any(p * lengths[0] != product[0] * n for p, n in zip(product, lengths)):
+    lengths, products = m.lengths, _length_products(m)
+    first = next(products)
+    if any(p * lengths[0] != first * n for p, n in zip(products, lengths[1:])):
         return None
-    return Fraction(product[0], lengths[0])
+    return Fraction(first, lengths[0])
 
 
 def eigenvector_criterion(m: Morphism) -> int | None:

@@ -1,25 +1,25 @@
 """Automaticity decision procedures and the orchestrating analyzer.
 
 ``analyze`` checks that the seed is prolongable and runs every deciding
-stage in order: already uniform; the left-eigenvector criterion, which
-also runs the anagram decomposition as its cross-check (an anagram degree
-d >= 2 must equal its q); induced k-block morphisms, where the first k whose
-block morphism is q-uniform gives Automatic(q); and the irrational-dominant
-obstruction.  Every stage's outcome is recorded; a stage that needs a
-non-erasing morphism records itself as skipped on an erasing one.  The
-first claim is the verdict, and every later claim must agree with it in
-kind and q, or ``InternalCheckError`` names both stages.  When no stage
-claims, the complexity evidence returns an honest Unknown.  Each verdict
-carries its own one-line summary.  Every Automatic verdict ships a
-certificate that is replayed before it is returned: it must write over the
-same output alphabet as the input and produce the same coded letter
-indices up to the verification depth.  The ``uniform`` stage's certificate
-is the input itself, so its replay is the alphabet check alone.
+stage in order: already uniform; the left-eigenvector criterion; induced
+k-block morphisms, where the first k whose block morphism is q-uniform
+gives Automatic(q); and the irrational-dominant obstruction.  Every stage's
+outcome is recorded; a stage that needs a non-erasing morphism records
+itself as skipped on an erasing one.  The first claim is the verdict, and
+every later claim must agree with it in kind and q, or
+``InternalCheckError`` names both stages.  When no stage claims, the
+complexity evidence returns an honest Unknown.  Each verdict carries its
+own one-line summary.  Every Automatic claim's q must be the uniform
+length of its certificate's morphism, or ``InternalCheckError`` names the
+stage.  The verdict's certificate is then replayed before it is returned:
+it must write over the same output alphabet as the input and produce the
+same coded letter indices up to the verification depth.  The ``uniform``
+stage's certificate is the input itself, so its replay is the alphabet
+check alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -44,103 +44,11 @@ from .words import (
     MorphicSpec,
     SpecError,
     Word,
-    parikh_vector,
 )
 
 
 # ---------------------------------------------------------------------------
 # individual criteria
-
-def gcd_obstruction(m: Morphism) -> bool:
-    """On two letters that both occur in the images, coprime image lengths
-    rule the criterion out.
-
-    Why: if L*M = qL with gcd(l_a, l_b) = 1, then l_a divides the count of
-    b in m(a), which is at most l_a, so m(a) is a^(l_a) or b^(l_a), and
-    likewise for m(b).  With both letters occurring, either a -> a^(l_a),
-    b -> b^(l_b) or a -> b^(l_a), b -> a^(l_b), and both force
-    l_a = l_b = q = 1.  When the images are powers of one single letter
-    (say a->aa, b->a) the length vector can be a left eigenvector despite
-    coprime lengths, so the obstruction does not claim those.
-    """
-    if len(m.alphabet) != 2:
-        raise ValueError("gcd obstruction is defined for two-letter alphabets")
-    return math.gcd(*m.lengths) == 1 and all(map(any, m.incidence))
-
-
-@dataclass(frozen=True)
-class AnagramCertificate:
-    """Witness that every image is a concatenation of anagram blocks.
-
-    All words in the anagram set share one length and one Parikh vector;
-    the automaticity degree is their common expansion ratio.
-    """
-
-    morphism: Morphism
-    block_length: int
-    anagram_set: tuple[Word, ...]
-    per_letter_counts: tuple[int, ...]
-    shared_parikh: tuple[int, ...]
-    degree: int
-
-    def anagram_tokens(self) -> tuple[str, ...]:
-        return tuple(self.morphism.alphabet.render(w) for w in self.anagram_set)
-
-    def to_json(self) -> dict:
-        return {
-            "block_length": self.block_length,
-            "anagram_set": list(self.anagram_tokens()),
-            "per_letter_counts": list(self.per_letter_counts),
-            "shared_parikh": list(self.shared_parikh),
-            "degree": self.degree,
-        }
-
-
-def anagram_decomposition(m: Morphism) -> AnagramCertificate | None:
-    """Cut every image into blocks of one length with one shared Parikh
-    vector.
-
-    Candidate block lengths are the divisors of the gcd of the image
-    lengths, tried from the smallest length >= 2 upward (finest blocks
-    first) with length 1 as a degenerate fallback.  Returns None when no
-    candidate works.
-    """
-    if m.is_erasing:
-        raise ValueError("anagram decomposition requires a non-erasing morphism")
-    lengths = m.lengths
-    g = math.gcd(*lengths)
-    candidates = [d for d in range(2, g + 1) if g % d == 0] + [1]
-    r = len(m.alphabet)
-    for width in candidates:
-        shared = None
-        seen: dict[Word, int] = {}
-        order: list[Word] = []
-        ok = True
-        for img in m.images:
-            for start in range(0, len(img), width):
-                piece = img[start : start + width]
-                vec = parikh_vector(piece, r)
-                if shared is None:
-                    shared = vec
-                elif vec != shared:
-                    ok = False
-                    break
-                if piece not in seen:
-                    seen[piece] = len(order)
-                    order.append(piece)
-            if not ok:
-                break
-        if not ok:
-            continue
-        counts = tuple(length // width for length in lengths)
-        degree = sum(n * shared[a] for a, n in enumerate(counts))
-        for w in order:
-            expanded = sum(lengths[c] for c in w)
-            if expanded != degree * width:
-                raise InternalCheckError("anagram degree is not the expansion ratio")
-        return AnagramCertificate(m, width, tuple(order), counts, shared, degree)
-    return None
-
 
 def irrationality_verdict(m: Morphism) -> SpectralReport | None:
     """The exact non-automaticity test: a primitive non-uniform morphism
@@ -173,6 +81,10 @@ class BlockCertificate:
     @property
     def output_alphabet(self) -> Alphabet:
         return self.block.source.alphabet if self.coding is None else self.coding.target
+
+    @property
+    def q(self) -> int:
+        return self.block.morphism.uniform_length
 
     def coded_prefix(self, n: int) -> Word:
         """First n output letters, in the output alphabet's format, as
@@ -381,51 +293,25 @@ def _uniform_stage(spec: MorphicSpec, opts: AnalyzeOptions):
 
 
 def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions):
-    """The left-eigenvector criterion, the gcd note on two letters, and the
-    anagram decomposition as a cross-check: when it holds, L*M = d*L, so
-    this stage has found q = d."""
+    """The left-eigenvector criterion: L*M = qL with q >= 2, L*M read off the
+    images.  A "no" names L*M, summed once here; the criterion itself stops
+    summing at the first letter that breaks L*M = lambda*L."""
     m = spec.morphism
     if m.is_erasing:
-        names = ("eigenvector", "anagram")
-        return [StageOutcome(name, "skipped", "erasing morphism") for name in names], None
+        return [StageOutcome("eigenvector", "skipped", "erasing morphism")], None
     q = eigenvector_criterion(m)
-    verdict = None
     if q is None:
         detail = f"L*M = {length_product(m)} is not a rational multiple >= 2 of L = {m.lengths}"
-        outcomes = [StageOutcome("eigenvector", "no", detail)]
-    else:
-        detail = f"length vector is a left eigenvector with eigenvalue {q}"
-        outcomes = [StageOutcome("eigenvector", "success", detail, {"q": q})]
-        # a uniform morphism with q >= 2 has length q: the uniform stage
-        # certifies it, so only the other morphisms need a certificate here
-        if m.uniform_length is None:
-            cert = minimize_uniform(reshuffle_uniformize(spec))
-            how = f"left-eigenvector criterion, q={q}"
-            verdict = Verdict.automatic(q, cert, "eigenvector", how)
-    if len(m.alphabet) == 2 and gcd_obstruction(m):
-        outcomes.append(
-            StageOutcome(
-                "gcd-obstruction",
-                "info",
-                "coprime image lengths: the eigenvector criterion cannot hold",
-            )
-        )
-    cert = anagram_decomposition(m)
-    if cert is None:
-        outcomes.append(StageOutcome("anagram", "no", "no block length yields anagram blocks"))
-        return outcomes, verdict
-    if cert.degree >= 2 and q != cert.degree:
-        raise InternalCheckError(f"anagram degree {cert.degree} but eigenvector stage gave q={q}")
-    outcomes.append(
-        StageOutcome(
-            "anagram",
-            "success",
-            f"blocks of length {cert.block_length} over W = "
-            f"{{{', '.join(cert.anagram_tokens())}}}, degree d={cert.degree}",
-            cert.to_json(),
-        )
-    )
-    return outcomes, verdict
+        return [StageOutcome("eigenvector", "no", detail)], None
+    detail = f"length vector is a left eigenvector with eigenvalue {q}"
+    outcome = StageOutcome("eigenvector", "success", detail, {"q": q})
+    # a uniform morphism with q >= 2 has length q: the uniform stage
+    # certifies it, so only the other morphisms need a certificate here
+    if m.uniform_length is not None:
+        return [outcome], None
+    cert = minimize_uniform(reshuffle_uniformize(spec))
+    how = f"left-eigenvector criterion, q={q}"
+    return [outcome], Verdict.automatic(q, cert, "eigenvector", how)
 
 
 def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions):
@@ -517,6 +403,12 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
         stages.extend(outcomes)
         if claim is None:
             continue
+        # a certificate proves Automatic(q) for its own uniform length only
+        if claim.kind == AUTOMATIC and claim.q != claim.certificate.q:
+            raise InternalCheckError(
+                f"stage {claim.provenance} claimed q={claim.q}, "
+                f"but its certificate is {claim.certificate.q}-uniform"
+            )
         if verdict is None:
             if claim.kind == AUTOMATIC:
                 _verify_certificate(spec, claim.certificate, opts.depth)

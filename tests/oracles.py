@@ -8,14 +8,20 @@ components from set-based reachability, the spectral-radius bracket on
 dense rows, Newton's bracket started from the row and column sums with
 chi evaluated term by term, the sign of rho(B) - c from the leading
 principal minors of cI - B, dense matrix products, the left-eigenvector
-check in fractions, and Perron vectors from a scan of the column-sum range
-with rational kernels.  The comparisons of two generated words
-(``prefix_equal``, ``iso_equivalent`` and ``empirical_frequencies``) read
-the words through the package's own ``prefix`` and ``coded_prefix``.
+check in fractions, Perron vectors from a scan of the column-sum range
+with rational kernels, and the paper's anagram method (which reads the
+package's ``Morphism`` and ``parikh_vector``).  The comparisons of two
+generated words (``prefix_equal``, ``iso_equivalent`` and
+``empirical_frequencies``) read the words through the package's own
+``prefix`` and ``coded_prefix``.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+
+from morphauto import InternalCheckError, Morphism, Word, parikh_vector
 
 
 def naive_apply(rules: dict[str, list[str]], word: list[str]) -> list[str]:
@@ -238,6 +244,87 @@ def left_eigencheck(vector, matrix) -> Fraction | None:
         if Fraction(vm, v) != lam:
             return None
     return lam
+
+
+# --- the paper's anagram method ---------------------------------------------
+#
+# Anagram blocks of degree d give L*M = d*L: every block u has |m(u)| = d*|u|
+# (one shared Parikh vector), so |m(m(a))| = d*|m(a)| for every letter a.  The
+# method is a special case of the left-eigenvector criterion and an independent
+# reference for ``eigenvector_criterion``.
+
+@dataclass(frozen=True)
+class AnagramCertificate:
+    """Witness that every image is a concatenation of anagram blocks.
+
+    All words in the anagram set share one length and one Parikh vector;
+    the automaticity degree is their common expansion ratio.
+    """
+
+    morphism: Morphism
+    block_length: int
+    anagram_set: tuple[Word, ...]
+    per_letter_counts: tuple[int, ...]
+    shared_parikh: tuple[int, ...]
+    degree: int
+
+    def anagram_tokens(self) -> tuple[str, ...]:
+        return tuple(self.morphism.alphabet.render(w) for w in self.anagram_set)
+
+    def to_json(self) -> dict:
+        return {
+            "block_length": self.block_length,
+            "anagram_set": list(self.anagram_tokens()),
+            "per_letter_counts": list(self.per_letter_counts),
+            "shared_parikh": list(self.shared_parikh),
+            "degree": self.degree,
+        }
+
+
+def anagram_decomposition(m: Morphism) -> AnagramCertificate | None:
+    """Cut every image into blocks of one length with one shared Parikh
+    vector.
+
+    Candidate block lengths are the divisors of the gcd of the image
+    lengths, tried from the smallest length >= 2 upward (finest blocks
+    first) with length 1 as a degenerate fallback.  Returns None when no
+    candidate works.
+    """
+    if m.is_erasing:
+        raise ValueError("anagram decomposition requires a non-erasing morphism")
+    lengths = m.lengths
+    g = math.gcd(*lengths)
+    candidates = [d for d in range(2, g + 1) if g % d == 0] + [1]
+    r = len(m.alphabet)
+    for width in candidates:
+        shared = None
+        seen: dict[Word, int] = {}
+        order: list[Word] = []
+        ok = True
+        for img in m.images:
+            for start in range(0, len(img), width):
+                piece = img[start : start + width]
+                vec = parikh_vector(piece, r)
+                if shared is None:
+                    shared = vec
+                elif vec != shared:
+                    ok = False
+                    break
+                if piece not in seen:
+                    seen[piece] = len(order)
+                    order.append(piece)
+            if not ok:
+                break
+        if not ok:
+            continue
+        counts = tuple(length // width for length in lengths)
+        degree = sum(n * shared[a] for a, n in enumerate(counts))
+        for w in order:
+            expanded = sum(lengths[c] for c in w)
+            if expanded != degree * width:
+                raise InternalCheckError("anagram degree is not the expansion ratio")
+        return AnagramCertificate(m, width, tuple(order), counts, shared, degree)
+    return None
 
 
 def dense_irreducible_bracket(block, tol: Fraction, prec: int, max_squarings: int):

@@ -10,7 +10,6 @@ from hypothesis import is_hypothesis_test
 
 from morphauto import (
     analyze,
-    anagram_decomposition,
     char_poly,
     cup_transform,
     eigenvector_criterion,
@@ -24,7 +23,13 @@ from morphauto import (
 from morphauto.cli import corpus_dir
 from morphauto.constructions import UniformRepresentation, representation_from_spec
 
-from oracles import column_sum_scan_perron, empirical_frequencies, iso_equivalent, prefix_equal
+from oracles import (
+    anagram_decomposition,
+    column_sum_scan_perron,
+    empirical_frequencies,
+    iso_equivalent,
+    prefix_equal,
+)
 
 from test_constructions import morphism_shape
 
@@ -177,21 +182,22 @@ def test_criterion_7_sturmian_witnesses():
 
 
 def test_criterion_8_property_suites():
-    # the six 500-case randomized suites live in test_properties.py, and
+    # the seven 500-case randomized suites live in test_properties.py, and
     # pytest runs them there; this criterion records that they are part of
     # the acceptance gate, as collected hypothesis tests
     import test_properties
 
     suites = [
         test_properties.test_incidence_multiplicativity,
+        test_properties.test_char_poly_matches_cofactor_expansion,
         test_properties.test_length_homomorphism,
         test_properties.test_anagram_success_implies_eigenvector_success,
-        test_properties.test_gcd_obstruction_implies_criterion_failure,
+        test_properties.test_length_product_agrees_with_the_incidence_matrix,
         test_properties.test_minimize_uniform_is_idempotent,
         test_properties.test_certificate_round_trip,
     ]
     ok = all(is_hypothesis_test(s) for s in suites)
-    report(8, "six randomized property suites at 500 cases each", ok)
+    report(8, "seven randomized property suites at 500 cases each", ok)
 
 
 def test_criterion_9_frequencies():

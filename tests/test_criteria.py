@@ -18,9 +18,7 @@ from morphauto import (
     InternalCheckError,
     SpecError,
     analyze,
-    anagram_decomposition,
     eigenvector_criterion,
-    gcd_obstruction,
     irrationality_verdict,
     parse_morphism,
 )
@@ -34,51 +32,51 @@ from morphauto.constructions import (
 from morphauto.criteria import BlockCertificate, _verify_certificate
 
 from family import SEEDS, coverage, family
-from oracles import naive_iterate, radius_sign, rules_of
+from oracles import anagram_decomposition, naive_iterate, radius_sign, rules_of
 from strategies import PROPERTY, prolongable_specs
 
 # The (name, status) of every stage analyze records on each corpus entry, in
-# order: this pins skips, cross-checks and info stages, not only verdicts.
+# order: this pins skips and info stages, not only verdicts.
 CORPUS_STAGES = {
-    "a284775": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
-    "a284878": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
-    "a284905": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
-    "a284912": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
-    "a284935": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
-    "a285159": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
-    "a285162": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
-    "a285249": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
-    "a285252": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
-    "a285255": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
-    "a285258": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
-    "a285305": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
-    "a285345": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
-    "ab_omega": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:no evidence:info",
-    "abc_cycle_cube": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
-    "acaba": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
-    "anagram7": "uniform:no eigenvector:success anagram:success block:success irrationality:no",
-    "bacc": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
-    "bartholdi": "uniform:no eigenvector:no anagram:no block:no irrationality:no evidence:info",
-    "benli": "uniform:no eigenvector:no anagram:no block:no irrationality:no evidence:info",
-    "berstel": "uniform:success eigenvector:success anagram:no block:success irrationality:skipped",
-    "erasing_tm": "uniform:no eigenvector:skipped anagram:skipped block:success irrationality:skipped",
-    "fib_bc": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
-    "fib_cd": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
-    "fib_constant": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:skipped evidence:info",
-    "fibonacci": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
-    "grig_aba": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
-    "grig_aca_aba": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
-    "istrail": "uniform:no eigenvector:success anagram:no block:no irrationality:no",
-    "lysenok": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
-    "lysenok_psi": "uniform:success eigenvector:success anagram:no block:success irrationality:no",
-    "muntyan_cube": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
-    "muntyan_pd": "uniform:no eigenvector:no anagram:no block:success irrationality:no",
-    "nekra_blocks": "uniform:no eigenvector:no gcd-obstruction:info anagram:no block:no irrationality:success",
-    "nekrashevych_cube": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
-    "period_doubling": "uniform:success eigenvector:success anagram:no block:success irrationality:no",
-    "thue_morse": "uniform:success eigenvector:success anagram:success block:success irrationality:no",
-    "tm_cube": "uniform:success eigenvector:success anagram:success block:success irrationality:no",
-    "xzy": "uniform:no eigenvector:no anagram:no block:no irrationality:success",
+    "a284775": "uniform:no eigenvector:success block:no irrationality:no",
+    "a284878": "uniform:no eigenvector:success block:success irrationality:no",
+    "a284905": "uniform:no eigenvector:success block:success irrationality:no",
+    "a284912": "uniform:no eigenvector:success block:success irrationality:no",
+    "a284935": "uniform:no eigenvector:success block:no irrationality:no",
+    "a285159": "uniform:no eigenvector:success block:no irrationality:no",
+    "a285162": "uniform:no eigenvector:success block:no irrationality:no",
+    "a285249": "uniform:no eigenvector:success block:success irrationality:no",
+    "a285252": "uniform:no eigenvector:success block:success irrationality:no",
+    "a285255": "uniform:no eigenvector:success block:success irrationality:no",
+    "a285258": "uniform:no eigenvector:success block:success irrationality:no",
+    "a285305": "uniform:no eigenvector:success block:success irrationality:no",
+    "a285345": "uniform:no eigenvector:success block:no irrationality:no",
+    "ab_omega": "uniform:no eigenvector:no block:no irrationality:no evidence:info",
+    "abc_cycle_cube": "uniform:no eigenvector:no block:no irrationality:success",
+    "acaba": "uniform:no eigenvector:no block:success irrationality:no",
+    "anagram7": "uniform:no eigenvector:success block:success irrationality:no",
+    "bacc": "uniform:no eigenvector:no block:success irrationality:no",
+    "bartholdi": "uniform:no eigenvector:no block:no irrationality:no evidence:info",
+    "benli": "uniform:no eigenvector:no block:no irrationality:no evidence:info",
+    "berstel": "uniform:success eigenvector:success block:success irrationality:skipped",
+    "erasing_tm": "uniform:no eigenvector:skipped block:success irrationality:skipped",
+    "fib_bc": "uniform:no eigenvector:no block:no irrationality:success",
+    "fib_cd": "uniform:no eigenvector:no block:no irrationality:success",
+    "fib_constant": "uniform:no eigenvector:no block:no irrationality:skipped evidence:info",
+    "fibonacci": "uniform:no eigenvector:no block:no irrationality:success",
+    "grig_aba": "uniform:no eigenvector:no block:success irrationality:no",
+    "grig_aca_aba": "uniform:no eigenvector:no block:no irrationality:success",
+    "istrail": "uniform:no eigenvector:success block:no irrationality:no",
+    "lysenok": "uniform:no eigenvector:no block:success irrationality:no",
+    "lysenok_psi": "uniform:success eigenvector:success block:success irrationality:no",
+    "muntyan_cube": "uniform:no eigenvector:no block:no irrationality:success",
+    "muntyan_pd": "uniform:no eigenvector:no block:success irrationality:no",
+    "nekra_blocks": "uniform:no eigenvector:no block:no irrationality:success",
+    "nekrashevych_cube": "uniform:no eigenvector:no block:no irrationality:success",
+    "period_doubling": "uniform:success eigenvector:success block:success irrationality:no",
+    "thue_morse": "uniform:success eigenvector:success block:success irrationality:no",
+    "tm_cube": "uniform:success eigenvector:success block:success irrationality:no",
+    "xzy": "uniform:no eigenvector:no block:no irrationality:success",
 }
 
 
@@ -92,6 +90,8 @@ CORPUS_STAGES = {
 # The 18 entries with a block outcome were recorded again when any
 # q-uniform block morphism came to certify Automatic(q): their block stage
 # succeeds without a common base of q and k, and acaba's q went from 2 to 4.
+# All 39 were recorded again when the anagram and gcd-obstruction outcomes
+# left the eigenvector stage; nothing else in them moved.
 PINNED_REPORTS = json.loads((Path(__file__).parent / "corpus_reports.json").read_text())
 UNKNOWN_ENTRIES = ["ab_omega", "bartholdi", "benli", "fib_constant"]
 
@@ -122,27 +122,11 @@ class TestEigenvectorCriterion:
         m = parse_morphism("letters: a b\na -> a\nb -> b").morphism
         assert eigenvector_criterion(m) is None
 
-
-class TestGcdObstruction:
-    def test_fibonacci(self, fibonacci):
-        assert gcd_obstruction(fibonacci.morphism) is True
-
-    def test_even_lengths_no_obstruction(self):
-        m = parse_morphism("letters: 0 1\n0 -> 0011\n1 -> 01").morphism
-        assert gcd_obstruction(m) is False
-
-    def test_limit_word_morphism(self):
-        m = parse_morphism("letters: 0 1\n0 -> 10\n1 -> 0101").morphism
-        assert gcd_obstruction(m) is False
-
-    def test_wrong_alphabet_size(self, lysenok):
-        with pytest.raises(ValueError):
-            gcd_obstruction(lysenok.morphism)
-
-    def test_obstruction_implies_failure(self, fibonacci, fib_bc):
-        for spec in (fibonacci, fib_bc):
-            assert gcd_obstruction(spec.morphism)
-            assert eigenvector_criterion(spec.morphism) is None
+    def test_images_that_are_powers_of_one_letter(self):
+        # lengths (2, 1) are coprime, yet L*M = 2L holds, and the constant
+        # fixed point is indeed automatic
+        m = Morphism(Alphabet(("a", "b")), ((0, 0), (0,)))
+        assert eigenvector_criterion(m) == 2
 
 
 class TestAnagramDecomposition:
@@ -238,7 +222,7 @@ class TestAnalyze:
     def test_every_stage_is_recorded(self, lysenok):
         report = analyze(lysenok)
         names = [s.name for s in report.stages]
-        for required in ("uniform", "eigenvector", "anagram", "block", "irrationality"):
+        for required in ("uniform", "eigenvector", "block", "irrationality"):
             assert required in names
 
     @pytest.mark.parametrize("bad", [{"kmax": 1}, {"depth": 0}])
@@ -283,7 +267,7 @@ class TestAnalyze:
         assert (report.verdict.kind, report.verdict.q) == ("automatic", 2)
         assert report.verdict.summary.startswith("Automatic(2) via 5-block morphism abcca->")
         skipped = {s.name for s in report.stages if s.status == "skipped"}
-        assert skipped >= {"eigenvector", "anagram", "irrationality"}
+        assert skipped == {"eigenvector", "irrationality"}
 
     def test_erasing_morphism_gets_honest_unknown(self):
         # the Fibonacci word with a c after every a: no stage decides it
@@ -291,7 +275,7 @@ class TestAnalyze:
         report = analyze(spec)
         assert report.verdict.kind == "unknown"
         skipped = {s.name for s in report.stages if s.status == "skipped"}
-        assert skipped >= {"eigenvector", "anagram", "irrationality"}
+        assert skipped == {"eigenvector", "irrationality"}
 
     def test_block_closure_bound(self, lysenok, monkeypatch):
         # lysenok has three 2-blocks; with room for two, every k fails
@@ -331,7 +315,7 @@ class TestAnalyze:
         if verdict.kind == "automatic":
             cert = verdict.certificate
             morphism = cert.block.morphism if isinstance(cert, BlockCertificate) else cert.morphism
-            assert verdict.q == morphism.uniform_length
+            assert verdict.q == cert.q == morphism.uniform_length
 
     def test_q_is_the_certificate_length_on_corpus(self, corpus_path):
         for path in sorted(corpus_path.glob("*.morph")):
@@ -344,14 +328,30 @@ class TestAnalyze:
     def test_q_is_the_certificate_length(self, drawn):
         self.assert_q_is_the_certificate_length(drawn.spec, AnalyzeOptions(depth=500))
 
-    def test_anagram_success_implies_eigenvector_on_corpus(self, corpus_path):
-        for path in sorted(corpus_path.glob("*.morph")):
-            m = parse_morphism(path.read_text(encoding="utf-8")).morphism
-            if m.is_erasing:
+    @staticmethod
+    def assert_anagram_degree_is_the_eigenvector_q(texts):
+        # the paper's anagram method, as an oracle: a degree d >= 2 is the q
+        # of the left-eigenvector criterion, and of the verdict
+        found = 0
+        for text in texts:
+            spec = parse_morphism(text)
+            if spec.morphism.is_erasing:
                 continue
-            cert = anagram_decomposition(m)
+            cert = anagram_decomposition(spec.morphism)
             if cert is not None and cert.degree >= 2:
-                assert eigenvector_criterion(m) == cert.degree, path.name
+                found += 1
+                assert eigenvector_criterion(spec.morphism) == cert.degree, text
+                verdict = analyze(spec, AnalyzeOptions(depth=500)).verdict
+                assert (verdict.kind, verdict.q) == ("automatic", cert.degree), text
+        return found
+
+    def test_anagram_success_implies_eigenvector_on_corpus(self, corpus_path):
+        texts = [p.read_text(encoding="utf-8") for p in sorted(corpus_path.glob("*.morph"))]
+        assert self.assert_anagram_degree_is_the_eigenvector_q(texts) == 11
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_anagram_success_implies_eigenvector_on_family(self, seed):
+        assert self.assert_anagram_degree_is_the_eigenvector_q(family(seed)) > 0
 
     def test_non_injective_coding_skips_irrationality(self):
         # the Fibonacci word sent through a constant coding is 000...: the
@@ -383,12 +383,21 @@ class TestAnalyze:
         assert analyze(thue_morse).verdict.provenance == "uniform"
         assert calls == []
 
-    def test_anagram_without_eigenvector_is_an_internal_error(self, anagram7, monkeypatch):
+    @pytest.mark.parametrize("name", ["istrail", "a284775", "a285159"])
+    def test_wrong_eigenvector_q_is_an_internal_error(self, corpus_path, name, monkeypatch):
+        # these entries are certified by the eigenvector stage alone; a q one
+        # too large disagrees with the uniform length of the certificate
         from morphauto import criteria
 
-        monkeypatch.setattr(criteria, "eigenvector_criterion", lambda m: None)
-        with pytest.raises(InternalCheckError, match="anagram degree 7"):
-            analyze(anagram7)
+        spec = parse_morphism((corpus_path / f"{name}.morph").read_text(encoding="utf-8"))
+        q = analyze(spec).verdict.q
+        criterion = criteria.eigenvector_criterion
+        monkeypatch.setattr(criteria, "eigenvector_criterion", lambda m: criterion(m) + 1)
+        with pytest.raises(
+            InternalCheckError,
+            match=f"stage eigenvector claimed q={q + 1}, but its certificate is {q}-uniform",
+        ):
+            analyze(spec)
 
     def test_irrational_root_next_to_automatic_is_an_internal_error(
         self, istrail, xzy, monkeypatch
@@ -622,8 +631,9 @@ class TestVerifyCertificate:
 # seed-1 ``spectral`` inputs: primitive non-uniform morphisms over 16 to 32
 # letters, half with an integer eigenvalue, all decided by the spectral
 # layer.  Recorded again with the Newton bracket, which moved only the
-# bracket's lo and hi; the linear-algebra path is pinned here as the corpus
-# reports pin the rest.
+# bracket's lo and hi, and again when the eigenvector stage stopped
+# recording an anagram outcome; the linear-algebra path is pinned here as
+# the corpus reports pin the rest.
 SPECTRAL_DIGESTS = json.loads((Path(__file__).parent / "spectral_reports.json").read_text())
 
 

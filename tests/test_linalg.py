@@ -63,14 +63,6 @@ class TestIncidence:
         cols = [tuple(row[j] for row in m.incidence) for j in range(4)]
         assert cols == [(2, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)]
 
-    def test_column_sums_are_lengths(self, acaba, grig_aca_aba, xzy):
-        for spec in (acaba, grig_aca_aba, xzy):
-            m = spec.morphism
-            r = len(m.alphabet)
-            ones = (1,) * r
-            sums = tuple(sum(ones[i] * m.incidence[i][j] for i in range(r)) for j in range(r))
-            assert sums == m.lengths
-
 
 def _workloads(monkeypatch):
     """The benchmark's input generators, ``perfbench/workloads.py``."""

@@ -1,11 +1,12 @@
 """The package's layout: what a module may import, and what README
-promises to export."""
+promises to export and to run."""
 
 import ast
 import re
 from pathlib import Path
 
 import morphauto
+from morphauto.cli import corpus_dir
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +51,15 @@ def test_readme_lower_level_pieces_resolve():
         obj = getattr(morphauto, head)
         for attr in rest:
             obj = getattr(obj, attr)
+
+
+def test_readme_stage_list_is_what_analyze_records():
+    # README's numbered **stage** list names, in order, every stage that
+    # analyze records on the corpus
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^\d+\. \*\*([\w-]+)\*\* - ", text, re.M)
+    recorded = {}
+    for path in sorted(corpus_dir().glob("*.morph")):
+        report = morphauto.analyze(morphauto.parse_morphism(path.read_text(encoding="utf-8")))
+        recorded.update(dict.fromkeys(s.name for s in report.stages))
+    assert listed == list(recorded)

@@ -1,7 +1,6 @@
 """Randomized algebraic property suites (500 cases each)."""
 
 import itertools
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +17,6 @@ from morphauto import (
     MorphicSpec,
     UniformRepresentation,
     eigenvector_criterion,
-    gcd_obstruction,
     minimize_uniform,
     parikh_vector,
     parse_morphism,
@@ -29,7 +27,7 @@ from morphauto import (
 )
 from morphauto.constructions import representation_from_spec
 
-from oracles import left_eigencheck, mat_mul, naive_charpoly, prefix_equal
+from oracles import anagram_decomposition, left_eigencheck, mat_mul, naive_charpoly, prefix_equal
 
 TOKENS = ("a", "b", "c", "d", "e")
 
@@ -145,7 +143,10 @@ def test_length_homomorphism(data):
 @SUITE
 @given(anagram_morphisms())
 def test_anagram_success_implies_eigenvector_success(data):
+    # the drawn degree is the one the anagram oracle finds, and it is the
+    # eigenvalue of the length vector
     morphism, degree = data
+    assert anagram_decomposition(morphism).degree == degree
     lam = left_eigencheck(morphism.lengths, morphism.incidence)
     assert lam == degree
     if degree >= 2:
@@ -176,26 +177,6 @@ def test_length_product_agrees_with_the_incidence_matrix(morphism):
     lam = left_eigencheck(morphism.lengths, morphism.incidence)
     assert verify_back(morphism) == lam
     assert eigenvector_criterion(morphism) == (lam if lam is not None and lam >= 2 else None)
-
-
-@SUITE
-@given(alphabets(min_size=2, max_size=2).flatmap(lambda a: morphisms_on(a, min_image=1)))
-def test_gcd_obstruction_implies_criterion_failure(morphism):
-    assume(math.gcd(*morphism.lengths) == 1)
-    if gcd_obstruction(morphism):
-        assert eigenvector_criterion(morphism) is None
-    else:
-        # only images that are powers of one single letter escape it
-        assert not all(any(row) for row in morphism.incidence)
-
-
-def test_gcd_obstruction_degenerate_exception():
-    # both images are powers of the first letter, lengths (2, 1) are
-    # coprime, yet L*M = 2L holds (and the constant fixed point is indeed
-    # automatic): the obstruction must not claim this morphism
-    m = Morphism(Alphabet(("a", "b")), ((0, 0), (0,)))
-    assert not gcd_obstruction(m)
-    assert eigenvector_criterion(m) == 2
 
 
 @SUITE
