@@ -208,12 +208,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect hidden automatic sequences in fixed points of word morphisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options of analyze and corpus
+    common.add_argument("--depth", type=_positive_int, help="certificate verification depth")
+    common.add_argument("--kmax", type=_positive_int, help="largest block length to try")
+    common.set_defaults(depth=AnalyzeOptions.depth, kmax=AnalyzeOptions.kmax)
 
-    p = sub.add_parser("analyze", help="run the full decision pipeline on a .morph file")
+    p = sub.add_parser("analyze", parents=[common], help="run the full decision pipeline on a .morph file")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--depth", type=_positive_int, default=10_000, help="certificate verification depth")
-    p.add_argument("--kmax", type=_positive_int, default=8, help="largest block length to try")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("uniformize", help="emit the uniform certificate of the eigenvector criterion")
@@ -246,16 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complexity", help="factor-complexity profile of the fixed point")
     p.add_argument("file")
-    p.add_argument("--nmax", type=_positive_int, default=30)
-    p.add_argument("-N", "--prefix-length", type=_positive_int, default=10_000, dest="prefix_length")
+    p.add_argument("--nmax", type=_positive_int, default=AnalyzeOptions.evidence_nmax)
+    p.add_argument("-N", "--prefix-length", type=_positive_int, default=AnalyzeOptions.evidence_prefix)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_complexity)
 
-    p = sub.add_parser("corpus", help="list or replay the bundled regression corpus")
+    p = sub.add_parser("corpus", parents=[common], help="list or replay the bundled regression corpus")
     p.add_argument("--run", action="store_true")
     p.add_argument("--dir")
-    p.add_argument("--depth", type=_positive_int, default=10_000)
-    p.add_argument("--kmax", type=_positive_int, default=8)
     p.set_defaults(func=cmd_corpus)
 
     return parser

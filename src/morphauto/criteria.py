@@ -278,18 +278,18 @@ def _invariant_subalphabets(m: Morphism) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda sub: (len(sub), sub))
 
 
-# Each stage takes (spec, options) and returns its outcomes and an optional
+# Each stage takes (spec, options) and returns its outcome and an optional
 # claim, a verdict of its own.  Every deciding stage runs on every input;
 # ``analyze`` alone picks the first claim and checks the later ones.
 
 def _uniform_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     k = spec.morphism.uniform_length
     if k is None or k < 2:
-        return [StageOutcome("uniform", "no", "image lengths differ")], None
+        return StageOutcome("uniform", "no", "image lengths differ"), None
     outcome = StageOutcome("uniform", "success", f"all images have length {k}")
     how = f"uniform morphism of length {k}"
     cert = representation_from_spec(spec)
-    return [outcome], Verdict.automatic(k, cert, "uniform", how)
+    return outcome, Verdict.automatic(k, cert, "uniform", how)
 
 
 def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions):
@@ -298,20 +298,20 @@ def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     summing at the first letter that breaks L*M = lambda*L."""
     m = spec.morphism
     if m.is_erasing:
-        return [StageOutcome("eigenvector", "skipped", "erasing morphism")], None
+        return StageOutcome("eigenvector", "skipped", "erasing morphism"), None
     q = eigenvector_criterion(m)
     if q is None:
         detail = f"L*M = {length_product(m)} is not a rational multiple >= 2 of L = {m.lengths}"
-        return [StageOutcome("eigenvector", "no", detail)], None
+        return StageOutcome("eigenvector", "no", detail), None
     detail = f"length vector is a left eigenvector with eigenvalue {q}"
     outcome = StageOutcome("eigenvector", "success", detail, {"q": q})
     # a uniform morphism with q >= 2 has length q: the uniform stage
     # certifies it, so only the other morphisms need a certificate here
     if m.uniform_length is not None:
-        return [outcome], None
+        return outcome, None
     cert = minimize_uniform(reshuffle_uniformize(spec))
     how = f"left-eigenvector criterion, q={q}"
-    return [outcome], Verdict.automatic(q, cert, "eigenvector", how)
+    return outcome, Verdict.automatic(q, cert, "eigenvector", how)
 
 
 def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions):
@@ -341,29 +341,29 @@ def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions):
         )
         how = f"{k}-block morphism {rules}"
         cert = BlockCertificate(blk, spec.coding)
-        return [outcome], Verdict.automatic(q, cert, "block", how)
-    return [StageOutcome("block", "no", "; ".join(failures))], None
+        return outcome, Verdict.automatic(q, cert, "block", how)
+    return StageOutcome("block", "no", "; ".join(failures)), None
 
 
 def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     if spec.morphism.is_erasing:
-        return [StageOutcome("irrationality", "skipped", "erasing morphism")], None
+        return StageOutcome("irrationality", "skipped", "erasing morphism"), None
     if spec.coding is not None and not spec.coding.is_injective:
         # a coding that merges letters can make the coded word's letter
         # frequencies rational even when the Perron root is irrational
         detail = "non-injective coding: the obstruction holds for the uncoded fixed point only"
-        return [StageOutcome("irrationality", "skipped", detail)], None
+        return StageOutcome("irrationality", "skipped", detail), None
     report = irrationality_verdict(spec.morphism)
     if report is None:
         detail = "needs a primitive, non-uniform morphism with irrational dominant eigenvalue"
-        return [StageOutcome("irrationality", "no", detail)], None
+        return StageOutcome("irrationality", "no", detail), None
     outcome = StageOutcome(
         "irrationality",
         "success",
         f"primitive, charpoly {report.char_poly} has no integer dominant root",
         report.to_json(),
     )
-    return [outcome], Verdict.not_automatic(report, "irrationality")
+    return outcome, Verdict.not_automatic(report, "irrationality")
 
 
 def _evidence_stage(spec: MorphicSpec, opts: AnalyzeOptions):
@@ -383,7 +383,7 @@ def _evidence_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     found = sum(w.sturmian for w in witnesses)
     detail = f"complexity profile attached; {found} sturmian subalphabet witness(es)"
     evidence = UnknownEvidence(profile, tuple(witnesses))
-    return [StageOutcome("evidence", "info", detail)], Verdict.unknown(evidence, "evidence")
+    return StageOutcome("evidence", "info", detail), Verdict.unknown(evidence, "evidence")
 
 
 _STAGES = (_uniform_stage, _eigenvector_stage, _block_stage, _irrationality_stage)
@@ -399,8 +399,8 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
     stages: list[StageOutcome] = []
     verdict: Verdict | None = None
     for run in _STAGES:
-        outcomes, claim = run(spec, opts)
-        stages.extend(outcomes)
+        outcome, claim = run(spec, opts)
+        stages.append(outcome)
         if claim is None:
             continue
         # a certificate proves Automatic(q) for its own uniform length only
@@ -423,6 +423,6 @@ def analyze(spec: MorphicSpec, options: AnalyzeOptions | None = None) -> Analysi
                 f"but stage {claim.provenance} decided {claim.kind} (q={claim.q})"
             )
     if verdict is None:
-        outcomes, verdict = _evidence_stage(spec, opts)
-        stages.extend(outcomes)
+        outcome, verdict = _evidence_stage(spec, opts)
+        stages.append(outcome)
     return AnalysisReport(spec, verdict, tuple(stages), opts)

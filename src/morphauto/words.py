@@ -477,101 +477,81 @@ def parse_morphism(text: str) -> MorphicSpec:
     missing seed defaults to the first letter with a prolongable rule, or
     failing that to the first letter.
     """
-    alphabet: Alphabet | None = None
-    rules: dict[int, Word] = {}
-    rule_lines: dict[int, int] = {}
-    seed_token: str | None = None
-    seed_line: int | None = None
-    coding_pairs: list[tuple[str, str]] | None = None
-    coding_line: int | None = None
-
+    declared: dict[str, tuple[int, object]] = {}  # header -> (line, value)
+    rules: dict[str, tuple[int, Word]] = {}  # letter -> (line, image)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("letters:"):
-            if alphabet is not None:
-                raise MorphParseError("duplicate letters declaration", lineno)
-            toks = line[len("letters:"):].split()
-            if not toks:
-                raise MorphParseError("empty letters declaration", lineno)
-            if len(set(toks)) != len(toks):
-                raise MorphParseError("duplicate letter in declaration", lineno)
-            alphabet = Alphabet(tuple(toks))
-            continue
-        if line.startswith("seed:"):
-            if seed_token is not None:
-                raise MorphParseError("duplicate seed declaration", lineno)
-            parts = line[len("seed:"):].split()
-            if len(parts) != 1:
-                raise MorphParseError("seed wants exactly one letter", lineno)
-            seed_token, seed_line = parts[0], lineno
-            continue
-        if line.startswith("coding:"):
-            if coding_pairs is not None:
-                raise MorphParseError("duplicate coding declaration", lineno)
-            coding_pairs, coding_line = [], lineno
-            body = line[len("coding:"):]
-            for item in body.split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                if "->" not in item:
-                    raise MorphParseError(f"bad coding pair {item!r}", lineno)
-                src, dst = (part.strip() for part in item.split("->", 1))
-                if not src or not dst:
-                    raise MorphParseError(f"bad coding pair {item!r}", lineno)
-                coding_pairs.append((src, dst))
-            continue
-        if "->" in line:
-            if alphabet is None:
+        key, _, body = line.partition(":")
+        if key in ("letters", "seed", "coding"):
+            if key in declared:
+                raise MorphParseError(f"duplicate {key} declaration", lineno)
+            if key == "letters":
+                toks = body.split()
+                if not toks:
+                    raise MorphParseError("empty letters declaration", lineno)
+                if len(set(toks)) != len(toks):
+                    raise MorphParseError("duplicate letter in declaration", lineno)
+                value = Alphabet(tuple(toks))
+            elif key == "seed":
+                if len(body.split()) != 1:
+                    raise MorphParseError("seed wants exactly one letter", lineno)
+                value = body.strip()
+            else:
+                value = []
+                for item in filter(None, map(str.strip, body.split(","))):
+                    src, arrow, dst = map(str.strip, item.partition("->"))
+                    if not (arrow and src) or len(dst.split()) != 1:
+                        raise MorphParseError(f"bad coding pair {item!r}", lineno)
+                    value.append((src, dst))
+            declared[key] = lineno, value
+        elif "->" in line:
+            if "letters" not in declared:
                 raise MorphParseError("rule before letters declaration", lineno)
+            alphabet = declared["letters"][1]
             lhs, rhs = line.split("->", 1)
             lhs = lhs.strip()
             if lhs not in alphabet:
                 raise MorphParseError(f"rule for undeclared letter {lhs!r}", lineno)
-            idx = alphabet.index(lhs)
-            if idx in rules:
+            if lhs in rules:
                 raise MorphParseError(
-                    f"duplicate rule for {lhs!r} (first at line {rule_lines[idx]})", lineno
+                    f"duplicate rule for {lhs!r} (first at line {rules[lhs][0]})", lineno
                 )
-            rules[idx] = _parse_image(rhs, alphabet, lineno, raw)
-            rule_lines[idx] = lineno
-            continue
-        raise MorphParseError(f"unrecognised line {line!r}", lineno)
+            rules[lhs] = lineno, _parse_image(rhs, alphabet, lineno, raw)
+        else:
+            raise MorphParseError(f"unrecognised line {line!r}", lineno)
 
-    if alphabet is None:
+    if "letters" not in declared:
         raise MorphParseError("missing letters declaration")
-    missing = [tok for i, tok in enumerate(alphabet.letters) if i not in rules]
+    alphabet = declared["letters"][1]
+    missing = [tok for tok in alphabet.letters if tok not in rules]
     if missing:
         raise MorphParseError(f"missing rule for letter {missing[0]!r}")
-    morphism = Morphism(alphabet, tuple(rules[i] for i in range(len(alphabet))))
+    morphism = Morphism(alphabet, tuple(rules[tok][1] for tok in alphabet.letters))
 
-    if seed_token is not None:
+    if "seed" in declared:
+        seed_line, seed_token = declared["seed"]
         if seed_token not in alphabet:
             raise MorphParseError(f"seed {seed_token!r} is not a declared letter", seed_line)
         seed = alphabet.index(seed_token)
     else:
-        prolongable = morphism.prolongable_letters()
-        seed = prolongable[0] if prolongable else 0
+        seed = (morphism.prolongable_letters() or (0,))[0]
 
     coding = None
-    if coding_pairs is not None:
+    if "coding" in declared:
+        coding_line, pairs = declared["coding"]
         mapping: dict[str, str] = {}
-        targets: list[str] = []
-        for src, dst in coding_pairs:
+        for src, dst in pairs:
             if src not in alphabet:
                 raise MorphParseError(f"coding maps undeclared letter {src!r}", coding_line)
             if src in mapping:
                 raise MorphParseError(f"coding maps {src!r} twice", coding_line)
             mapping[src] = dst
-            if dst not in targets:
-                targets.append(dst)
         absent = [tok for tok in alphabet.letters if tok not in mapping]
         if absent:
             raise MorphParseError(f"coding is missing letter {absent[0]!r}", coding_line)
-        target = Alphabet(tuple(targets))
-        table = tuple(target.index(mapping[tok]) for tok in alphabet.letters)
-        coding = Coding(alphabet, target, table)
+        target = Alphabet(tuple(dict.fromkeys(mapping.values())))  # first-seen order
+        coding = Coding(alphabet, target, tuple(target.index(mapping[tok]) for tok in alphabet.letters))
 
     return MorphicSpec(morphism, seed, coding)

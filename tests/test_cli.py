@@ -8,8 +8,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from morphauto import InternalCheckError, constructions, parse_morphism
-from morphauto.cli import main
+from morphauto import AnalyzeOptions, InternalCheckError, constructions, parse_morphism
+from morphauto.cli import build_parser, main
 from morphauto.constructions import representation_from_spec
 
 from oracles import iso_equivalent, prefix_equal
@@ -207,6 +207,17 @@ class TestUniformize:
 
 
 class TestOtherCommands:
+    def test_defaults_are_the_analyze_options(self):
+        parser = build_parser()
+        for argv in (["analyze", "x.morph"], ["corpus"]):
+            args = parser.parse_args(argv)
+            assert (args.depth, args.kmax) == (AnalyzeOptions.depth, AnalyzeOptions.kmax)
+        args = parser.parse_args(["complexity", "x.morph"])
+        assert (args.nmax, args.prefix_length) == (
+            AnalyzeOptions.evidence_nmax,
+            AnalyzeOptions.evidence_prefix,
+        )
+
     def test_blocks(self, corpus_path, capsys):
         assert main(["blocks", morph(corpus_path, "lysenok"), "-k", "2"]) == 0
         out = capsys.readouterr().out

@@ -485,9 +485,9 @@ class TestBlockStage:
             return expand(spec, n)
 
         monkeypatch.setattr(MorphicSpec, "uncoded_prefix", counted)
-        outcomes, claim = criteria._block_stage(fibonacci, AnalyzeOptions())
-        assert claim is None and [o.status for o in outcomes] == ["no"]
-        assert outcomes[0].detail.count("k=") == 7
+        outcome, claim = criteria._block_stage(fibonacci, AnalyzeOptions())
+        assert claim is None and outcome.status == "no"
+        assert outcome.detail.count("k=") == 7
         assert calls == [8]
 
     def test_every_k_gets_what_block_morphism_builds_alone(self, corpus_path, monkeypatch):

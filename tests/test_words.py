@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from morphauto import (
@@ -30,6 +30,7 @@ MALFORMED = [
     ("seed-of-two-letters", "letters: a b\na -> ab\nb -> a\nseed: a b", "seed wants exactly one letter", 4),
     ("coding-pair-without-arrow", "letters: a\na -> aa\ncoding: a x", "bad coding pair 'a x'", 3),
     ("coding-pair-with-empty-side", "letters: a\na -> aa\ncoding: a->", "bad coding pair 'a->'", 3),
+    ("coding-target-with-a-space", "letters: a b\na -> ab\nb -> a\ncoding: a->0 1, b->1", "bad coding pair 'a->0 1'", 4),
     ("rule-before-letters", "a -> aa\nletters: a", "rule before letters declaration", 1),
     ("rule-for-undeclared-letter", "letters: a\na -> aa\nb -> a", "rule for undeclared letter 'b'", 3),
     ("unrecognised-line", "letters: a\na -> aa\nhello", "unrecognised line 'hello'", 3),
@@ -39,6 +40,21 @@ MALFORMED = [
     ("letter-coded-twice", "letters: a\na -> aa\ncoding: a->x, a->y", "coding maps 'a' twice", 3),
     ("coding-missing-a-letter", "letters: a b\na -> ab\nb -> a\ncoding: a->x", "coding is missing letter 'b'", 4),
 ]
+
+MALFORMED_LINES = sorted({ln for _, text, _, _ in MALFORMED for ln in text.splitlines()})
+
+
+@st.composite
+def malformed_mixes(draw):
+    """The lines of a MALFORMED text, maybe one of them dropped, with up to
+    three of MALFORMED's lines inserted anywhere: valid texts, and
+    malformed ones of every kind."""
+    lines = draw(st.sampled_from(MALFORMED))[1].splitlines()
+    if lines and draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    for line in draw(st.lists(st.sampled_from(MALFORMED_LINES), max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "\n".join(lines)
 
 
 class TestParse:
@@ -136,6 +152,16 @@ class TestParse:
             parse_morphism(text)
         assert fragment in str(err.value)
         assert err.value.line == line
+
+    @PROPERTY
+    @given(malformed_mixes())
+    @example("letters: a b\na -> ab\nb -> a\ncoding: a->0 1, b->1")
+    def test_every_text_parses_or_names_its_line(self, text):
+        try:
+            parse_morphism(text)
+        except MorphParseError as err:
+            whole_file = str(err).startswith(("missing letters declaration", "missing rule for letter"))
+            assert (err.line is None) == whole_file, str(err)
 
 
 class TestApply:
