@@ -205,6 +205,14 @@ class AnalyzeOptions:
             raise ValueError(f"kmax must be at least 2, got {self.kmax}")
 
 
+def _dense_row(row, size: int) -> list[str]:
+    # one sparse row (j, m_ij) as all ``size`` entries, in decimal
+    out = ["0"] * size
+    for j, m in row:
+        out[j] = str(m)
+    return out
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     spec: MorphicSpec
@@ -232,9 +240,11 @@ class AnalysisReport:
                     if coding is None
                     else {tok: coding.target.letters[t] for tok, t in zip(a.letters, coding.table)}
                 ),
-                # row-major, entries as decimal strings so arbitrary sizes survive
+                # row-major and dense, rendered from the sparse rows here, the
+                # one place that needs every entry; decimal strings so
+                # arbitrary sizes survive
                 "incidence": {
-                    "matrix": [[str(entry) for entry in row] for row in spec.morphism.incidence],
+                    "matrix": [_dense_row(row, len(a)) for row in spec.morphism.incidence],
                     "length_vector": [str(length) for length in spec.morphism.lengths],
                 },
             },

@@ -1,5 +1,10 @@
 """Exact integer and rational linear algebra for integer matrices, given as
-tuples of rows, such as the incidence matrix ``Morphism.incidence``.
+sparse rows, such as the incidence matrix ``Morphism.incidence``: row i of
+an n x n matrix M holds a pair (j, m_ij) for every nonzero entry, j
+ascending, and no pair for a zero entry.  Every function here reads only
+these pairs, so none costs n^2 for a matrix with few nonzeros.  A column
+index outside 0..n-1 is a ValueError, and so is a negative entry or a zero
+pair where a nonnegative matrix is required.
 
 Everything here is decided exactly, so no verdict ever depends on floating
 point.  Characteristic polynomials come from the power sums tr(M^k) by
@@ -44,18 +49,34 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, dropwhile, repeat, takewhile
-from operator import add, and_, mul, not_, rshift
+from itertools import accumulate, chain, dropwhile, repeat, takewhile
+from operator import add, and_, itemgetter, mul, not_, rshift
 
-Matrix = tuple[tuple[int, ...], ...]
+# row i holds a pair (j, m_ij) for every nonzero entry, j ascending
+Rows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 # ---------------------------------------------------------------------------
 # matrices
 
-def _check_nonnegative(m) -> None:
-    if min(map(min, m), default=0) < 0:
+def _smallest_entry(rows) -> int:
+    """The smallest entry of any pair, 1 when there is none, after checking
+    that every column index lies in 0..n-1."""
+    n, low = len(rows), 1
+    for j, m in chain.from_iterable(rows):
+        if not 0 <= j < n:
+            raise ValueError(f"column index {j} outside 0..{n - 1}")
+        if m < low:
+            low = m
+    return low
+
+
+def _check_nonnegative(rows) -> None:
+    low = _smallest_entry(rows)
+    if low < 0:
         raise ValueError("matrix must be nonnegative")
+    if not low:
+        raise ValueError("sparse rows hold no zero entry")
 
 
 # ---------------------------------------------------------------------------
@@ -113,21 +134,21 @@ class IntPolynomial:
         return " ".join(parts) if parts else "0"
 
 
-def char_poly(matrix) -> IntPolynomial:
+def char_poly(rows) -> IntPolynomial:
     """det(xI - M), exactly over Z, from the power sums p_k = tr(M^k).
 
-    Row i of M^k is kept as one integer whose W-bit slot j holds
-    (M^k)_ij, W = bits(L^n) + 2 with L the largest absolute column sum:
-    |(M^k)_ij| <= ||M||_1^k <= L^n for k <= n, so a slot holds any entry
-    plus 2^(W-1), which is added before each read when M has a negative
-    entry.  Row i of M^(k+1) is the sum of the rows of M^k named by the
-    nonzeros of row i of M, unit entries added without a product.  The sum
-    starts from its first term, not from 0, whose sum with it would copy a
-    whole packed row, so a row of M with a single unit entry costs no
-    big-integer operation; a zero row starts from row 0 times 0.  p_k is
-    the sum of the diagonal slots.  Newton's identities then give
-    k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1), and a division that
-    leaves a remainder is an internal error.
+    M may have entries of either sign.  Row i of M^k is kept as one integer
+    whose W-bit slot j holds (M^k)_ij, W = bits(L^n) + 2 with L the largest
+    absolute column sum, summed from the pairs: |(M^k)_ij| <= ||M||_1^k <=
+    L^n for k <= n, so a slot holds any entry plus 2^(W-1), which is added
+    before each read when M has a negative entry.  Row i of M^(k+1) is the
+    sum of the rows of M^k named by the pairs of row i of M, unit entries
+    added without a product.  The sum starts from its first term, not from
+    0, whose sum with it would copy a whole packed row, so a row of M with a
+    single unit entry costs no big-integer operation; a zero row starts
+    from row 0 times 0.  p_k is the sum of the diagonal slots.  Newton's
+    identities then give k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1),
+    and a division that leaves a remainder is an internal error.
 
     The result's ``root_bound`` is max_j (1^T M^n)_j / (1^T M^(n-1))_j,
     an upper bound on rho(M) by Collatz-Wielandt for the positive vector
@@ -137,14 +158,17 @@ def char_poly(matrix) -> IntPolynomial:
     M has a negative entry or some column sum of M^(n-1) is 0, which for
     M >= 0 and n >= 2 happens exactly when M has a zero column.
     """
-    n = len(matrix)
-    width = (max((sum(map(abs, col)) for col in zip(*matrix)), default=0) ** n).bit_length() + 2
+    n = len(rows)
+    signed = _smallest_entry(rows) < 0
+    col_sums = [0] * n
+    for j, m in chain.from_iterable(rows):
+        col_sums[j] += abs(m)
+    width = (max(col_sums, default=0) ** n).bit_length() + 2
     mask = (1 << width) - 1
     shifts = range(0, width * n, width)
-    half = 1 << (width - 1) if min(map(min, matrix), default=0) < 0 else 0
+    half = 1 << (width - 1) if signed else 0
     ones = ((1 << width * n) - 1) // mask  # 1 in every slot: 1^T M^0
     offset = half * ones
-    rows = [[(j, m) for j, m in enumerate(row) if m] for row in matrix]
     power = [sum(m << width * j for j, m in row) for row in rows]
     # each row's first nonzero (j0, m0) and the rest
     steps = [(row[0][0], row[0][1], row[1:]) if row else (0, 0, ()) for row in rows]
@@ -249,10 +273,17 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
 # ---------------------------------------------------------------------------
 # the support digraph: components and primitivity
 
-def _support(matrix) -> tuple[list[int], list[int]]:
-    """Rows and columns of a nonnegative M as bitmasks, bit j of row i set when m_ij > 0."""
-    bits = [1 << j for j in range(len(matrix))]
-    return [sum(compress(bits, row)) for row in matrix], [sum(compress(bits, col)) for col in zip(*matrix)]
+def _support(rows) -> tuple[list[int], list[int]]:
+    """Rows and columns of M as bitmasks, bit j of row i and bit i of
+    column j set for every pair (j, m_ij)."""
+    masks, cols = [], [0] * len(rows)
+    for i, row in enumerate(rows):
+        mask, bit = 0, 1 << i
+        for j, _ in row:
+            mask |= 1 << j
+            cols[j] |= bit
+        masks.append(mask)
+    return masks, cols
 
 
 def _levels(masks, start: int, seen: int = 0) -> list[tuple[int, int]]:
@@ -278,33 +309,36 @@ def _reach(masks, start: int, seen: int = 0) -> int:
     return sum(level for level, _ in _levels(masks, start, seen))
 
 
-def _strongly_connected_components(matrix) -> list[list[int]]:
+def _strongly_connected_components(rows) -> list[list[int]]:
     # the component of v, the lowest letter not yet placed: the letters v
     # reaches along the rows that also reach v, found along the columns.
     # A path between two letters of one component stays inside it, so the
     # forward sweep skips the placed letters and the backward sweep keeps
     # to the letters the forward one reached
-    r = len(matrix)
-    rows, cols = _support(matrix)
+    r = len(rows)
+    row_masks, col_masks = _support(rows)
     comps: list[list[int]] = []
     placed = 0
     for v in range(r):
         if not placed >> v & 1:
-            comp = _reach(cols, v, ~_reach(rows, v, placed))
+            comp = _reach(col_masks, v, ~_reach(row_masks, v, placed))
             placed |= comp
             comps.append([j for j in range(r) if comp >> j & 1])
     return comps
 
 
-def _diagonal_blocks(matrix) -> list[Matrix]:
-    """The irreducible diagonal blocks, one per strongly connected component."""
-    return [
-        tuple(tuple(matrix[i][j] for j in comp) for i in comp)
-        for comp in _strongly_connected_components(matrix)
-    ]
+def _diagonal_blocks(rows) -> list[Rows]:
+    """The irreducible diagonal blocks, one per strongly connected
+    component, as sparse rows: the pairs of the component's rows that fall
+    in its columns, re-indexed in the component's (ascending) order."""
+    blocks = []
+    for comp in _strongly_connected_components(rows):
+        index = {j: k for k, j in enumerate(comp)}
+        blocks.append(tuple(tuple((index[j], m) for j, m in rows[i] if j in index) for i in comp))
+    return blocks
 
 
-def is_primitive(matrix) -> bool:
+def is_primitive(rows) -> bool:
     """M is primitive iff it is irreducible with period 1 (Horn-Johnson §8.5).
 
     Irreducible: in the support digraph, with an edge u -> v when entry
@@ -314,12 +348,12 @@ def is_primitive(matrix) -> bool:
     from letter 0; all edges from level t into level t' give the same term,
     so the gcd runs over those level pairs, and stops once it is 1.
     """
-    _check_nonnegative(matrix)
-    if not matrix:
+    _check_nonnegative(rows)
+    if not rows:
         return False
-    rows, cols = _support(matrix)
-    levels, full = _levels(rows, 0), (1 << len(matrix)) - 1
-    if sum(level for level, _ in levels) != full or _reach(cols, 0) != full:
+    row_masks, col_masks = _support(rows)
+    levels, full = _levels(row_masks, 0), (1 << len(rows)) - 1
+    if sum(level for level, _ in levels) != full or _reach(col_masks, 0) != full:
         return False
     terms = (t + 1 - t2 for t, (_, succ) in enumerate(levels)
              for t2, (level, _) in enumerate(levels[: t + 1]) if succ & level)
@@ -358,6 +392,9 @@ def _scaled_values(scaled, a: int) -> tuple[int, int]:
     return p, d
 
 
+_value = itemgetter(1)  # the entry of a pair (j, m_ij)
+
+
 def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
     """Bracket the spectral radius rho of one irreducible diagonal block B
     by Newton's method from above on chi = det(xI - B), ``poly`` if given.
@@ -374,8 +411,11 @@ def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
     chi(a - 1) <= 0, and the grid is refined while the bracket is still
     wider than tol.  Returns (lo, hi, loose).
     """
-    rows, cols = list(map(sum, block)), list(map(sum, zip(*block)))
-    low, high = max(min(rows), min(cols)), min(max(rows), max(cols))
+    row_sums = [sum(map(_value, row)) for row in block]
+    col_sums = [0] * len(block)
+    for j, m in chain.from_iterable(block):
+        col_sums[j] += m
+    low, high = max(min(row_sums), min(col_sums)), min(max(row_sums), max(col_sums))
     tn, td = tol.numerator, tol.denominator
     if (high - low) * td <= tn:
         return Fraction(low), Fraction(high), False
@@ -410,7 +450,7 @@ def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
         scaled = [c << extra * k for k, c in enumerate(scaled)]
 
 
-def radius_bracket(matrix, tol, *, blocks=None, poly=None) -> RadiusBracket:
+def radius_bracket(rows, tol, *, blocks=None, poly=None) -> RadiusBracket:
     """A rational interval of width <= tol containing the spectral radius.
 
     The support digraph is split into strongly connected components; the
@@ -422,8 +462,8 @@ def radius_bracket(matrix, tol, *, blocks=None, poly=None) -> RadiusBracket:
     its polynomial gets it from ``char_poly``.
     """
     if blocks is None:
-        _check_nonnegative(matrix)
-        blocks = _diagonal_blocks(matrix)
+        _check_nonnegative(rows)
+        blocks = _diagonal_blocks(rows)
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -467,7 +507,7 @@ class SpectralReport:
         }
 
 
-def spectral_report(matrix, *, blocks=None) -> SpectralReport:
+def spectral_report(rows, *, blocks=None) -> SpectralReport:
     """Decide exactly whether the spectral radius is an integer.
 
     For a nonnegative matrix the radius rho is itself an eigenvalue, so if
@@ -487,9 +527,9 @@ def spectral_report(matrix, *, blocks=None) -> SpectralReport:
     matrix and passes its ``blocks``.  A primitive matrix is its own single
     block.
     """
-    p = char_poly(matrix)
+    p = char_poly(rows)
     roots = integer_roots(p)
-    bracket = radius_bracket(matrix, _BRACKET_TOL, blocks=blocks, poly=p)
+    bracket = radius_bracket(rows, _BRACKET_TOL, blocks=blocks, poly=p)
     candidate = max((root for root, _ in roots if root >= 0), default=None)
     if candidate is None or any(a <= 0 for a in dropwhile(not_, _taylor(p.coeffs, candidate))):
         return SpectralReport(p, roots, bracket, None)

@@ -48,7 +48,7 @@ class ComplexityProfile:
         }
 
 
-def factor_complexity(spec, n_max: int = 30, prefix_length: int = 10_000) -> ComplexityProfile:
+def factor_complexity(spec, n_max: int, prefix_length: int) -> ComplexityProfile:
     """Count distinct factors of each length up to n_max in a prefix.
 
     The prefix must be at least four times as long as the window, a margin
@@ -110,9 +110,7 @@ def factor_complexity(spec, n_max: int = 30, prefix_length: int = 10_000) -> Com
     return ComplexityProfile(n_max, tuple(accumulate(delta[1:-1])), prefix_length)
 
 
-def sturmian_witness(
-    spec, n_max: int = 30, prefix_length: int = 10_000
-) -> tuple[bool, ComplexityProfile]:
+def sturmian_witness(spec, n_max: int, prefix_length: int) -> tuple[bool, ComplexityProfile]:
     """Evidence (not proof) of Sturmian complexity: p(n) == n + 1 up to n_max.
 
     The profile is ``factor_complexity(spec, n_max, prefix_length)``, so the

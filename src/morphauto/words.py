@@ -9,10 +9,11 @@ over the same alphabet always have the same format, so they are compared
 without conversion.  A morphism maps every letter to a word over the same
 alphabet and extends to words by concatenation.  It carries the integer
 data of the exact tests: its length vector (``Morphism.lengths``) and its
-incidence matrix (``Morphism.incidence``), a plain tuple of rows, which is
-what ``linalg`` takes.  Fixed points of prolongable morphisms are generated
-lazily, by expanding a growing prefix in place, so producing ``n`` letters
-costs O(n) time and memory.
+incidence matrix (``Morphism.incidence``), as the sparse rows that
+``linalg`` takes, built from the images without an r x r table.  Fixed
+points of prolongable morphisms are generated lazily, by expanding a
+growing prefix in place, so producing ``n`` letters costs O(n) time and
+memory.
 
 Letters are whitespace-free token strings, not single characters, so
 alphabets like ``{1, 1*, 2, 2*}`` work throughout.
@@ -159,15 +160,25 @@ class Morphism:
         return tuple(len(img) for img in self.images)
 
     @cached_property
-    def incidence(self) -> tuple[tuple[int, ...], ...]:
-        """The incidence matrix, as a tuple of rows.
+    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The incidence matrix M, as the sparse rows that ``linalg`` takes:
+        row i holds a pair (j, M_ij) for every image j that contains letter
+        i, j ascending, and no pair for a zero entry.
 
         Convention: entry (i, j) counts the occurrences of letter i in the
         image of letter j, so column j is the Parikh vector of that image,
         columns are indexed by source letters and column sums equal the
-        image lengths."""
-        r = len(self.alphabet)
-        return tuple(zip(*(parikh_vector(img, r) for img in self.images)))
+        image lengths.  Built from the images in one pass over their
+        letters: the pairs number at most the total image length."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in self.images]
+        for j, img in enumerate(self.images):
+            for c in img:
+                row = rows[c]
+                if row and row[-1][0] == j:
+                    row[-1] = (j, row[-1][1] + 1)
+                else:
+                    row.append((j, 1))
+        return tuple(map(tuple, rows))
 
     @property
     def is_erasing(self) -> bool:
@@ -472,10 +483,11 @@ def parse_morphism(text: str) -> MorphicSpec:
         seed: <tok>                # optional
         coding: <tok>-><tok>, ...  # optional, total on the letters
 
-    Image tokens are whitespace separated; when every letter is a single
-    character they may also be written concatenated (``a -> aca``).  A
-    missing seed defaults to the first letter with a prolongable rule, or
-    failing that to the first letter.
+    Letters hold no whitespace, ``->`` or ``,``.  Image tokens are
+    whitespace separated; when every letter is a single character they may
+    also be written concatenated (``a -> aca``).  A missing seed defaults
+    to the first letter with a prolongable rule, or failing that to the
+    first letter.
     """
     declared: dict[str, tuple[int, object]] = {}  # header -> (line, value)
     rules: dict[str, tuple[int, Word]] = {}  # letter -> (line, image)
@@ -493,6 +505,11 @@ def parse_morphism(text: str) -> MorphicSpec:
                     raise MorphParseError("empty letters declaration", lineno)
                 if len(set(toks)) != len(toks):
                     raise MorphParseError("duplicate letter in declaration", lineno)
+                # a rule splits at its first "->" and a coding at ",", so
+                # such a letter could get neither
+                for tok in toks:
+                    if "->" in tok or "," in tok:
+                        raise MorphParseError(f"letter {tok!r} holds '->' or ','", lineno)
                 value = Alphabet(tuple(toks))
             elif key == "seed":
                 if len(body.split()) != 1:

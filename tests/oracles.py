@@ -1,13 +1,17 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Everything here is deliberately naive and shares no code path with the
-package: token-level string rewriting, the position-letter form of a
-uniform block morphism, cofactor-expansion determinants, the
-Faddeev-LeVerrier recursion, set-based factor counting, strongly connected
-components from set-based reachability, the spectral-radius bracket on
-dense rows, Newton's bracket started from the row and column sums with
-chi evaluated term by term, the sign of rho(B) - c from the leading
-principal minors of cI - B, dense matrix products, the left-eigenvector
+The oracles take dense matrices, tuples of rows of every entry; ``sparse``
+and ``dense`` convert to and from the package's sparse rows, a pair
+(j, m_ij) for every nonzero entry of row i.  Everything here is
+deliberately naive and shares no code path with the package: token-level
+string rewriting, the position-letter form of a uniform block morphism,
+cofactor-expansion determinants, the Faddeev-LeVerrier recursion,
+primitivity from Boolean matrix powers, set-based factor counting,
+strongly connected components from set-based reachability, the
+spectral-radius bracket on dense rows, Newton's bracket started from the
+row and column sums with chi evaluated term by term, the sign of
+rho(B) - c from the leading principal minors of cI - B, dense matrix
+products, the left-eigenvector
 check in fractions, Perron vectors from a scan of the column-sum range
 with rational kernels, and the paper's anagram method (which reads the
 package's ``Morphism`` and ``parikh_vector``).  The comparisons of two
@@ -22,6 +26,22 @@ from fractions import Fraction
 from operator import mul
 
 from morphauto import InternalCheckError, Morphism, Word, parikh_vector
+
+
+def sparse(matrix):
+    """Dense rows as sparse rows: row i holds (j, m_ij) for every nonzero
+    m_ij, j ascending."""
+    return tuple(tuple((j, m) for j, m in enumerate(row) if m) for row in matrix)
+
+
+def dense(rows):
+    """Sparse rows as the dense n x n matrix, n the number of rows."""
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, m in row:
+            out[i][j] = m
+    return tuple(map(tuple, out))
 
 
 def naive_apply(rules: dict[str, list[str]], word: list[str]) -> list[str]:
@@ -140,10 +160,7 @@ def faddeev_leverrier_charpoly(matrix) -> list[int]:
         coeffs.append(c)
         if k < n:
             shifted = [[aux[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-            aux = [
-                [sum(matrix[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
+            aux = mat_mul(matrix, shifted)
     return coeffs
 
 
@@ -157,6 +174,20 @@ def naive_bool_power_positive(matrix, exponent: int) -> bool:
             for i in range(n)
         ]
     return all(all(row) for row in acc)
+
+
+def primitive_by_squaring(matrix) -> bool:
+    """Primitivity by Wielandt's bound: a nonnegative n x n M is primitive
+    iff some power of M is positive, and then every power from
+    (n - 1)^2 + 1 on is (Horn-Johnson §8.5).  The 0/1 pattern of M is
+    squared until its exponent reaches that bound, so a 64 x 64 matrix
+    needs 12 dense products instead of 3970."""
+    pattern = tuple(tuple(int(entry > 0) for entry in row) for row in matrix)
+    exponent = 1
+    while exponent < (len(matrix) - 1) ** 2 + 1:
+        pattern = tuple(tuple(int(entry > 0) for entry in row) for row in mat_mul(pattern, pattern))
+        exponent *= 2
+    return bool(matrix) and all(map(all, pattern))
 
 
 def naive_components(matrix) -> list[list[int]]:

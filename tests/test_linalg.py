@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from morphauto import (
     Alphabet,
@@ -30,6 +32,7 @@ import oracles
 from oracles import (
     bisect_root,
     column_sum_scan_perron,
+    dense,
     dense_irreducible_bracket,
     faddeev_leverrier_charpoly,
     integer_radius,
@@ -38,8 +41,10 @@ from oracles import (
     naive_bool_power_positive,
     naive_charpoly,
     naive_components,
+    primitive_by_squaring,
     radius_sign,
     row_sum_start_bracket,
+    sparse,
 )
 
 
@@ -47,21 +52,66 @@ class TestIncidence:
     def test_istrail(self, istrail):
         m = istrail.morphism
         assert m.lengths == (2, 3, 1)
-        cols = [tuple(row[j] for row in m.incidence) for j in range(3)]
+        cols = [tuple(row[j] for row in dense(m.incidence)) for j in range(3)]
         assert cols[0] == (0, 1, 1)
         assert cols[1] == (1, 1, 1)
         assert cols[2] == (1, 0, 0)
 
     def test_identity_morphism(self):
         m = parse_morphism("letters: a b c\na -> a\nb -> b\nc -> c").morphism
-        assert m.incidence == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert m.incidence == sparse(((1, 0, 0), (0, 1, 0), (0, 0, 1))) == (((0, 1),), ((1, 1),), ((2, 1),))
         assert m.lengths == (1, 1, 1)
 
     def test_lysenok(self, lysenok):
         m = lysenok.morphism
         assert m.lengths == (3, 1, 1, 1)
-        cols = [tuple(row[j] for row in m.incidence) for j in range(4)]
+        cols = [tuple(row[j] for row in dense(m.incidence)) for j in range(4)]
         assert cols == [(2, 0, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)]
+
+
+@st.composite
+def _morphisms_with_negated_columns(draw):
+    """A morphism over 1 to 64 letters whose images hold 0 to 4 letters,
+    none from a drawn set of absent letters, so that erasing images give
+    zero columns and letters in no image zero rows; and, for half the
+    draws, a nonempty set of columns to negate, which makes a signed matrix
+    of the same shape."""
+    r = draw(st.integers(1, 64))
+    absent = draw(st.frozensets(st.integers(0, r - 1), max_size=r - 1))
+    present = [c for c in range(r) if c not in absent]
+    images = tuple(tuple(draw(st.lists(st.sampled_from(present), max_size=4))) for _ in range(r))
+    negated = draw(st.frozensets(st.integers(0, r - 1), min_size=1)) if draw(st.booleans()) else frozenset()
+    return Morphism(Alphabet(tuple(f"a{i}" for i in range(r))), images), negated
+
+
+class TestSparseRows:
+    """``Morphism.incidence`` holds a pair for every nonzero entry and no
+    other, and ``linalg`` on those rows agrees with the dense oracles."""
+
+    # the Faddeev-LeVerrier oracle takes about 0.5 s at r = 64, so each draw
+    # checks char_poly once: on the incidence rows, or on their signed copy
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_morphisms_with_negated_columns())
+    def test_incidence_rows_agree_with_the_dense_oracles(self, drawn):
+        m, negated = drawn
+        rows, r = m.incidence, len(m.alphabet)
+        assert len(rows) == r
+        for row in rows:
+            columns = [j for j, _ in row]
+            assert all(entry for _, entry in row) and columns == sorted(set(columns))
+        d = dense(rows)
+        for j, img in enumerate(m.images):
+            assert tuple(row[j] for row in d) == tuple(img.count(i) for i in range(r))
+        assert tuple(map(sum, zip(*d))) == m.lengths
+        if negated:
+            signed = tuple(tuple(-e if j in negated else e for j, e in enumerate(row)) for row in d)
+            assert list(char_poly(sparse(signed)).coeffs) == faddeev_leverrier_charpoly(signed)
+        else:
+            assert list(char_poly(rows).coeffs) == faddeev_leverrier_charpoly(d)
+        assert is_primitive(rows) == primitive_by_squaring(d)
+        if r <= 12:
+            assert is_primitive(rows) == naive_bool_power_positive(d, r * r - 2 * r + 2)
+        assert spectral_report(rows).dominant_value == integer_radius(d)
 
 
 def _workloads(monkeypatch):
@@ -97,12 +147,12 @@ class TestCharPoly:
         assert p.coeffs == (1, -1, -2, -4)
 
     def test_zero_matrix(self):
-        assert char_poly(((0, 0), (0, 0))).coeffs == (1, 0, 0)
+        assert char_poly(sparse(((0, 0), (0, 0)))).coeffs == (1, 0, 0)
 
     def test_against_cofactor_oracle(self, istrail, lysenok, acaba, grig_aca_aba, xzy):
         for spec in (istrail, lysenok, acaba, grig_aca_aba, xzy):
             m = spec.morphism.incidence
-            assert list(char_poly(m).coeffs) == naive_charpoly(m)
+            assert list(char_poly(m).coeffs) == naive_charpoly(dense(m))
 
     def test_cube_attribution(self):
         # the polynomial x^3 - 7x^2 + 12x - 8 belongs to the incidence matrix
@@ -111,7 +161,7 @@ class TestCharPoly:
         assert char_poly(base.incidence).coeffs == (1, -1, 0, -2)
         cubed = base.power(3).incidence
         assert char_poly(cubed).coeffs == (1, -7, 12, -8)
-        assert list(char_poly(cubed).coeffs) == naive_charpoly(cubed)
+        assert list(char_poly(cubed).coeffs) == naive_charpoly(dense(cubed))
 
     def test_against_faddeev_leverrier(self):
         # signed entries, read with 2^(W-1) added to every slot, give
@@ -125,7 +175,7 @@ class TestCharPoly:
         ]
         for m in inputs:
             expected = faddeev_leverrier_charpoly(m)
-            assert list(char_poly(m).coeffs) == expected, m
+            assert list(char_poly(sparse(m)).coeffs) == expected, m
             if len(m) <= 6:
                 assert naive_charpoly(m) == expected, m
 
@@ -134,10 +184,10 @@ class TestCharPoly:
         # a repeated row; mostly zero columns, which leave rows of the
         # powers empty
         shift = tuple(tuple(int(j == i + 1) for j in range(6)) for i in range(6))
-        assert char_poly(shift).coeffs == (1, 0, 0, 0, 0, 0, 0)
+        assert char_poly(sparse(shift)).coeffs == (1, 0, 0, 0, 0, 0, 0)
         for m in (shift, ((1, 2, 3), (1, 2, 3), (4, 5, 6)), ((0, 0, 7), (0, 0, 0), (1, 0, 0))):
             expected = faddeev_leverrier_charpoly(m)
-            assert list(char_poly(m).coeffs) == expected, m
+            assert list(char_poly(sparse(m)).coeffs) == expected, m
             assert naive_charpoly(m) == expected, m
 
     @pytest.mark.parametrize("k", [0, 1, 3, 6])
@@ -150,7 +200,7 @@ class TestCharPoly:
             m[i][k] = 0
         m[rng.randrange(k + 2, 9)][k] = 5
         m = tuple(map(tuple, m))
-        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+        assert list(char_poly(sparse(m)).coeffs) == faddeev_leverrier_charpoly(m)
 
     def test_steps_whose_multipliers_are_all_zero(self):
         # upper Hessenberg with one zero subdiagonal entry: block upper
@@ -159,7 +209,7 @@ class TestCharPoly:
         m = _hessenberg_before(rng, 8, 7)
         m[4][3] = 0
         m = tuple(map(tuple, m))
-        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+        assert list(char_poly(sparse(m)).coeffs) == faddeev_leverrier_charpoly(m)
 
     @pytest.mark.parametrize("k, row", [(0, 2), (0, 8), (2, 5), (5, 8), (6, 8)])
     def test_step_with_exactly_one_nonzero_multiplier(self, k, row):
@@ -171,12 +221,12 @@ class TestCharPoly:
             m[i][k] = 0
         m[row][k] = -2
         m = tuple(map(tuple, m))
-        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+        assert list(char_poly(sparse(m)).coeffs) == faddeev_leverrier_charpoly(m)
 
     def test_benchmark_spectral_inputs(self, monkeypatch):
         for morphism in _spectral_morphisms(monkeypatch, (1, 2, 3)):
             m = morphism.incidence
-            assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+            assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(dense(m))
 
     @pytest.mark.parametrize(
         "r, change",
@@ -196,7 +246,7 @@ class TestCharPoly:
         if change == "negative entry":
             m[rng.randrange(r)][rng.randrange(r)] = -3
         m = tuple(map(tuple, m))
-        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+        assert list(char_poly(sparse(m)).coeffs) == faddeev_leverrier_charpoly(m)
 
     def test_hadamard_bound_reached_exactly(self):
         # 2^14 H_4 (Sylvester) has columns of norm 2^15 and determinant
@@ -204,7 +254,7 @@ class TestCharPoly:
         h2 = ((1, 1), (1, -1))
         h4 = tuple(tuple(a * b for a in ra for b in rb) for ra in h2 for rb in h2)
         m = tuple(tuple(2**14 * entry for entry in row) for row in h4)
-        coeffs = char_poly(m).coeffs
+        coeffs = char_poly(sparse(m)).coeffs
         assert coeffs[4] == 2**60
         assert list(coeffs) == faddeev_leverrier_charpoly(m)
 
@@ -212,12 +262,12 @@ class TestCharPoly:
         rng = random.Random(1032)
         cols = [rng.sample(range(32), 4) for _ in range(32)]
         m = tuple(tuple(int(i in cols[j]) for j in range(32)) for i in range(32))
-        assert list(char_poly(m).coeffs) == faddeev_leverrier_charpoly(m)
+        assert list(char_poly(sparse(m)).coeffs) == faddeev_leverrier_charpoly(m)
 
     def test_huge_diagonal_entry_is_exact(self):
         # L^n = 2^400000 makes slots of 400003 bits; chi = (x - 2^200000)(x - 1)
         big = 2**200000
-        assert char_poly(((big, 0), (0, 1))).coeffs == (1, -(big + 1), big)
+        assert char_poly(sparse(((big, 0), (0, 1)))).coeffs == (1, -(big + 1), big)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     @pytest.mark.parametrize("weight", [1000, -1000, 3**40, -(3**40)])
@@ -226,7 +276,7 @@ class TestCharPoly:
         # last power reaches L^n = |c|^n, the bound the slots are sized
         # for, and chi = x^n - c^n
         m = tuple(tuple(weight if j == (i + 1) % n else 0 for j in range(n)) for i in range(n))
-        assert char_poly(m).coeffs == (1, *[0] * (n - 1), -(weight**n))
+        assert char_poly(sparse(m)).coeffs == (1, *[0] * (n - 1), -(weight**n))
 
 
 def _bound_inputs(rng, count):
@@ -260,7 +310,7 @@ def _assert_bound_holds(m):
     """char_poly(m).root_bound is None exactly when m has two or more
     letters and a zero column, and otherwise p/q >= rho(B) for every
     diagonal block B, decided exactly as rho(qB) <= p."""
-    bound = char_poly(m).root_bound
+    bound = char_poly(sparse(m)).root_bound
     assert (bound is None) == (len(m) > 1 and not all(map(any, zip(*m))))
     if bound is not None:
         q, p = bound.denominator, bound.numerator
@@ -298,14 +348,14 @@ class TestRootBound:
             assert char_poly(m).root_bound == q
 
     def test_one_by_one_is_the_entry(self):
-        assert char_poly(((0,),)).root_bound == 0
-        assert char_poly(((7,),)).root_bound == 7
+        assert char_poly(sparse(((0,),))).root_bound == 0
+        assert char_poly(sparse(((7,),))).root_bound == 7
 
     def test_zero_column_and_signed_matrices_get_none(self):
-        assert char_poly(((1, 0), (1, 0))).root_bound is None
-        assert char_poly(((1, 1), (-1, 2))).root_bound is None
+        assert char_poly(sparse(((1, 0), (1, 0)))).root_bound is None
+        assert char_poly(sparse(((1, 1), (-1, 2)))).root_bound is None
         # 1^T M = (2, 1) and 1^T M^2 = (3, 2): the ratios are 3/2 and 2
-        assert char_poly(((1, 1), (1, 0))).root_bound == 2
+        assert char_poly(sparse(((1, 1), (1, 0)))).root_bound == 2
 
     def test_takes_no_part_in_equality_hash_or_repr(self, grig_aca_aba):
         p = char_poly(grig_aca_aba.morphism.incidence)
@@ -352,23 +402,23 @@ class TestIntegerRoots:
 class TestLeftEigencheck:
     def test_istrail(self, istrail):
         m = istrail.morphism
-        assert left_eigencheck(m.lengths, m.incidence) == 2
+        assert left_eigencheck(m.lengths, dense(m.incidence)) == 2
 
     def test_lysenok_fails(self, lysenok):
         m = lysenok.morphism
-        assert left_eigencheck(m.lengths, m.incidence) is None
+        assert left_eigencheck(m.lengths, dense(m.incidence)) is None
 
     def test_all_ones_on_uniform(self, tm_cube):
-        assert left_eigencheck((1, 1), tm_cube.morphism.incidence) == 8
+        assert left_eigencheck((1, 1), dense(tm_cube.morphism.incidence)) == 8
 
     def test_requires_positive_vector(self, istrail):
         with pytest.raises(ValueError):
-            left_eigencheck((2, 0, 1), istrail.morphism.incidence)
+            left_eigencheck((2, 0, 1), dense(istrail.morphism.incidence))
 
     def test_eigenvalue_lies_in_every_bracket(self, istrail, anagram7):
         for spec in (istrail, anagram7):
             m = spec.morphism
-            lam = left_eigencheck(m.lengths, m.incidence)
+            lam = left_eigencheck(m.lengths, dense(m.incidence))
             for tol in (Fraction(1, 10), Fraction(1, 10**4), Fraction(1, 10**8)):
                 assert lam in radius_bracket(m.incidence, tol)
 
@@ -378,22 +428,22 @@ class TestPrimitivity:
         assert is_primitive(acaba.morphism.incidence)
 
     def test_identity_is_not(self):
-        assert not is_primitive(((1, 0), (0, 1)))
+        assert not is_primitive(sparse(((1, 0), (0, 1))))
 
     def test_lysenok_is_not(self, lysenok):
         m = lysenok.morphism.incidence
         assert not is_primitive(m)
-        assert not naive_bool_power_positive(m, 12)
+        assert not naive_bool_power_positive(dense(m), 12)
 
     def test_against_oracle_exponent(self, grig_aca_aba, xzy, fibonacci):
         for spec in (grig_aca_aba, xzy, fibonacci):
             m = spec.morphism.incidence
             r = len(m)
-            assert is_primitive(m) == naive_bool_power_positive(m, r * r - 2 * r + 2)
+            assert is_primitive(m) == naive_bool_power_positive(dense(m), r * r - 2 * r + 2)
 
     def test_scalar(self):
-        assert is_primitive(((5,),))
-        assert not is_primitive(((0,),))
+        assert is_primitive(sparse(((5,),)))
+        assert not is_primitive(sparse(((0,),)))
 
     def test_empty(self):
         # no letters, no strongly connected component
@@ -404,7 +454,7 @@ class TestPrimitivity:
         for _ in range(300):
             r = rng.randint(1, 12)
             m = tuple(tuple(rng.choice((0, 0, 0, 1, 2)) for _ in range(r)) for _ in range(r))
-            assert is_primitive(m) == naive_bool_power_positive(m, r * r - 2 * r + 2)
+            assert is_primitive(sparse(m)) == naive_bool_power_positive(m, r * r - 2 * r + 2)
 
 
 def _from_edges(r, edges):
@@ -428,7 +478,7 @@ class TestPrimitivityByPeriod:
         rng = random.Random(a * 100 + b)
         for perm in [list(range(r))] + [_shuffled(rng, r) for _ in range(4)]:
             m = _from_edges(r, {(perm[u], perm[v]) for u, v in edges})
-            assert is_primitive(m) == _wielandt(m) == primitive
+            assert is_primitive(sparse(m)) == _wielandt(m) == primitive
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7, 8, 12, 16, 32])
     @pytest.mark.parametrize("loop", [False, True])
@@ -436,14 +486,14 @@ class TestPrimitivityByPeriod:
         # an r-cycle has period r; one self-loop makes it primitive
         edges = {(i, (i + 1) % r) for i in range(r)} | ({(r // 2, r // 2)} if loop else set())
         m = _from_edges(r, edges)
-        assert is_primitive(m) == _wielandt(m) == loop
+        assert is_primitive(sparse(m)) == _wielandt(m) == loop
 
     def test_reducible_with_a_primitive_component_reachable_from_zero(self):
         # letter 0 has a self-loop and leads into the primitive component
         # {1, 2, 3}, but nothing leads back: every level gap has gcd 1, yet
         # the matrix is reducible
         m = _from_edges(4, {(0, 0), (0, 1), (1, 2), (2, 3), (3, 1), (2, 1)})
-        assert is_primitive(m) == _wielandt(m) is False
+        assert is_primitive(sparse(m)) == _wielandt(m) is False
 
     def test_reducible_with_letter_zero_in_a_primitive_sink_component(self):
         # the mirror image: letter 0 lies in the primitive component
@@ -451,7 +501,7 @@ class TestPrimitivityByPeriod:
         # reaches, but 0 reaches neither 3 nor 4: every letter reaches 0,
         # and every level gap from 0 has gcd 1, yet the matrix is reducible
         m = _from_edges(5, {(0, 1), (1, 2), (2, 0), (1, 0), (3, 3), (3, 1), (4, 3), (3, 4)})
-        assert is_primitive(m) == _wielandt(m) is False
+        assert is_primitive(sparse(m)) == _wielandt(m) is False
 
 
 def _component_inputs(rng, count):
@@ -485,7 +535,7 @@ class TestComponents:
         rng = random.Random(1926)
         several = 0
         for m in itertools.chain((path, tuple(zip(*path))), _component_inputs(rng, 2000)):
-            comps = _strongly_connected_components(m)
+            comps = _strongly_connected_components(sparse(m))
             assert comps == naive_components(m)
             several += len(comps) > 1
         assert several > 1500
@@ -498,7 +548,7 @@ class TestRadiusBracket:
         assert not br.loose
 
     def test_scalar_matrix(self):
-        br = radius_bracket(((5,),), Fraction(1, 100))
+        br = radius_bracket(sparse(((5,),)), Fraction(1, 100))
         assert (br.lo, br.hi) == (5, 5)
 
     def test_grig_aca_aba_contains_perron_root(self, grig_aca_aba):
@@ -518,13 +568,13 @@ class TestRadiusBracket:
         # a 3-uniform morphism has column sums 3 but row sums 5, 3 and 1;
         # rho(B) = rho(B^T) is the column sum, with no Newton step
         m = parse_morphism("letters: a b c\na -> a b a\nb -> c a b\nc -> a a b").morphism.incidence
-        assert sorted(map(sum, m)) == [1, 3, 5]
+        assert sorted(map(sum, dense(m))) == [1, 3, 5]
         monkeypatch.setattr(linalg, "char_poly", None)
         br = radius_bracket(m, Fraction(1, 10**6))
         assert (br.lo, br.hi, br.loose) == (3, 3, False)
 
     def test_permutation_matrix(self):
-        br = radius_bracket(((0, 1), (1, 0)), Fraction(1, 10**6))
+        br = radius_bracket(sparse(((0, 1), (1, 0))), Fraction(1, 10**6))
         assert (br.lo, br.hi) == (1, 1)
 
     def test_tolerance_reached_for_primitive(self, fibonacci):
@@ -543,7 +593,7 @@ class TestRadiusBracket:
             while sum(map(len, blocks)) < size:
                 blocks.append(_random_irreducible_block(rng))
             m = _permuted(_block_triangular(blocks, rng), _shuffled(rng, sum(map(len, blocks))))
-            br = radius_bracket(m, tol)
+            br = radius_bracket(sparse(m), tol)
             assert br.width <= tol and not br.loose
             _assert_bracket_holds(br, blocks)
 
@@ -558,7 +608,7 @@ class TestRadiusBracket:
                 for i, row in enumerate(cycle)
             )
             for m in (cycle, looped):
-                br = radius_bracket(m, tol)
+                br = radius_bracket(sparse(m), tol)
                 assert br.width <= tol and not br.loose
                 _assert_bracket_holds(br, [m])
 
@@ -567,7 +617,7 @@ class TestRadiusBracket:
         # Collatz-Wielandt iteration loose; Newton on x^2 - 2^120 x - 1 is
         # tight
         m = ((2**120, 1), (1, 0))
-        br = radius_bracket(m, Fraction(1, 10**6))
+        br = radius_bracket(sparse(m), Fraction(1, 10**6))
         assert br.width <= Fraction(1, 10**6) and not br.loose
         _assert_bracket_holds(br, [m])
 
@@ -581,14 +631,14 @@ class TestRadiusBracket:
             br = radius_bracket(m, tol)
             assert br.width <= tol and not br.loose
             assert br.hi.denominator > 2**linalg._GRID_BITS
-            _assert_bracket_holds(br, [m])
+            _assert_bracket_holds(br, [dense(m)])
 
     def test_precision_cap_leaves_a_sound_loose_bracket(self, fibonacci):
         # 2^-5000 is finer than the last grid, 2^-4096
         m = fibonacci.morphism.incidence
         br = radius_bracket(m, Fraction(1, 2**5000))
         assert br.loose and br.width <= Fraction(1, 2**4000)
-        _assert_bracket_holds(br, [m])
+        _assert_bracket_holds(br, [dense(m)])
 
     @pytest.mark.parametrize(
         "coeffs, message",
@@ -601,7 +651,7 @@ class TestRadiusBracket:
     def test_a_wrong_polynomial_is_an_internal_error(self, coeffs, message):
         # the Fibonacci matrix has row sums 2 and 1 and chi = x^2 - x - 1
         with pytest.raises(InternalArithmeticError, match=message):
-            radius_bracket(((1, 1), (1, 0)), Fraction(1, 10**6), poly=IntPolynomial(coeffs))
+            radius_bracket(sparse(((1, 1), (1, 0))), Fraction(1, 10**6), poly=IntPolynomial(coeffs))
 
 
 def _random_irreducible(rng, r, density, top):
@@ -623,7 +673,7 @@ class TestBracketAgainstDense:
 
     @staticmethod
     def _assert_agrees(m, blocks, tol):
-        br = radius_bracket(m, tol)
+        br = radius_bracket(sparse(m), tol)
         assert br.width <= tol and not br.loose
         _assert_bracket_holds(br, blocks)
         dense = [dense_irreducible_bracket(block, tol, 96, 64) for block in blocks]
@@ -633,7 +683,7 @@ class TestBracketAgainstDense:
 
     @classmethod
     def _assert_block_agrees(cls, block, tol):
-        assert len(_strongly_connected_components(block)) == 1
+        assert len(_strongly_connected_components(sparse(block))) == 1
         return cls._assert_agrees(block, [block], tol)[0]
 
     @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
@@ -702,9 +752,9 @@ class TestBracketStart:
     @classmethod
     def _assert_same_bracket(cls, block):
         reference = row_sum_start_bracket(
-            block, cls.TOL, char_poly(block).coeffs, linalg._GRID_BITS, linalg._MAX_GRID_BITS
+            block, cls.TOL, char_poly(sparse(block)).coeffs, linalg._GRID_BITS, linalg._MAX_GRID_BITS
         )
-        assert linalg._irreducible_bracket(block, cls.TOL, None) == reference
+        assert linalg._irreducible_bracket(sparse(block), cls.TOL, None) == reference
 
     def test_seeded_irreducible_blocks(self):
         rng = random.Random(2424)
@@ -734,7 +784,7 @@ class TestBracketStart:
         monkeypatch.setattr(linalg, "_scaled_values", counted("package", linalg._scaled_values))
         monkeypatch.setattr(oracles, "_scaled_chi", counted("reference", oracles._scaled_chi))
         for morphism in _spectral_morphisms(monkeypatch, (1,)):
-            self._assert_same_bracket(morphism.incidence)
+            self._assert_same_bracket(dense(morphism.incidence))
         assert calls["reference"] >= 3 * calls["package"] > 0
 
 
@@ -751,7 +801,7 @@ class TestSpectralReport:
         assert rep.dominant_value in rep.bracket
 
     def test_diagonal(self):
-        rep = spectral_report(((3, 0), (0, 1)))
+        rep = spectral_report(sparse(((3, 0), (0, 1))))
         assert rep.dominant_value == 3
 
     def test_lysenok_reducible_dominant_two(self, lysenok):
@@ -796,12 +846,12 @@ class TestSpectralReport:
         # rho = (5 + sqrt 5) / 2: every coefficient after the zero ones
         # must be positive, not only the first
         monkeypatch.setattr(linalg, "radius_bracket", lambda *a, **k: RadiusBracket(0, 10))
-        rep = spectral_report(((1, 0, 0), (0, 2, 1), (0, 1, 3)))
+        rep = spectral_report(sparse(((1, 0, 0), (0, 2, 1), (0, 1, 3))))
         assert rep.char_poly.coeffs == (1, -6, 10, -5)
         assert list(linalg._taylor(rep.char_poly.coeffs, 1)) == [0, 1, -3, 1]
         assert dict(rep.integer_roots) == {1: 1}
         assert not rep.dominant_is_integer and rep.dominant_value is None
-        rep = spectral_report(((2, 0, 0), (0, 1, 1), (0, 1, 0)))
+        rep = spectral_report(sparse(((2, 0, 0), (0, 1, 1), (0, 1, 0))))
         assert rep.dominant_is_integer and rep.dominant_value == 2
 
     def test_agrees_with_the_signs_of_the_minors(self):
@@ -839,7 +889,7 @@ class TestSpectralReport:
                         row[j] = row[i]
                 m = tuple(map(tuple, rows))
             m = _permuted(m, _shuffled(rng, len(m)))
-            rep = spectral_report(m)
+            rep = spectral_report(sparse(m))
             assert rep.dominant_value == integer_radius(m), (kind, m)
             if rep.dominant_is_integer:
                 decided["integer"] += 1
@@ -883,7 +933,7 @@ class TestOneSplitPerVerdict:
     def test_reducible_reports_split_themselves(self, monkeypatch, lysenok):
         # called without blocks, the report splits the matrix itself, once;
         # the two reports are pinned as they were before blocks could be passed
-        fib_below_golden_square = ((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 1))
+        fib_below_golden_square = sparse(((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 1)))
         expected = [
             {
                 "char_poly": "x^4 - 2*x^3 - x + 2",
@@ -988,12 +1038,12 @@ class TestRadiusSign:
     # the oracle's sign of rho(B) - c, and the report's decision on
     # reducible matrices
     def test_grig_aca_aba_between_two_and_three(self, grig_aca_aba):
-        m = grig_aca_aba.morphism.incidence  # rho ~ 2.76
+        m = dense(grig_aca_aba.morphism.incidence)  # rho ~ 2.76
         assert radius_sign(m, 2) == 1
         assert radius_sign(m, 3) == -1
 
     def test_integer_radius_gives_zero(self, istrail):
-        m = istrail.morphism.incidence
+        m = dense(istrail.morphism.incidence)
         assert [radius_sign(m, c) for c in (1, 2, 3)] == [1, 0, -1]
 
     def test_scalar_block(self):
@@ -1001,12 +1051,12 @@ class TestRadiusSign:
 
     def test_fibonacci_block_plus_one_is_not_integer(self):
         # charpoly (x^2 - x - 1)(x - 1): 1 is a root, the radius is phi
-        rep = spectral_report(FIB_PLUS_ONE)
+        rep = spectral_report(sparse(FIB_PLUS_ONE))
         assert dict(rep.integer_roots) == {1: 1}
         assert not rep.dominant_is_integer and rep.dominant_value is None
 
     def test_two_plus_fibonacci_block_is_two(self):
-        assert spectral_report(TWO_PLUS_FIB).dominant_value == 2
+        assert spectral_report(sparse(TWO_PLUS_FIB)).dominant_value == 2
 
     def test_coupled_and_permuted_forms(self):
         # block upper-triangular with coupling between the blocks, then
@@ -1016,9 +1066,9 @@ class TestRadiusSign:
             two_fib = ((2, coupling, coupling), (0, 1, 1), (0, 1, 0))
             fib_one = ((1, 1, coupling), (1, 0, 0), (0, 0, 1))
             for perm in itertools.permutations(range(3)):
-                rep = spectral_report(_permuted(two_fib, perm))
+                rep = spectral_report(sparse(_permuted(two_fib, perm)))
                 assert rep.dominant_value == 2 and rep.dominant_is_integer
-                assert not spectral_report(_permuted(fib_one, perm)).dominant_is_integer
+                assert not spectral_report(sparse(_permuted(fib_one, perm))).dominant_is_integer
 
 
 class TestPerron:
@@ -1026,24 +1076,25 @@ class TestPerron:
     # Perron vector that the column-sum scan finds for it
     def test_period_doubling(self, period_doubling):
         m = period_doubling.morphism.incidence
-        assert m == ((1, 2), (1, 0))
+        assert dense(m) == ((1, 2), (1, 0))
         assert spectral_report(m).dominant_value == 2
-        assert column_sum_scan_perron(m) == (Fraction(2, 3), Fraction(1, 3))
+        assert column_sum_scan_perron(dense(m)) == (Fraction(2, 3), Fraction(1, 3))
 
     def test_symmetric_uniform(self, thue_morse):
         m = thue_morse.morphism.incidence
         assert spectral_report(m).dominant_value == 2
-        assert column_sum_scan_perron(m) == (Fraction(1, 2), Fraction(1, 2))
+        assert column_sum_scan_perron(dense(m)) == (Fraction(1, 2), Fraction(1, 2))
 
     def test_fibonacci_empty(self, fibonacci):
         m = fibonacci.morphism.incidence
         assert spectral_report(m).dominant_value is None
-        assert column_sum_scan_perron(m) is None
+        assert column_sum_scan_perron(dense(m)) is None
 
     def test_lysenok_psi_exact(self, lysenok_psi):
         # hand oracle: solve Mv = 2v, sum v = 1 for the 2-uniform psi
-        m = lysenok_psi.morphism.incidence
-        assert spectral_report(m).dominant_value == 2
+        rows = lysenok_psi.morphism.incidence
+        assert spectral_report(rows).dominant_value == 2
+        m = dense(rows)
         v = column_sum_scan_perron(m)
         assert v == (Fraction(1, 2), Fraction(1, 7), Fraction(2, 7), Fraction(1, 14))
         for i in range(4):
@@ -1058,8 +1109,8 @@ class TestPerron:
             for i in ((j + 1) % r, 0, (5 * j + 2) % r):
                 m[i][j] += 1
         m = tuple(map(tuple, m))
-        assert is_primitive(m)
-        assert spectral_report(m, blocks=[m]).dominant_value == 3
+        assert is_primitive(sparse(m))
+        assert spectral_report(sparse(m), blocks=[sparse(m)]).dominant_value == 3
         v = column_sum_scan_perron(m)
         assert sum(v) == 1 and all(x > 0 for x in v)
         for i in range(r):
@@ -1079,7 +1130,7 @@ class TestPerron:
                 m = tuple(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(r)) for _ in range(r))
             if not _wielandt(m):
                 continue
-            rep, v = spectral_report(m, blocks=[m]), column_sum_scan_perron(m)
+            rep, v = spectral_report(sparse(m), blocks=[sparse(m)]), column_sum_scan_perron(m)
             assert rep.dominant_is_integer is (v is not None), m
             if v is not None:
                 assert all(
@@ -1099,7 +1150,7 @@ class TestPerron:
             m = _constant_column_sums(rng, r, q)
             if not _wielandt(m):
                 continue
-            assert spectral_report(m, blocks=[m]).dominant_value == q
+            assert spectral_report(sparse(m), blocks=[sparse(m)]).dominant_value == q
             v = column_sum_scan_perron(m)
             assert sum(v) == 1 and all(x > 0 for x in v)
             for i in range(r):
@@ -1119,10 +1170,10 @@ class TestAgainstFloatOracle:
                 tuple(rng.choice((0, 0, 1, 1, 2, 3, 5)) for _ in range(n)) for _ in range(n)
             )
             rho = max(abs(v) for v in numpy.linalg.eigvals(numpy.array(m, dtype=float)))
-            br = radius_bracket(m, Fraction(1, 10**9))
+            br = radius_bracket(sparse(m), Fraction(1, 10**9))
             assert br.width <= Fraction(1, 10**9)
             assert float(br.lo) - 1e-6 <= rho <= float(br.hi) + 1e-6
-            report = spectral_report(m)
+            report = spectral_report(sparse(m))
             if report.dominant_is_integer:
                 assert abs(rho - report.dominant_value) < 1e-6
 
@@ -1130,21 +1181,21 @@ class TestAgainstFloatOracle:
 class TestMultiplicativity:
     def test_incidence_of_compose(self, lysenok, lysenok_psi):
         tau, psi = lysenok.morphism, lysenok_psi.morphism
-        left = tau.compose(psi).incidence
-        right = mat_mul(tau.incidence, psi.incidence)
+        left = dense(tau.compose(psi).incidence)
+        right = mat_mul(dense(tau.incidence), dense(psi.incidence))
         assert left == right
 
     def test_incidence_of_power(self, acaba):
         m = acaba.morphism
-        a = m.incidence
-        assert m.power(3).incidence == mat_mul(mat_mul(a, a), a)
+        a = dense(m.incidence)
+        assert dense(m.power(3).incidence) == mat_mul(mat_mul(a, a), a)
 
 
 class TestInputChecks:
     @pytest.mark.parametrize("check", [is_primitive, spectral_report, lambda m: radius_bracket(m, 1)])
     def test_negative_entries_are_rejected(self, check):
         with pytest.raises(ValueError, match="nonnegative"):
-            check(((1, -1), (1, 1)))
+            check(sparse(((1, -1), (1, 1))))
 
     def test_incidence_columns_must_sum_to_the_lengths(self):
         # column j counts the letters of the image of j, erasing images too
@@ -1157,7 +1208,19 @@ class TestInputChecks:
             morphisms.append(Morphism(Alphabet(tuple("abcdef"[:r])), images))
         for m in morphisms:
             assert len(m.incidence) == len(m.alphabet)
-            assert tuple(map(sum, zip(*m.incidence))) == m.lengths, m
+            assert tuple(map(sum, zip(*dense(m.incidence)))) == m.lengths, m
+
+    @pytest.mark.parametrize("check", [char_poly, is_primitive, spectral_report, lambda m: radius_bracket(m, 1)])
+    @pytest.mark.parametrize("rows", [(((0, 1), (2, 1)), ((0, 1),)), (((-1, 1),), ((0, 1),))])
+    def test_column_index_outside_the_matrix_is_a_value_error(self, check, rows):
+        with pytest.raises(ValueError, match="column index"):
+            check(rows)
+
+    @pytest.mark.parametrize("check", [is_primitive, spectral_report, lambda m: radius_bracket(m, 1)])
+    def test_zero_pairs_are_rejected(self, check):
+        # a pair is an edge of the support digraph, so a zero one would be a false edge
+        with pytest.raises(ValueError, match="no zero entry"):
+            check((((0, 1), (1, 0)), ((0, 1),)))
 
     @pytest.mark.parametrize("coeffs", [(), (2, 1), (-1, 0)])
     def test_polynomial_must_be_monic(self, coeffs):
@@ -1176,4 +1239,4 @@ class TestInputChecks:
     @pytest.mark.parametrize("tol", [0, -1, Fraction(-1, 3)])
     def test_radius_bracket_needs_a_positive_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance must be positive"):
-            radius_bracket(((1, 1), (1, 0)), tol)
+            radius_bracket(sparse(((1, 1), (1, 0))), tol)

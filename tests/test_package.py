@@ -25,7 +25,7 @@ def _package_imports(path):
 
 
 def test_linalg_imports_nothing_from_the_package():
-    # linalg takes matrices as tuples of rows; it knows no morphism
+    # linalg takes matrices as sparse rows; it knows no morphism
     assert _package_imports(ROOT / "src" / "morphauto" / "linalg.py") == []
 
 

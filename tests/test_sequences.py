@@ -16,6 +16,7 @@ from morphauto.constructions import minimize_uniform, reshuffle_uniformize
 
 from oracles import (
     column_sum_scan_perron,
+    dense,
     empirical_frequencies,
     golden_ratio_frequencies,
     naive_factor_count,
@@ -253,7 +254,7 @@ class TestEmpiricalFrequencies:
     def test_period_doubling_near_perron(self, period_doubling):
         n = 3 * 2**10
         emp = empirical_frequencies(period_doubling, n)
-        perron = column_sum_scan_perron(period_doubling.morphism.incidence)
+        perron = column_sum_scan_perron(dense(period_doubling.morphism.incidence))
         assert max(abs(e - p) for e, p in zip(emp, perron)) <= Fraction(10, n)
 
     def test_constant(self):
@@ -265,12 +266,12 @@ class TestEmpiricalFrequencies:
         inv_phi, complement = golden_ratio_frequencies()
         assert abs(emp[0] - inv_phi) < Fraction(1, 1000)
         assert abs(emp[1] - complement) < Fraction(1, 1000)
-        assert column_sum_scan_perron(fibonacci.morphism.incidence) is None
+        assert column_sum_scan_perron(dense(fibonacci.morphism.incidence)) is None
 
     def test_two_scale_improvement(self, period_doubling, thue_morse, lysenok_psi):
         # the deviation bound C/N must hold at N and keep holding at 2N
         for spec in (period_doubling, thue_morse, lysenok_psi):
-            perron = column_sum_scan_perron(spec.morphism.incidence)
+            perron = column_sum_scan_perron(dense(spec.morphism.incidence))
             for n in (3001, 6002):
                 emp = empirical_frequencies(spec, n)
                 bound = Fraction(16, n)

@@ -26,6 +26,8 @@ MALFORMED = [
     ("duplicate-seed", "letters: a\na -> aa\nseed: a\nseed: a", "duplicate seed declaration", 4),
     ("duplicate-coding", "letters: a\na -> aa\ncoding: a->x\ncoding: a->x", "duplicate coding declaration", 4),
     ("letter-declared-twice", "letters: a b a", "duplicate letter in declaration", 1),
+    ("letter-holding-an-arrow", "letters: a->b c", "letter 'a->b' holds '->' or ','", 1),
+    ("letter-holding-a-comma", "letters: a,b c", "letter 'a,b' holds '->' or ','", 1),
     ("empty-letters", "# no letters follow\nletters:\n", "empty letters declaration", 2),
     ("seed-of-two-letters", "letters: a b\na -> ab\nb -> a\nseed: a b", "seed wants exactly one letter", 4),
     ("coding-pair-without-arrow", "letters: a\na -> aa\ncoding: a x", "bad coding pair 'a x'", 3),
