@@ -48,7 +48,6 @@ from .words import (
     Morphism,
     SpecError,
     Word,
-    parikh_vector,
     parse_morphism,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "irrationality_verdict",
     "is_primitive",
     "minimize_uniform",
-    "parikh_vector",
     "parse_morphism",
     "radius_bracket",
     "representation_from_spec",

@@ -1,10 +1,10 @@
-"""Exact integer and rational linear algebra for integer matrices, given as
-sparse rows, such as the incidence matrix ``Morphism.incidence``: row i of
-an n x n matrix M holds a pair (j, m_ij) for every nonzero entry, j
-ascending, and no pair for a zero entry.  Every function here reads only
-these pairs, so none costs n^2 for a matrix with few nonzeros.  A column
-index outside 0..n-1 is a ValueError, and so is a negative entry or a zero
-pair where a nonnegative matrix is required.
+"""Exact integer and rational linear algebra for nonnegative integer
+matrices, given as sparse rows, such as the incidence matrix
+``Morphism.incidence``: row i of an n x n matrix M holds a pair (j, m_ij)
+for every nonzero entry, j ascending, and no pair for a zero entry.  Every
+function here reads only these pairs, so none costs n^2 for a matrix with
+few nonzeros.  A column index outside 0..n-1, a negative entry and a zero
+pair are each a ValueError, raised by a scan that reads the pairs anyway.
 
 Everything here is decided exactly, so no verdict ever depends on floating
 point.  Characteristic polynomials come from the power sums tr(M^k) by
@@ -18,8 +18,7 @@ the strongly connected components of the support digraph, and a matrix
 is primitive when letter 0 reaches every letter along the rows and along
 the columns and its breadth-first levels give period 1; one
 breadth-first sweep over bitmasks serves both.  A primitive matrix is its
-own single block, so a verdict checks for negative entries once, in
-``is_primitive``, and splits no digraph.
+own single block, so a verdict splits no digraph.
 
 Spectral-radius brackets come from Newton's method on the exact
 characteristic polynomial chi of each irreducible block B, in scaled
@@ -50,7 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, dropwhile, repeat, takewhile
-from operator import add, and_, itemgetter, mul, not_, rshift
+from operator import and_, mul, not_, rshift
 
 # row i holds a pair (j, m_ij) for every nonzero entry, j ascending
 Rows = tuple[tuple[tuple[int, int], ...], ...]
@@ -59,24 +58,14 @@ Rows = tuple[tuple[tuple[int, int], ...], ...]
 # ---------------------------------------------------------------------------
 # matrices
 
-def _smallest_entry(rows) -> int:
-    """The smallest entry of any pair, 1 when there is none, after checking
-    that every column index lies in 0..n-1."""
-    n, low = len(rows), 1
-    for j, m in chain.from_iterable(rows):
-        if not 0 <= j < n:
-            raise ValueError(f"column index {j} outside 0..{n - 1}")
-        if m < low:
-            low = m
-    return low
-
-
-def _check_nonnegative(rows) -> None:
-    low = _smallest_entry(rows)
-    if low < 0:
-        raise ValueError("matrix must be nonnegative")
-    if not low:
-        raise ValueError("sparse rows hold no zero entry")
+def _bad_pair(j: int, m: int, n: int) -> ValueError:
+    # the error for a pair (j, m) of an n x n matrix that some scan found
+    # with m <= 0 or j outside 0..n-1
+    if not 0 <= j < n:
+        return ValueError(f"column index {j} outside 0..{n - 1}")
+    if m < 0:
+        return ValueError("matrix must be nonnegative")
+    return ValueError("sparse rows hold no zero entry")
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +76,9 @@ class IntPolynomial:
     """A monic polynomial with integer coefficients, leading term first.
 
     ``root_bound``, which ``char_poly`` fills in, is an upper bound on the
-    spectral radius of the matrix the polynomial came from, or None.  It
-    takes no part in equality, hashing or repr."""
+    spectral radius of the matrix the polynomial came from, or None for a
+    matrix of two or more letters with a zero column.  It takes no part in
+    equality, hashing or repr."""
 
     coeffs: tuple[int, ...]
     root_bound: Fraction | None = field(default=None, compare=False, repr=False)
@@ -137,46 +127,44 @@ class IntPolynomial:
 def char_poly(rows) -> IntPolynomial:
     """det(xI - M), exactly over Z, from the power sums p_k = tr(M^k).
 
-    M may have entries of either sign.  Row i of M^k is kept as one integer
-    whose W-bit slot j holds (M^k)_ij, W = bits(L^n) + 2 with L the largest
-    absolute column sum, summed from the pairs: |(M^k)_ij| <= ||M||_1^k <=
-    L^n for k <= n, so a slot holds any entry plus 2^(W-1), which is added
-    before each read when M has a negative entry.  Row i of M^(k+1) is the
-    sum of the rows of M^k named by the pairs of row i of M, unit entries
-    added without a product.  The sum starts from its first term, not from
-    0, whose sum with it would copy a whole packed row, so a row of M with a
-    single unit entry costs no big-integer operation; a zero row starts
-    from row 0 times 0.  p_k is the sum of the diagonal slots.  Newton's
-    identities then give k c_k = -(p_k + c_1 p_(k-1) + ... + c_(k-1) p_1),
-    and a division that leaves a remainder is an internal error.
+    Row i of M^k is kept as one integer whose W-bit slot j holds (M^k)_ij,
+    W = bits(L^n) + 2 with L the largest column sum: (M^k)_ij <= ||M||_1^k
+    <= L^n for k <= n, so a slot holds any entry.  The scan that sums the
+    columns also checks every pair, so a negative entry, a zero pair or a
+    column index outside 0..n-1 is a ValueError before any slot is sized.
+    Row i of M^(k+1) is the sum of the rows of M^k named by the pairs of
+    row i of M, unit entries added without a product.  The sum starts from
+    its first term, not from 0, whose sum with it would copy a whole packed
+    row, so a row of M with a single unit entry costs no big-integer
+    operation; a zero row starts from row 0 times 0.  p_k is the sum of the
+    diagonal slots.  Newton's identities then give k c_k = -(p_k + c_1
+    p_(k-1) + ... + c_(k-1) p_1), and a division that leaves a remainder is
+    an internal error.
 
     The result's ``root_bound`` is max_j (1^T M^n)_j / (1^T M^(n-1))_j,
     an upper bound on rho(M) by Collatz-Wielandt for the positive vector
     1^T M^(n-1) (Horn-Johnson, Matrix Analysis, §8.1).  The column sums
     1^T M^k are the sum of the packed rows of M^k, with no carry between
-    slots for M >= 0, as they are at most L^n < 2^(W-2).  It is None when
-    M has a negative entry or some column sum of M^(n-1) is 0, which for
-    M >= 0 and n >= 2 happens exactly when M has a zero column.
+    slots, as they are at most L^n < 2^(W-2).  It is None when some column
+    sum of M^(n-1) is 0, which for n >= 2 happens exactly when M has a
+    zero column.
     """
     n = len(rows)
-    signed = _smallest_entry(rows) < 0
     col_sums = [0] * n
     for j, m in chain.from_iterable(rows):
-        col_sums[j] += abs(m)
+        if m <= 0 or not 0 <= j < n:
+            raise _bad_pair(j, m, n)
+        col_sums[j] += m
     width = (max(col_sums, default=0) ** n).bit_length() + 2
     mask = (1 << width) - 1
     shifts = range(0, width * n, width)
-    half = 1 << (width - 1) if signed else 0
-    ones = ((1 << width * n) - 1) // mask  # 1 in every slot: 1^T M^0
-    offset = half * ones
     power = [sum(m << width * j for j, m in row) for row in rows]
     # each row's first nonzero (j0, m0) and the rest
     steps = [(row[0][0], row[0][1], row[1:]) if row else (0, 0, ()) for row in rows]
-    before = ones
+    before = ((1 << width * n) - 1) // mask  # 1 in every slot: 1^T M^0
     sums = []
     for k in range(n):
-        read = map(add, power, repeat(offset)) if half else power
-        sums.append(sum(map(and_, map(rshift, read, shifts), repeat(mask))) - n * half)
+        sums.append(sum(map(and_, map(rshift, power, shifts), repeat(mask))))
         if k < n - 1:
             nxt = []
             for j0, m0, rest in steps:
@@ -193,8 +181,7 @@ def char_poly(rows) -> IntPolynomial:
         if rem:
             raise InternalArithmeticError(f"power sums fail Newton's identity at c_{k}")
         coeffs.append(c)
-    bound = None if half else _column_ratio_bound(sum(power), before, shifts, mask)
-    return IntPolynomial(tuple(coeffs), bound)
+    return IntPolynomial(tuple(coeffs), _column_ratio_bound(sum(power), before, shifts, mask))
 
 
 def _column_ratio_bound(after: int, before: int, shifts, mask: int) -> Fraction | None:
@@ -275,11 +262,14 @@ def integer_roots(p: IntPolynomial) -> tuple[tuple[int, int], ...]:
 
 def _support(rows) -> tuple[list[int], list[int]]:
     """Rows and columns of M as bitmasks, bit j of row i and bit i of
-    column j set for every pair (j, m_ij)."""
-    masks, cols = [], [0] * len(rows)
+    column j set for every pair (j, m_ij), after checking the pair."""
+    n = len(rows)
+    masks, cols = [], [0] * n
     for i, row in enumerate(rows):
         mask, bit = 0, 1 << i
-        for j, _ in row:
+        for j, m in row:
+            if m <= 0 or not 0 <= j < n:
+                raise _bad_pair(j, m, n)
             mask |= 1 << j
             cols[j] |= bit
         masks.append(mask)
@@ -347,8 +337,8 @@ def is_primitive(rows) -> bool:
     edges u -> v, u in level t and v in level t' of the breadth-first sweep
     from letter 0; all edges from level t into level t' give the same term,
     so the gcd runs over those level pairs, and stops once it is 1.
+    ``_support`` checks the pairs as it reads them.
     """
-    _check_nonnegative(rows)
     if not rows:
         return False
     row_masks, col_masks = _support(rows)
@@ -392,29 +382,33 @@ def _scaled_values(scaled, a: int) -> tuple[int, int]:
     return p, d
 
 
-_value = itemgetter(1)  # the entry of a pair (j, m_ij)
-
-
 def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
     """Bracket the spectral radius rho of one irreducible diagonal block B
     by Newton's method from above on chi = det(xI - B), ``poly`` if given.
 
     The row sums bound rho, min <= rho <= max, and so do the column sums,
-    as rho(B) = rho(B^T); the lower end starts at the larger of the two
-    minima, and the bracket is pinned when the row sums or the column sums
-    are all equal.  Otherwise, on a grid of step 2^-s, the upper end a
-    starts at the smaller of the two maxima or, if lower, at the first grid
-    point strictly above chi's ``root_bound`` p/q, floor(2^s p / q) + 1.
+    as rho(B) = rho(B^T); the one scan that sums both checks every pair of
+    B.  The lower end starts at the larger of the two minima, and the
+    bracket is pinned when the row sums or the column sums are all equal.
+    Otherwise, on a grid of step 2^-s, the upper end a starts at the
+    smaller of the two maxima or, if lower, at the first grid point
+    strictly above chi's ``root_bound`` p/q, floor(2^s p / q) + 1.
     It then steps to a - P // Q, P and Q being chi and chi' at a scaled to
     integers: Newton's iterate, rounded up.  Once a step would move a by
     less than one grid step, a - 1 becomes the lower end if
     chi(a - 1) <= 0, and the grid is refined while the bracket is still
     wider than tol.  Returns (lo, hi, loose).
     """
-    row_sums = [sum(map(_value, row)) for row in block]
-    col_sums = [0] * len(block)
-    for j, m in chain.from_iterable(block):
-        col_sums[j] += m
+    n = len(block)
+    row_sums, col_sums = [], [0] * n
+    for row in block:
+        total = 0
+        for j, m in row:
+            if m <= 0 or not 0 <= j < n:
+                raise _bad_pair(j, m, n)
+            total += m
+            col_sums[j] += m
+        row_sums.append(total)
     low, high = max(min(row_sums), min(col_sums)), min(max(row_sums), max(col_sums))
     tn, td = tol.numerator, tol.denominator
     if (high - low) * td <= tn:
@@ -455,14 +449,15 @@ def radius_bracket(rows, tol, *, blocks=None, poly=None) -> RadiusBracket:
 
     The support digraph is split into strongly connected components; the
     radius is the maximum over the diagonal blocks, each of which is
-    irreducible and bracketed by ``_irreducible_bracket``.
-    ``spectral_report`` passes the blocks it has already split off the
-    matrix and the matrix's characteristic polynomial ``poly``, which is
-    the block's own when there is one block; any other block that needs
-    its polynomial gets it from ``char_poly``.
+    irreducible and bracketed by ``_irreducible_bracket``, which checks
+    the block's pairs whether the split made it or the caller passed it.
+    A caller that has already split the matrix passes its diagonal
+    ``blocks`` (a primitive matrix is its own single block) and may pass
+    its characteristic polynomial ``poly``, which is the block's own when
+    there is one block; any other block gets its polynomial from
+    ``char_poly``.
     """
     if blocks is None:
-        _check_nonnegative(rows)
         blocks = _diagonal_blocks(rows)
     tol = Fraction(tol)
     if tol <= 0:
@@ -522,10 +517,10 @@ def spectral_report(rows, *, blocks=None) -> SpectralReport:
       2. if all those coefficients are positive, chi(x + c) has no root
          x > 0, so the real root rho is <= c, and rho >= c as c is an
          eigenvalue.
-    This holds for any nonnegative matrix, reducible or not; the bracket
-    checks that the entries are, unless the caller has already split the
-    matrix and passes its ``blocks``.  A primitive matrix is its own single
-    block.
+    This holds for any nonnegative matrix, reducible or not, and
+    ``char_poly`` checks that the pairs are those of one.  A caller that
+    has already split the matrix passes its diagonal ``blocks``, which
+    the bracket checks too; a primitive matrix is its own single block.
     """
     p = char_poly(rows)
     roots = integer_roots(p)

@@ -115,15 +115,6 @@ class Alphabet:
         return tuple(self.letters[i] for i in word)
 
 
-def parikh_vector(word: Word, size: int) -> tuple[int, ...]:
-    """Occurrence count of every letter in ``word``, for an alphabet of
-    ``size`` letters, in alphabet order."""
-    counts = [0] * size
-    for c in word:
-        counts[c] += 1
-    return tuple(counts)
-
-
 @dataclass(frozen=True)
 class Morphism:
     """A map letter -> word over a fixed alphabet.

@@ -14,8 +14,8 @@ rho(B) - c from the leading principal minors of cI - B, dense matrix
 products, the left-eigenvector
 check in fractions, Perron vectors from a scan of the column-sum range
 with rational kernels, and the paper's anagram method (which reads the
-package's ``Morphism`` and ``parikh_vector``).  The comparisons of two
-generated words (``prefix_equal``, ``iso_equivalent`` and
+package's ``Morphism``) with the Parikh vectors it compares.  The
+comparisons of two generated words (``prefix_equal``, ``iso_equivalent`` and
 ``empirical_frequencies``) read the words through the package's own
 ``prefix`` and ``coded_prefix``.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from morphauto import InternalCheckError, Morphism, Word, parikh_vector
+from morphauto import InternalCheckError, Morphism, Word
 
 
 def sparse(matrix):
@@ -310,6 +310,15 @@ class AnagramCertificate:
             "shared_parikh": list(self.shared_parikh),
             "degree": self.degree,
         }
+
+
+def parikh_vector(word: Word, size: int) -> tuple[int, ...]:
+    """Occurrence count of every letter in ``word``, for an alphabet of
+    ``size`` letters, in alphabet order."""
+    counts = [0] * size
+    for c in word:
+        counts[c] += 1
+    return tuple(counts)
 
 
 def anagram_decomposition(m: Morphism) -> AnagramCertificate | None:

@@ -70,18 +70,15 @@ class TestIncidence:
 
 
 @st.composite
-def _morphisms_with_negated_columns(draw):
+def _morphisms(draw):
     """A morphism over 1 to 64 letters whose images hold 0 to 4 letters,
     none from a drawn set of absent letters, so that erasing images give
-    zero columns and letters in no image zero rows; and, for half the
-    draws, a nonempty set of columns to negate, which makes a signed matrix
-    of the same shape."""
+    zero columns and letters in no image zero rows."""
     r = draw(st.integers(1, 64))
     absent = draw(st.frozensets(st.integers(0, r - 1), max_size=r - 1))
     present = [c for c in range(r) if c not in absent]
     images = tuple(tuple(draw(st.lists(st.sampled_from(present), max_size=4))) for _ in range(r))
-    negated = draw(st.frozensets(st.integers(0, r - 1), min_size=1)) if draw(st.booleans()) else frozenset()
-    return Morphism(Alphabet(tuple(f"a{i}" for i in range(r))), images), negated
+    return Morphism(Alphabet(tuple(f"a{i}" for i in range(r))), images)
 
 
 class TestSparseRows:
@@ -89,11 +86,10 @@ class TestSparseRows:
     other, and ``linalg`` on those rows agrees with the dense oracles."""
 
     # the Faddeev-LeVerrier oracle takes about 0.5 s at r = 64, so each draw
-    # checks char_poly once: on the incidence rows, or on their signed copy
+    # checks char_poly once
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(_morphisms_with_negated_columns())
-    def test_incidence_rows_agree_with_the_dense_oracles(self, drawn):
-        m, negated = drawn
+    @given(_morphisms())
+    def test_incidence_rows_agree_with_the_dense_oracles(self, m):
         rows, r = m.incidence, len(m.alphabet)
         assert len(rows) == r
         for row in rows:
@@ -103,11 +99,7 @@ class TestSparseRows:
         for j, img in enumerate(m.images):
             assert tuple(row[j] for row in d) == tuple(img.count(i) for i in range(r))
         assert tuple(map(sum, zip(*d))) == m.lengths
-        if negated:
-            signed = tuple(tuple(-e if j in negated else e for j, e in enumerate(row)) for row in d)
-            assert list(char_poly(sparse(signed)).coeffs) == faddeev_leverrier_charpoly(signed)
-        else:
-            assert list(char_poly(rows).coeffs) == faddeev_leverrier_charpoly(d)
+        assert list(char_poly(rows).coeffs) == faddeev_leverrier_charpoly(d)
         assert is_primitive(rows) == primitive_by_squaring(d)
         if r <= 12:
             assert is_primitive(rows) == naive_bool_power_positive(d, r * r - 2 * r + 2)
@@ -130,9 +122,9 @@ def _spectral_morphisms(monkeypatch, seeds):
 
 
 def _hessenberg_before(rng, n, k):
-    """A random signed n x n matrix whose columns 0..k-1 are upper
+    """A random nonnegative n x n matrix whose columns 0..k-1 are upper
     Hessenberg (zero below the subdiagonal) with a nonzero subdiagonal."""
-    values = (-3, -2, -1, 1, 2, 3, 4)
+    values = (1, 2, 3, 4, 5, 6, 7)
     return [[rng.choice(values) if j >= k or i <= j + 1 else 0 for j in range(n)] for i in range(n)]
 
 
@@ -164,12 +156,11 @@ class TestCharPoly:
         assert list(char_poly(cubed).coeffs) == naive_charpoly(dense(cubed))
 
     def test_against_faddeev_leverrier(self):
-        # signed entries, read with 2^(W-1) added to every slot, give
-        # negative and positive coefficients; the 2^200 entries make slots
-        # of some 1600 bits
+        # dense and sparse draws of every size up to 32 letters; the 2^200
+        # entries make slots of some 1600 bits
         rng = random.Random(31337)
         inputs = [
-            tuple(tuple(rng.randint(-span, span) for _ in range(n)) for _ in range(n))
+            tuple(tuple(rng.randint(0, span) for _ in range(n)) for _ in range(n))
             for n, span in [(1, 5), (2, 5), (3, 9), (5, 3), (8, 2**200), (13, 4), (21, 3), (32, 2)]
             for _ in range(3)
         ]
@@ -219,7 +210,7 @@ class TestCharPoly:
         m = _hessenberg_before(rng, 9, k)
         for i in range(k + 2, 9):
             m[i][k] = 0
-        m[row][k] = -2
+        m[row][k] = 2
         m = tuple(map(tuple, m))
         assert list(char_poly(sparse(m)).coeffs) == faddeev_leverrier_charpoly(m)
 
@@ -236,8 +227,8 @@ class TestCharPoly:
         # the benchmark's spectral inputs at more letters: a cycle through
         # every letter, a self-loop at letter 0 and 0-2 extra letters per
         # image, so each row of M^(k+1) adds a few rows of M^k; a zero
-        # column leaves a row of every power empty, and a negative entry
-        # makes every slot read with 2^(W-1) added
+        # column leaves a row of every power empty, and a negative entry is
+        # refused by the column-sum scan
         rng = random.Random(r)
         images = _workloads(monkeypatch)._spectral_images(rng, r, anagram_pair=False)
         if change == "zero column":
@@ -245,18 +236,11 @@ class TestCharPoly:
         m = [[img.count(i) for img in images] for i in range(r)]
         if change == "negative entry":
             m[rng.randrange(r)][rng.randrange(r)] = -3
+            with pytest.raises(ValueError, match="nonnegative"):
+                char_poly(sparse(m))
+            return
         m = tuple(map(tuple, m))
         assert list(char_poly(sparse(m)).coeffs) == faddeev_leverrier_charpoly(m)
-
-    def test_hadamard_bound_reached_exactly(self):
-        # 2^14 H_4 (Sylvester) has columns of norm 2^15 and determinant
-        # (2^15)^4 = 2^60, Hadamard's bound itself
-        h2 = ((1, 1), (1, -1))
-        h4 = tuple(tuple(a * b for a in ra for b in rb) for ra in h2 for rb in h2)
-        m = tuple(tuple(2**14 * entry for entry in row) for row in h4)
-        coeffs = char_poly(sparse(m)).coeffs
-        assert coeffs[4] == 2**60
-        assert list(coeffs) == faddeev_leverrier_charpoly(m)
 
     def test_four_ones_per_column(self):
         rng = random.Random(1032)
@@ -273,10 +257,15 @@ class TestCharPoly:
     @pytest.mark.parametrize("weight", [1000, -1000, 3**40, -(3**40)])
     def test_weighted_cycle_fills_its_slots(self, n, weight):
         # c P for the n-cycle P has M^n = c^n I, so the diagonal of the
-        # last power reaches L^n = |c|^n, the bound the slots are sized
-        # for, and chi = x^n - c^n
-        m = tuple(tuple(weight if j == (i + 1) % n else 0 for j in range(n)) for i in range(n))
-        assert char_poly(sparse(m)).coeffs == (1, *[0] * (n - 1), -(weight**n))
+        # last power reaches L^n = c^n, the bound the slots are sized for,
+        # and chi = x^n - c^n; a negative c is refused before any slot is
+        # sized
+        m = sparse([[weight if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)])
+        if weight < 0:
+            with pytest.raises(ValueError, match="nonnegative"):
+                char_poly(m)
+            return
+        assert char_poly(m).coeffs == (1, *[0] * (n - 1), -(weight**n))
 
 
 def _bound_inputs(rng, count):
@@ -351,9 +340,10 @@ class TestRootBound:
         assert char_poly(sparse(((0,),))).root_bound == 0
         assert char_poly(sparse(((7,),))).root_bound == 7
 
-    def test_zero_column_and_signed_matrices_get_none(self):
+    def test_zero_column_gets_none_and_a_signed_matrix_is_refused(self):
         assert char_poly(sparse(((1, 0), (1, 0)))).root_bound is None
-        assert char_poly(sparse(((1, 1), (-1, 2)))).root_bound is None
+        with pytest.raises(ValueError, match="nonnegative"):
+            char_poly(sparse(((1, 1), (-1, 2))))
         # 1^T M = (2, 1) and 1^T M^2 = (3, 2): the ratios are 3/2 and 2
         assert char_poly(sparse(((1, 1), (1, 0)))).root_bound == 2
 
@@ -901,11 +891,11 @@ class TestSpectralReport:
 
 class TestOneSplitPerVerdict:
     # a primitive matrix is its own single block, and is_primitive decides
-    # irreducibility by reachability from letter 0, so a verdict splits no
-    # components; its nonnegativity check is the only check.  A report on a
+    # irreducibility by reachability from letter 0, so a verdict reads the
+    # support bitmasks once and splits no components.  A report on a
     # reducible matrix splits it once.
-    ONE_OF_EACH = ["_check_nonnegative", "_strongly_connected_components"]
-    CHECK_ONLY = ["_check_nonnegative"]
+    ONE_OF_EACH = ["_strongly_connected_components", "_support"]
+    SUPPORT_ONLY = ["_support"]
 
     @staticmethod
     def _record_calls(monkeypatch):
@@ -927,7 +917,7 @@ class TestOneSplitPerVerdict:
         for m in morphisms:
             calls.clear()
             fired += irrationality_verdict(m) is not None
-            assert calls == self.CHECK_ONLY
+            assert calls == self.SUPPORT_ONLY
         assert fired > 10
 
     def test_reducible_reports_split_themselves(self, monkeypatch, lysenok):
@@ -1191,11 +1181,37 @@ class TestMultiplicativity:
         assert dense(m.power(3).incidence) == mat_mul(mat_mul(a, a), a)
 
 
+def _report_of_one_block(rows):
+    return spectral_report(rows, blocks=[rows])
+
+
+def _bracket_of_one_block(rows):
+    return radius_bracket(rows, 1, blocks=[rows])
+
+
+# every entry point checks each pair in a scan that reads it anyway, and so
+# does the bracket of each block a caller passes
+_ENTRY_POINTS = [
+    char_poly, is_primitive, spectral_report, lambda m: radius_bracket(m, 1), _report_of_one_block,
+    _bracket_of_one_block,
+]
+
+
 class TestInputChecks:
-    @pytest.mark.parametrize("check", [is_primitive, spectral_report, lambda m: radius_bracket(m, 1)])
+    @pytest.mark.parametrize("check", _ENTRY_POINTS)
     def test_negative_entries_are_rejected(self, check):
+        # passed as its own block, this matrix would send Newton to an
+        # internal error if its bracket did not check it
         with pytest.raises(ValueError, match="nonnegative"):
             check(sparse(((1, -1), (1, 1))))
+
+    @pytest.mark.parametrize("check", [_report_of_one_block, _bracket_of_one_block])
+    def test_a_signed_block_with_an_integer_radius_is_rejected(self, check):
+        # chi = (x - 2)^2, and the row and column sums pin the bracket at
+        # [2, 2], so only the check keeps this matrix from a full report
+        # with dominant value 2
+        with pytest.raises(ValueError, match="matrix must be nonnegative"):
+            check(sparse(((3, -1), (1, 1))))
 
     def test_incidence_columns_must_sum_to_the_lengths(self):
         # column j counts the letters of the image of j, erasing images too
@@ -1210,13 +1226,13 @@ class TestInputChecks:
             assert len(m.incidence) == len(m.alphabet)
             assert tuple(map(sum, zip(*dense(m.incidence)))) == m.lengths, m
 
-    @pytest.mark.parametrize("check", [char_poly, is_primitive, spectral_report, lambda m: radius_bracket(m, 1)])
+    @pytest.mark.parametrize("check", _ENTRY_POINTS)
     @pytest.mark.parametrize("rows", [(((0, 1), (2, 1)), ((0, 1),)), (((-1, 1),), ((0, 1),))])
     def test_column_index_outside_the_matrix_is_a_value_error(self, check, rows):
         with pytest.raises(ValueError, match="column index"):
             check(rows)
 
-    @pytest.mark.parametrize("check", [is_primitive, spectral_report, lambda m: radius_bracket(m, 1)])
+    @pytest.mark.parametrize("check", _ENTRY_POINTS)
     def test_zero_pairs_are_rejected(self, check):
         # a pair is an edge of the support digraph, so a zero one would be a false edge
         with pytest.raises(ValueError, match="no zero entry"):

@@ -2,6 +2,7 @@
 promises to export and to run."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -37,6 +38,36 @@ def test_import_check_sees_relative_and_absolute_imports(tmp_path):
         encoding="utf-8",
     )
     assert len(_package_imports(module)) == 4
+
+
+def _names_used(tree):
+    # every name the module reads, as a bare name or an attribute, except
+    # a function's own name inside its own body
+    used = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name) and node.id not in own:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, frozenset())
+    return used
+
+
+def test_every_exported_function_has_a_caller_in_the_package():
+    # a public function that only the tests call belongs in tests/oracles.py
+    used = set()
+    for path in (ROOT / "src" / "morphauto").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    functions = [name for name in morphauto.__all__ if inspect.isfunction(getattr(morphauto, name))]
+    assert "char_poly" in functions
+    assert [name for name in functions if name not in used] == []
 
 
 def test_readme_lower_level_pieces_resolve():

@@ -10,11 +10,10 @@ from morphauto import (
     Morphism,
     MorphicSpec,
     SpecError,
-    parikh_vector,
     parse_morphism,
 )
 
-from oracles import naive_apply, naive_iterate, rules_of
+from oracles import naive_apply, naive_iterate, parikh_vector, rules_of
 from strategies import PROPERTY, prolongable_specs
 
 
