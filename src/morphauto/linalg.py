@@ -359,10 +359,6 @@ class RadiusBracket:
     hi: Fraction
     loose: bool = False
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def __contains__(self, value) -> bool:
         return self.lo <= value <= self.hi
 
@@ -455,7 +451,10 @@ def radius_bracket(rows, tol, *, blocks=None, poly=None) -> RadiusBracket:
     ``blocks`` (a primitive matrix is its own single block) and may pass
     its characteristic polynomial ``poly``, which is the block's own when
     there is one block; any other block gets its polynomial from
-    ``char_poly``.
+    ``char_poly``.  Each block passed must be irreducible, and nothing
+    checks it: on a reducible block, such as the direct sum of [2] and
+    the Fibonacci matrix, the bracket can raise ``InternalArithmeticError``
+    or come back loose.
     """
     if blocks is None:
         blocks = _diagonal_blocks(rows)
@@ -519,8 +518,11 @@ def spectral_report(rows, *, blocks=None) -> SpectralReport:
          eigenvalue.
     This holds for any nonnegative matrix, reducible or not, and
     ``char_poly`` checks that the pairs are those of one.  A caller that
-    has already split the matrix passes its diagonal ``blocks``, which
-    the bracket checks too; a primitive matrix is its own single block.
+    has already split the matrix passes its diagonal ``blocks``, whose
+    pairs the bracket checks too; a primitive matrix is its own single
+    block.  Each block must be irreducible, as ``radius_bracket`` says: a
+    reducible one can raise ``InternalArithmeticError`` or leave the
+    bracket loose.
     """
     p = char_poly(rows)
     roots = integer_roots(p)

@@ -103,10 +103,6 @@ class Alphabet:
         whitespace-separated tokens otherwise."""
         return list("".join(text.split())) if self.single_char else text.split()
 
-    def word(self, text: str) -> Word:
-        """Build a word from text, read as ``split`` reads it."""
-        return tuple(self.index(tok) for tok in self.split(text))
-
     def render(self, word: Word) -> str:
         sep = "" if self.single_char else " "
         return sep.join(self.letters[i] for i in word)
@@ -186,20 +182,6 @@ class Morphism:
         for c in word:
             out.extend(self.images[c])
         return tuple(out)
-
-    def compose(self, inner: "Morphism") -> "Morphism":
-        """self after inner: result(letter) = self(inner(letter))."""
-        if inner.alphabet != self.alphabet:
-            raise ValueError("cannot compose morphisms over different alphabets")
-        return Morphism(self.alphabet, tuple(self.apply(img) for img in inner.images))
-
-    def power(self, k: int) -> "Morphism":
-        if k < 1:
-            raise ValueError("power requires k >= 1")
-        result = self
-        for _ in range(k - 1):
-            result = result.compose(self)
-        return result
 
     @cached_property
     def mortal_letters(self) -> frozenset[int]:
@@ -478,8 +460,10 @@ def parse_morphism(text: str) -> MorphicSpec:
     whitespace separated; when every letter is a single character they may
     also be written concatenated (``a -> aca``).  A missing seed defaults
     to the first letter with a prolongable rule, or failing that to the
-    first letter.
+    first letter.  One leading byte-order mark, which some editors write
+    at the start of a UTF-8 file, is dropped.
     """
+    text = text.removeprefix("\ufeff")
     declared: dict[str, tuple[int, object]] = {}  # header -> (line, value)
     rules: dict[str, tuple[int, Word]] = {}  # letter -> (line, image)
     for lineno, raw in enumerate(text.splitlines(), start=1):

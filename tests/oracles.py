@@ -5,6 +5,7 @@ and ``dense`` convert to and from the package's sparse rows, a pair
 (j, m_ij) for every nonzero entry of row i.  Everything here is
 deliberately naive and shares no code path with the package: token-level
 string rewriting, the position-letter form of a uniform block morphism,
+composition and powers of a ``Morphism`` by concatenating its images,
 cofactor-expansion determinants, the Faddeev-LeVerrier recursion,
 primitivity from Boolean matrix powers, set-based factor counting,
 strongly connected components from set-based reachability, the
@@ -14,7 +15,8 @@ rho(B) - c from the leading principal minors of cI - B, dense matrix
 products, the left-eigenvector
 check in fractions, Perron vectors from a scan of the column-sum range
 with rational kernels, and the paper's anagram method (which reads the
-package's ``Morphism``) with the Parikh vectors it compares.  The
+package's ``Morphism``) with the Parikh vectors it compares.  ``word``
+reads text through the package's own ``Alphabet.split``, and the
 comparisons of two generated words (``prefix_equal``, ``iso_equivalent`` and
 ``empirical_frequencies``) read the words through the package's own
 ``prefix`` and ``coded_prefix``.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from morphauto import InternalCheckError, Morphism, Word
+from morphauto import Alphabet, InternalCheckError, Morphism, Word
 
 
 def sparse(matrix):
@@ -69,6 +71,31 @@ def rules_of(spec) -> dict[str, list[str]]:
     return {
         tok: [a.letters[c] for c in img] for tok, img in zip(a.letters, spec.morphism.images)
     }
+
+
+def word(alphabet: Alphabet, text: str) -> Word:
+    """The word that ``text`` spells, its tokens read as a ``.morph`` image
+    reads them (``Alphabet.split``)."""
+    return tuple(alphabet.index(tok) for tok in alphabet.split(text))
+
+
+def compose(outer: Morphism, inner: Morphism) -> Morphism:
+    """outer after inner: letter -> outer(inner(letter)), by concatenating
+    outer's images letter by letter."""
+    if inner.alphabet != outer.alphabet:
+        raise ValueError("cannot compose morphisms over different alphabets")
+    images = outer.images
+    return Morphism(outer.alphabet, tuple(tuple(c for i in img for c in images[i]) for img in inner.images))
+
+
+def power(m: Morphism, k: int) -> Morphism:
+    """m composed with itself k times, k >= 1."""
+    if k < 1:
+        raise ValueError("power requires k >= 1")
+    result = m
+    for _ in range(k - 1):
+        result = compose(result, m)
+    return result
 
 
 def block_to_uniform(blk, coding: dict[str, str] | None = None):

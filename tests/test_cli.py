@@ -95,6 +95,16 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(bad)]) == 2
         assert "undeclared letter" in capsys.readouterr().err
 
+    def test_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        text = b"letters: a b\na -> ab\nb -> a\n"
+        plain, marked = tmp_path / "plain.morph", tmp_path / "marked.morph"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        assert main(["analyze", str(plain)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["analyze", str(marked)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_non_prolongable_spec_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.morph"
         bad.write_text("letters: 0 1\n0 -> 10\n1 -> 0101\nseed: 0\n", encoding="utf-8")

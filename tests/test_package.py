@@ -40,34 +40,77 @@ def test_import_check_sees_relative_and_absolute_imports(tmp_path):
     assert len(_package_imports(module)) == 4
 
 
-def _names_used(tree):
-    # every name the module reads, as a bare name or an attribute, except
-    # a function's own name inside its own body
-    used = set()
+def _references(tree):
+    # the bare names and the attribute names the module reads, except a
+    # function's own name inside its own body
+    names, attrs = set(), set()
 
     def visit(node, own):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             own = own | {node.name}
         if isinstance(node, ast.Name) and node.id not in own:
-            used.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in own:
-            used.add(node.attr)
+            attrs.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, own)
 
     visit(tree, frozenset())
-    return used
+    return names, attrs
+
+
+def _package_trees():
+    return [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in (ROOT / "src" / "morphauto").glob("*.py")
+        if path.name != "__init__.py"
+    ]
 
 
 def test_every_exported_function_has_a_caller_in_the_package():
     # a public function that only the tests call belongs in tests/oracles.py
     used = set()
-    for path in (ROOT / "src" / "morphauto").glob("*.py"):
-        if path.name != "__init__.py":
-            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    for tree in _package_trees():
+        used |= set().union(*_references(tree))
     functions = [name for name in morphauto.__all__ if inspect.isfunction(getattr(morphauto, name))]
     assert "char_poly" in functions
     assert [name for name in functions if name not in used] == []
+
+
+def _members_read(trees, exported):
+    """Each public method or property of a class named in ``exported``, as
+    "Class.name", mapped to whether some attribute reference in ``trees``
+    reads its name outside its own body.  A bare name does not count: a
+    local variable may share a member's name."""
+    attrs = set().union(*(_references(tree)[1] for tree in trees))
+    return {
+        f"{node.name}.{item.name}": item.name in attrs
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in exported
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    }
+
+
+def test_every_exported_method_has_a_caller_in_the_package():
+    # a public method or property that only the tests read belongs in
+    # tests/oracles.py, as a function
+    members = _members_read(_package_trees(), set(morphauto.__all__))
+    assert members["Morphism.incidence"]
+    assert [name for name, read in members.items() if not read] == []
+
+
+def test_method_check_reads_attribute_references_only():
+    # ``unused`` is read only in its own body and as a local variable
+    module = ast.parse(
+        "class Thing:\n"
+        "    def used(self):\n        return 1\n"
+        "    @property\n    def unused(self):\n        return self.unused\n"
+        "    def _private(self):\n        return 2\n"
+        "def caller(thing):\n    unused = thing.used()\n    return unused\n"
+    )
+    assert _members_read([module], {"Thing"}) == {"Thing.used": True, "Thing.unused": False}
 
 
 def test_readme_lower_level_pieces_resolve():
