@@ -61,7 +61,7 @@ def irrationality_verdict(m: Morphism) -> SpectralReport | None:
     matrix = m.incidence
     if not is_primitive(matrix):
         return None
-    report = spectral_report(matrix, blocks=[matrix])
+    report = spectral_report(matrix)
     if report.dominant_is_integer:
         return None
     return report

@@ -13,16 +13,15 @@ into one integer of fixed-width slots.  Whether the spectral radius is an
 integer is read off chi alone: only the largest non-negative integer root
 c can be it, and it is exactly when the Taylor coefficients of chi at c
 after the zero ones, those of chi(x + c) / x^m for the multiplicity m, are
-all positive.  The diagonal blocks, which the brackets below work on, are
-the strongly connected components of the support digraph, and a matrix
-is primitive when letter 0 reaches every letter along the rows and along
-the columns and its breadth-first levels give period 1; one
-breadth-first sweep over bitmasks serves both.  A primitive matrix is its
-own single block, so a verdict splits no digraph.
+all positive.  A matrix is primitive when letter 0 reaches every letter
+along the rows and along the columns and its breadth-first levels give
+period 1; the same breadth-first sweep over bitmasks splits a matrix into
+the strongly connected components of its support digraph.
 
 Spectral-radius brackets come from Newton's method on the exact
-characteristic polynomial chi of each irreducible block B, in scaled
-integer arithmetic on a grid of step 2^-s.  Why every bracket holds:
+characteristic polynomial chi of one irreducible block B, in scaled
+integer arithmetic on a grid of step 2^-s; a caller with a reducible
+matrix brackets each of its diagonal blocks.  Why every bracket holds:
   1. rho = rho(B) is a simple root of chi and every root has |lambda| <= rho
      (Perron-Frobenius; Horn-Johnson, Matrix Analysis, §8.4).
   2. No derivative of chi has a real root above rho (Gauss-Lucas), so chi
@@ -40,6 +39,13 @@ integer arithmetic on a grid of step 2^-s.  Why every bracket holds:
   5. The larger of the smallest row sum and the smallest column sum is
      <= rho too, by the same transpose, and an iterate below it, or one
      where chi or chi' is not positive, is an internal error.
+Steps 2-4 hold for any nonnegative matrix, reducible or not.  What
+irreducibility adds is that rho is a simple root and that the start lies
+strictly above it.  On a reducible block an iterate can land on rho,
+where chi or chi' is 0, or creep towards a multiple root until the first
+grid is too coarse for tol.  Only at those two places is the block split
+into the components of its support digraph, and more than one is a
+ValueError; a bracket that reaches neither holds.
 """
 
 from __future__ import annotations
@@ -50,9 +56,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, dropwhile, repeat, takewhile
 from operator import and_, mul, not_, rshift
-
-# row i holds a pair (j, m_ij) for every nonzero entry, j ascending
-Rows = tuple[tuple[tuple[int, int], ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +320,6 @@ def _strongly_connected_components(rows) -> list[list[int]]:
     return comps
 
 
-def _diagonal_blocks(rows) -> list[Rows]:
-    """The irreducible diagonal blocks, one per strongly connected
-    component, as sparse rows: the pairs of the component's rows that fall
-    in its columns, re-indexed in the component's (ascending) order."""
-    blocks = []
-    for comp in _strongly_connected_components(rows):
-        index = {j: k for k, j in enumerate(comp)}
-        blocks.append(tuple(tuple((index[j], m) for j, m in rows[i] if j in index) for i in comp))
-    return blocks
-
-
 def is_primitive(rows) -> bool:
     """M is primitive iff it is irreducible with period 1 (Horn-Johnson §8.5).
 
@@ -378,9 +370,16 @@ def _scaled_values(scaled, a: int) -> tuple[int, int]:
     return p, d
 
 
-def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
-    """Bracket the spectral radius rho of one irreducible diagonal block B
-    by Newton's method from above on chi = det(xI - B), ``poly`` if given.
+def _require_irreducible(block) -> None:
+    # called only where a reducible block can show in the bracket
+    if (k := len(_strongly_connected_components(block))) > 1:
+        raise ValueError(f"radius_bracket needs an irreducible block, not one of {k} components")
+
+
+def radius_bracket(block, tol, *, poly: IntPolynomial | None = None) -> RadiusBracket:
+    """A rational interval of width <= tol containing the spectral radius
+    rho of one irreducible block B, by Newton's method from above on
+    chi = det(xI - B), ``poly`` if given.
 
     The row sums bound rho, min <= rho <= max, and so do the column sums,
     as rho(B) = rho(B^T); the one scan that sums both checks every pair of
@@ -393,8 +392,18 @@ def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
     integers: Newton's iterate, rounded up.  Once a step would move a by
     less than one grid step, a - 1 becomes the lower end if
     chi(a - 1) <= 0, and the grid is refined while the bracket is still
-    wider than tol.  Returns (lo, hi, loose).
+    wider than tol.
+
+    A reducible block is a ValueError where it can show: at an iterate
+    where chi or chi' is not positive, and at the first refinement of the
+    grid.  Only there is B split into its strongly connected components,
+    so a bracket that needs neither never splits it.  A reducible block
+    that reaches neither gets a bracket that holds all the same, by steps
+    2-4 of the module docstring.
     """
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
     n = len(block)
     row_sums, col_sums = [], [0] * n
     for row in block:
@@ -408,10 +417,10 @@ def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
     low, high = max(min(row_sums), min(col_sums)), min(max(row_sums), max(col_sums))
     tn, td = tol.numerator, tol.denominator
     if (high - low) * td <= tn:
-        return Fraction(low), Fraction(high), False
+        return RadiusBracket(Fraction(low), Fraction(high))
     poly = char_poly(block) if poly is None else poly
     s_tol = (-(-td // tn) - 1).bit_length()  # the coarsest grid with 2^-s <= tol
-    s = min(s_tol, _GRID_BITS)
+    s = s_first = min(s_tol, _GRID_BITS)
     a, lo = high << s, low << s  # the ends of the bracket, in units of 2^-s
     if poly.root_bound is not None:
         # strictly above the bound, which is rho itself when L B = q L
@@ -424,6 +433,7 @@ def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
             )
         p, d = _scaled_values(scaled, a)
         if p <= 0 or d <= 0:
+            _require_irreducible(block)
             raise InternalArithmeticError("Newton iterate is not above the Perron root")
         if p >= d:
             a -= p // d
@@ -431,45 +441,15 @@ def _irreducible_bracket(block, tol: Fraction, poly: IntPolynomial | None):
         if lo < a - 1 and _scaled_values(scaled, a - 1)[0] <= 0:
             lo = a - 1
         if (a - lo) * td <= tn << s:
-            return Fraction(lo, 1 << s), Fraction(a, 1 << s), False
+            return RadiusBracket(Fraction(lo, 1 << s), Fraction(a, 1 << s))
         if s >= _MAX_GRID_BITS:
-            return Fraction(lo, 1 << s), Fraction(a, 1 << s), True
+            return RadiusBracket(Fraction(lo, 1 << s), Fraction(a, 1 << s), True)
+        if s == s_first:
+            _require_irreducible(block)
         extra = max(s, _GRID_BITS)
         s += extra
         a, lo = a << extra, lo << extra
         scaled = [c << extra * k for k, c in enumerate(scaled)]
-
-
-def radius_bracket(rows, tol, *, blocks=None, poly=None) -> RadiusBracket:
-    """A rational interval of width <= tol containing the spectral radius.
-
-    The support digraph is split into strongly connected components; the
-    radius is the maximum over the diagonal blocks, each of which is
-    irreducible and bracketed by ``_irreducible_bracket``, which checks
-    the block's pairs whether the split made it or the caller passed it.
-    A caller that has already split the matrix passes its diagonal
-    ``blocks`` (a primitive matrix is its own single block) and may pass
-    its characteristic polynomial ``poly``, which is the block's own when
-    there is one block; any other block gets its polynomial from
-    ``char_poly``.  Each block passed must be irreducible, and nothing
-    checks it: on a reducible block, such as the direct sum of [2] and
-    the Fibonacci matrix, the bracket can raise ``InternalArithmeticError``
-    or come back loose.
-    """
-    if blocks is None:
-        blocks = _diagonal_blocks(rows)
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if len(blocks) != 1:
-        poly = None
-    lo = hi = Fraction(0)
-    loose = False
-    for block in blocks:
-        b_lo, b_hi, b_loose = _irreducible_bracket(block, tol, poly)
-        lo, hi = max(lo, b_lo), max(hi, b_hi)
-        loose = loose or b_loose
-    return RadiusBracket(lo, hi, loose)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +481,9 @@ class SpectralReport:
         }
 
 
-def spectral_report(rows, *, blocks=None) -> SpectralReport:
-    """Decide exactly whether the spectral radius is an integer.
+def spectral_report(block) -> SpectralReport:
+    """Decide exactly whether the spectral radius of one irreducible block
+    is an integer.
 
     For a nonnegative matrix the radius rho is itself an eigenvalue, so if
     it is an integer it is the largest non-negative integer root c of chi,
@@ -516,17 +497,15 @@ def spectral_report(rows, *, blocks=None) -> SpectralReport:
       2. if all those coefficients are positive, chi(x + c) has no root
          x > 0, so the real root rho is <= c, and rho >= c as c is an
          eigenvalue.
-    This holds for any nonnegative matrix, reducible or not, and
-    ``char_poly`` checks that the pairs are those of one.  A caller that
-    has already split the matrix passes its diagonal ``blocks``, whose
-    pairs the bracket checks too; a primitive matrix is its own single
-    block.  Each block must be irreducible, as ``radius_bracket`` says: a
-    reducible one can raise ``InternalArithmeticError`` or leave the
-    bracket loose.
+    The decision holds for any nonnegative matrix, and ``char_poly``
+    checks that the pairs are those of one.  The bracket, which gets chi
+    as ``poly``, is what needs the block irreducible: ``radius_bracket``
+    raises ValueError where a reducible one shows.  A primitive matrix is
+    one irreducible block.
     """
-    p = char_poly(rows)
+    p = char_poly(block)
     roots = integer_roots(p)
-    bracket = radius_bracket(rows, _BRACKET_TOL, blocks=blocks, poly=p)
+    bracket = radius_bracket(block, _BRACKET_TOL, poly=p)
     candidate = max((root for root, _ in roots if root >= 0), default=None)
     if candidate is None or any(a <= 0 for a in dropwhile(not_, _taylor(p.coeffs, candidate))):
         return SpectralReport(p, roots, bracket, None)

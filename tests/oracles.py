@@ -8,12 +8,12 @@ string rewriting, the position-letter form of a uniform block morphism,
 composition and powers of a ``Morphism`` by concatenating its images,
 cofactor-expansion determinants, the Faddeev-LeVerrier recursion,
 primitivity from Boolean matrix powers, set-based factor counting,
-strongly connected components from set-based reachability, the
-spectral-radius bracket on dense rows, Newton's bracket started from the
-row and column sums with chi evaluated term by term, the sign of
-rho(B) - c from the leading principal minors of cI - B, dense matrix
-products, the left-eigenvector
-check in fractions, Perron vectors from a scan of the column-sum range
+strongly connected components from set-based reachability and the
+diagonal blocks they cut out, the spectral-radius bracket on dense rows,
+Newton's bracket started from the row and column sums with chi evaluated
+term by term, the sign of rho(B) - c from the leading principal minors
+of cI - B, dense matrix products, the left-eigenvector check in
+fractions, Perron vectors from a scan of the column-sum range
 with rational kernels, and the paper's anagram method (which reads the
 package's ``Morphism``) with the Parikh vectors it compares.  ``word``
 reads text through the package's own ``Alphabet.split``, and the
@@ -237,6 +237,17 @@ def naive_components(matrix) -> list[list[int]]:
         if not any(i in comp for comp in comps):
             comps.append(sorted(j for j in reach[i] if i in reach[j]))
     return comps
+
+
+def _dense_blocks(matrix):
+    """The irreducible diagonal blocks of a dense matrix, one per component
+    of ``naive_components``, each in the component's order."""
+    return [tuple(tuple(matrix[i][j] for j in comp) for i in comp) for comp in naive_components(matrix)]
+
+
+def diagonal_blocks(rows):
+    """``_dense_blocks`` of sparse rows, as sparse rows."""
+    return [sparse(block) for block in _dense_blocks(dense(rows))]
 
 
 def naive_factor_count(word, n: int) -> int:
@@ -510,9 +521,7 @@ def integer_radius(matrix) -> int | None:
     from the smallest column sum up with no block of radius above c, by
     ``radius_sign``, is the ceiling of rho."""
     n = len(matrix)
-    blocks = [
-        tuple(tuple(matrix[i][j] for j in comp) for i in comp) for comp in naive_components(matrix)
-    ]
+    blocks = _dense_blocks(matrix)
     sums = [sum(row[j] for row in matrix) for j in range(n)]
     for c in range(min(sums), max(sums) + 1):
         sign = max(radius_sign(block, c) for block in blocks)

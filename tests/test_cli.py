@@ -1,6 +1,9 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
@@ -313,6 +316,20 @@ class TestCorpusCommand:
         assert main(["corpus", "--run"]) == 0
         out = capsys.readouterr().out
         assert "all 39 corpus entries match" in out
+
+    def test_runs_as_python_dash_m(self, tmp_path):
+        # from a source checkout, with no installed ``morphauto`` script
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "morphauto", "corpus", "--run", "--depth", "500"],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "all 39 corpus entries match" in result.stdout
 
     def test_listing(self, capsys):
         assert main(["corpus"]) == 0

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from oracles import (
     compose,
     dense,
     dense_irreducible_bracket,
+    diagonal_blocks,
     faddeev_leverrier_charpoly,
     integer_radius,
     left_eigencheck,
@@ -105,7 +107,8 @@ class TestSparseRows:
         assert is_primitive(rows) == primitive_by_squaring(d)
         if r <= 12:
             assert is_primitive(rows) == naive_bool_power_positive(d, r * r - 2 * r + 2)
-        assert spectral_report(rows).dominant_value == integer_radius(d)
+        for block in diagonal_blocks(rows):
+            assert spectral_report(block).dominant_value == integer_radius(dense(block))
 
 
 def _workloads(monkeypatch):
@@ -546,7 +549,8 @@ class TestRadiusBracket:
         assert br.lo <= Fraction(root).limit_denominator(10**12) <= br.hi
 
     def test_reducible_lysenok(self, lysenok):
-        br = radius_bracket(lysenok.morphism.incidence, Fraction(1, 10**6))
+        # the component {a} has rho = 2, above the cycle b -> d -> c
+        br = _bracket_of_blocks(lysenok.morphism.incidence, Fraction(1, 10**6))
         assert br.lo <= 2 <= br.hi
         assert br.hi - br.lo <= Fraction(1, 10**6)
 
@@ -579,7 +583,7 @@ class TestRadiusBracket:
             while sum(map(len, blocks)) < size:
                 blocks.append(_random_irreducible_block(rng))
             m = _permuted(_block_triangular(blocks, rng), _shuffled(rng, sum(map(len, blocks))))
-            br = radius_bracket(sparse(m), tol)
+            br = _bracket_of_blocks(sparse(m), tol)
             assert br.hi - br.lo <= tol and not br.loose
             _assert_bracket_holds(br, blocks)
 
@@ -658,8 +662,7 @@ class TestBracketAgainstDense:
     holds under the exact sign test."""
 
     @staticmethod
-    def _assert_agrees(m, blocks, tol):
-        br = radius_bracket(sparse(m), tol)
+    def _assert_agrees(br, blocks, tol):
         assert br.hi - br.lo <= tol and not br.loose
         _assert_bracket_holds(br, blocks)
         dense = [dense_irreducible_bracket(block, tol, 96, 64) for block in blocks]
@@ -670,7 +673,7 @@ class TestBracketAgainstDense:
     @classmethod
     def _assert_block_agrees(cls, block, tol):
         assert len(_strongly_connected_components(sparse(block))) == 1
-        return cls._assert_agrees(block, [block], tol)[0]
+        return cls._assert_agrees(radius_bracket(sparse(block), tol), [block], tol)[0]
 
     @pytest.mark.parametrize("tol", [Fraction(1, 10**6), Fraction(1, 3)])
     def test_random_blocks(self, tol):
@@ -723,7 +726,7 @@ class TestBracketAgainstDense:
                 for _ in range(rng.randint(2, 4))
             ]
             m = _permuted(_block_triangular(blocks, rng), _shuffled(rng, sum(map(len, blocks))))
-            self._assert_agrees(m, blocks, tol)
+            self._assert_agrees(_bracket_of_blocks(sparse(m), tol), blocks, tol)
 
 
 class TestBracketStart:
@@ -740,7 +743,8 @@ class TestBracketStart:
         reference = row_sum_start_bracket(
             block, cls.TOL, char_poly(sparse(block)).coeffs, linalg._GRID_BITS, linalg._MAX_GRID_BITS
         )
-        assert linalg._irreducible_bracket(sparse(block), cls.TOL, None) == reference
+        br = radius_bracket(sparse(block), cls.TOL)
+        assert (br.lo, br.hi, br.loose) == reference
 
     def test_seeded_irreducible_blocks(self):
         rng = random.Random(2424)
@@ -787,12 +791,12 @@ class TestSpectralReport:
         assert rep.dominant_value in rep.bracket
 
     def test_diagonal(self):
-        rep = spectral_report(sparse(((3, 0), (0, 1))))
-        assert rep.dominant_value == 3
+        # two 1 x 1 blocks; the matrix's radius is the larger
+        assert _dominant_values(sparse(((3, 0), (0, 1)))) == [3, 1]
 
     def test_lysenok_reducible_dominant_two(self, lysenok):
-        rep = spectral_report(lysenok.morphism.incidence)
-        assert rep.dominant_value == 2
+        # {a} has rho = 2 and the cycle b -> d -> c has rho = 1
+        assert _dominant_values(lysenok.morphism.incidence) == [2, 1]
 
     def test_integer_root_that_is_not_dominant(self):
         # 4x4 with charpoly (x^2 - 4x - 1)(x - 1)^2: root 1 exists but the
@@ -842,7 +846,7 @@ class TestSpectralReport:
 
     def test_agrees_with_the_signs_of_the_minors(self):
         # the decision from chi against the leading principal minors of
-        # cI - B over the diagonal blocks B, on 2000 matrices of at most 10
+        # cI - B, on each diagonal block B of 2000 matrices of at most 10
         # letters: reducible ones, direct sums of two blocks with equal
         # radii, constant column sums and repeated columns
         rng = random.Random(2200)
@@ -875,21 +879,22 @@ class TestSpectralReport:
                         row[j] = row[i]
                 m = tuple(map(tuple, rows))
             m = _permuted(m, _shuffled(rng, len(m)))
-            rep = spectral_report(sparse(m))
-            assert rep.dominant_value == integer_radius(m), (kind, m)
-            if rep.dominant_is_integer:
-                decided["integer"] += 1
-            else:
-                decided["irrational"] += 1
-                decided["integer root below rho"] += any(root >= 0 for root, _ in rep.integer_roots)
+            for block in diagonal_blocks(sparse(m)):
+                rep = spectral_report(block)
+                assert rep.dominant_value == integer_radius(dense(block)), (kind, m)
+                if rep.dominant_is_integer:
+                    decided["integer"] += 1
+                else:
+                    decided["irrational"] += 1
+                    decided["integer root below rho"] += any(root >= 0 for root, _ in rep.integer_roots)
         assert min(decided.values()) >= 200, decided
 
 
 class TestOneSplitPerVerdict:
     # a primitive matrix is its own single block, and is_primitive decides
     # irreducibility by reachability from letter 0, so a verdict reads the
-    # support bitmasks once and splits no components.  A report on a
-    # reducible matrix splits it once.
+    # support bitmasks once and splits no components.  A report splits its
+    # matrix only where a reducible one can show in the bracket.
     ONE_OF_EACH = ["_strongly_connected_components", "_support"]
     SUPPORT_ONLY = ["_support"]
 
@@ -916,33 +921,87 @@ class TestOneSplitPerVerdict:
             assert calls == self.SUPPORT_ONLY
         assert fired > 10
 
-    def test_reducible_reports_split_themselves(self, monkeypatch, lysenok):
-        # called without blocks, the report splits the matrix itself, once;
-        # the two reports are pinned as they were before blocks could be passed
+    def test_a_reducible_matrix_is_split_only_where_it_shows(self, monkeypatch, lysenok):
+        # lysenok's radius 2 is where its bracket starts, so chi is 0 there:
+        # the bracket splits the matrix once, and refuses it.  Fibonacci
+        # below the golden square has simple roots, and its bracket holds
+        # with no split.  Split by the oracle first, their blocks give the
+        # radii 2 and phi^2, in brackets pinned here
+        fib, golden_square = ((1, 1), (1, 0)), ((2, 1), (1, 1))
         fib_below_golden_square = sparse(((1, 1, 0, 0), (1, 0, 0, 0), (1, 0, 2, 1), (0, 1, 1, 1)))
-        expected = [
-            {
-                "char_poly": "x^4 - 2*x^3 - x + 2",
-                "coefficients": ["1", "-2", "0", "-1", "2"],
-                "integer_roots": [[1, 1], [2, 1]],
-                "radius_bracket": {"lo": "2", "hi": "2", "loose": False},
-                "dominant_is_integer": True,
-                "dominant_value": 2,
-            },
-            {
-                "char_poly": "x^4 - 4*x^3 + 3*x^2 + 2*x - 1",
-                "coefficients": ["1", "-4", "3", "2", "-1"],
-                "integer_roots": [],
-                "radius_bracket": {"lo": "2745207/1048576", "hi": "343151/131072", "loose": False},
-                "dominant_is_integer": False,
-                "dominant_value": None,
-            },
-        ]
         calls = self._record_calls(monkeypatch)
-        for m, report in zip((lysenok.morphism.incidence, fib_below_golden_square), expected):
-            calls.clear()
-            assert spectral_report(m).to_json() == report
-            assert sorted(calls) == self.ONE_OF_EACH
+        with pytest.raises(ValueError, match="irreducible block"):
+            spectral_report(lysenok.morphism.incidence)
+        assert sorted(calls) == self.ONE_OF_EACH
+        calls.clear()
+        rep = spectral_report(fib_below_golden_square)
+        assert calls == []
+        assert str(rep.char_poly) == "x^4 - 4*x^3 + 3*x^2 + 2*x - 1" and rep.integer_roots == ()
+        assert rep.dominant_value is None
+        _assert_bracket_holds(rep.bracket, [fib, golden_square])
+        tol = Fraction(1, 10**6)
+        assert _bracket_of_blocks(lysenok.morphism.incidence, tol) == RadiusBracket(2, 2)
+        assert _dominant_values(lysenok.morphism.incidence) == [2, 1]
+        assert _bracket_of_blocks(fib_below_golden_square, tol) == RadiusBracket(
+            Fraction(2745207, 1048576), Fraction(343151, 131072)
+        )
+        assert _dominant_values(fib_below_golden_square) == [None, None]
+
+
+class TestOneIrreducibleBlock:
+    """``radius_bracket`` and ``spectral_report`` take one irreducible
+    block.  A reducible one is a ValueError where the bracket can tell,
+    and a bracket that comes back holds all the same."""
+
+    @pytest.mark.parametrize(
+        "check",
+        [spectral_report, lambda m: radius_bracket(m, Fraction(1, 10**6))],
+        ids=["spectral_report", "radius_bracket"],
+    )
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            # the first three start Newton at rho, where chi is 0; the
+            # last has the double root phi, which Newton creeps towards
+            # until the first grid is too coarse (without the check it took
+            # over a second to come back loose)
+            ((2, 0, 0), (0, 1, 1), (0, 1, 0)),
+            ((3, 0), (0, 1)),
+            ((2, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 1), (0, 1, 0, 0)),
+            ((1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0)),
+        ],
+        ids=["two_plus_fibonacci", "diag_3_1", "lysenok", "fibonacci_plus_fibonacci"],
+    )
+    def test_reducible_blocks_are_value_errors(self, check, matrix):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="irreducible block, not one of 2 components"):
+            check(sparse(matrix))
+        assert time.perf_counter() - start < 0.05
+
+    def test_whole_block_triangular_matrices_hold_or_are_refused(self):
+        # the permuted block-triangular matrices, each bracketed and
+        # reported whole: the bracket holds and the decision is the
+        # oracle's, or the call is a ValueError
+        rng = random.Random(4242)
+        tol = Fraction(1, 10**6)
+        outcomes = {"held": 0, "refused": 0}
+        for _ in range(300):
+            blocks, size = [], rng.randint(2, 10)
+            while sum(map(len, blocks)) < size:
+                blocks.append(_random_irreducible_block(rng))
+            m = _permuted(_block_triangular(blocks, rng), _shuffled(rng, sum(map(len, blocks))))
+            try:
+                br = radius_bracket(sparse(m), tol)
+            except ValueError:
+                outcomes["refused"] += 1
+                with pytest.raises(ValueError, match="irreducible block"):
+                    spectral_report(sparse(m))
+                continue
+            outcomes["held"] += 1
+            assert br.hi - br.lo <= tol and not br.loose
+            _assert_bracket_holds(br, blocks)
+            assert spectral_report(sparse(m)).dominant_value == integer_radius(m)
+        assert min(outcomes.values()) > 0, outcomes
 
 
 FIB_PLUS_ONE = ((1, 1, 0), (1, 0, 0), (0, 0, 1))
@@ -1008,6 +1067,22 @@ def _block_triangular(blocks, rng, coupling=(0, 0, 1, 5)):
     return tuple(map(tuple, rows))
 
 
+def _bracket_of_blocks(rows, tol):
+    """The bracket of a matrix from those of its diagonal blocks, split by
+    the oracle: rho is the largest block radius, so each end is the
+    largest of the blocks' ends."""
+    brackets = [radius_bracket(block, tol) for block in diagonal_blocks(rows)]
+    return RadiusBracket(
+        max(br.lo for br in brackets), max(br.hi for br in brackets), any(br.loose for br in brackets)
+    )
+
+
+def _dominant_values(rows):
+    """The integer radius, or None, of each diagonal block, in the order of
+    the oracle's split."""
+    return [spectral_report(block).dominant_value for block in diagonal_blocks(rows)]
+
+
 def _assert_bracket_holds(br, blocks):
     """lo <= rho <= hi, decided exactly: rho >= p/q iff some block B has
     rho(qB) >= p, and rho <= p/q iff every block has rho(qB) <= p."""
@@ -1042,7 +1117,9 @@ class TestRadiusSign:
         assert not rep.dominant_is_integer and rep.dominant_value is None
 
     def test_two_plus_fibonacci_block_is_two(self):
-        assert spectral_report(sparse(TWO_PLUS_FIB)).dominant_value == 2
+        # phi < 2, so the matrix's radius is the integer block's
+        two, fib = map(spectral_report, diagonal_blocks(sparse(TWO_PLUS_FIB)))
+        assert (two.dominant_value, fib.dominant_value) == (2, None) and fib.bracket.hi < 2
 
     def test_coupled_and_permuted_forms(self):
         # block upper-triangular with coupling between the blocks, then
@@ -1096,7 +1173,7 @@ class TestPerron:
                 m[i][j] += 1
         m = tuple(map(tuple, m))
         assert is_primitive(sparse(m))
-        assert spectral_report(sparse(m), blocks=[sparse(m)]).dominant_value == 3
+        assert spectral_report(sparse(m)).dominant_value == 3
         v = column_sum_scan_perron(m)
         assert sum(v) == 1 and all(x > 0 for x in v)
         for i in range(r):
@@ -1116,7 +1193,7 @@ class TestPerron:
                 m = tuple(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(r)) for _ in range(r))
             if not _wielandt(m):
                 continue
-            rep, v = spectral_report(sparse(m), blocks=[sparse(m)]), column_sum_scan_perron(m)
+            rep, v = spectral_report(sparse(m)), column_sum_scan_perron(m)
             assert rep.dominant_is_integer is (v is not None), m
             if v is not None:
                 assert all(
@@ -1136,7 +1213,7 @@ class TestPerron:
             m = _constant_column_sums(rng, r, q)
             if not _wielandt(m):
                 continue
-            assert spectral_report(sparse(m), blocks=[sparse(m)]).dominant_value == q
+            assert spectral_report(sparse(m)).dominant_value == q
             v = column_sum_scan_perron(m)
             assert sum(v) == 1 and all(x > 0 for x in v)
             for i in range(r):
@@ -1156,12 +1233,14 @@ class TestAgainstFloatOracle:
                 tuple(rng.choice((0, 0, 1, 1, 2, 3, 5)) for _ in range(n)) for _ in range(n)
             )
             rho = max(abs(v) for v in numpy.linalg.eigvals(numpy.array(m, dtype=float)))
-            br = radius_bracket(sparse(m), Fraction(1, 10**9))
+            br = _bracket_of_blocks(sparse(m), Fraction(1, 10**9))
             assert br.hi - br.lo <= Fraction(1, 10**9)
             assert float(br.lo) - 1e-6 <= rho <= float(br.hi) + 1e-6
-            report = spectral_report(sparse(m))
-            if report.dominant_is_integer:
-                assert abs(rho - report.dominant_value) < 1e-6
+            for block in diagonal_blocks(sparse(m)):
+                report = spectral_report(block)
+                if report.dominant_is_integer:
+                    eigvals = numpy.linalg.eigvals(numpy.array(dense(block), dtype=float))
+                    assert abs(max(map(abs, eigvals)) - report.dominant_value) < 1e-6
 
 
 class TestMultiplicativity:
@@ -1177,31 +1256,19 @@ class TestMultiplicativity:
         assert dense(power(m, 3).incidence) == mat_mul(mat_mul(a, a), a)
 
 
-def _report_of_one_block(rows):
-    return spectral_report(rows, blocks=[rows])
-
-
-def _bracket_of_one_block(rows):
-    return radius_bracket(rows, 1, blocks=[rows])
-
-
-# every entry point checks each pair in a scan that reads it anyway, and so
-# does the bracket of each block a caller passes
-_ENTRY_POINTS = [
-    char_poly, is_primitive, spectral_report, lambda m: radius_bracket(m, 1), _report_of_one_block,
-    _bracket_of_one_block,
-]
+# every entry point checks each pair in a scan that reads it anyway
+_ENTRY_POINTS = [char_poly, is_primitive, spectral_report, lambda m: radius_bracket(m, 1)]
 
 
 class TestInputChecks:
     @pytest.mark.parametrize("check", _ENTRY_POINTS)
     def test_negative_entries_are_rejected(self, check):
-        # passed as its own block, this matrix would send Newton to an
-        # internal error if its bracket did not check it
+        # this matrix would send Newton to an internal error if the bracket
+        # did not check it
         with pytest.raises(ValueError, match="nonnegative"):
             check(sparse(((1, -1), (1, 1))))
 
-    @pytest.mark.parametrize("check", [_report_of_one_block, _bracket_of_one_block])
+    @pytest.mark.parametrize("check", _ENTRY_POINTS[2:])  # the two that bracket
     def test_a_signed_block_with_an_integer_radius_is_rejected(self, check):
         # chi = (x - 2)^2, and the row and column sums pin the bracket at
         # [2, 2], so only the check keeps this matrix from a full report
