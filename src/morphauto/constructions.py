@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .words import (
     Alphabet,
@@ -134,16 +135,16 @@ def reshuffle_uniformize(spec: MorphicSpec) -> UniformRepresentation:
     first = [0]  # first[i]: the position letter (i, 1)
     for n in lengths:
         first.append(first[-1] + n)
+    runs = [range(f, f + n) for f, n in zip(first, lengths)]  # i -> its position letters
     output = spec.coding.table if spec.coding is not None else range(len(letters))
 
     images: list[Word] = []
-    table: list[int] = []
     for i, img in enumerate(m.images):
-        expanded = [first[c] + j for c in img for j in range(lengths[c])]
+        expanded = list(chain.from_iterable(map(runs.__getitem__, img)))
         if len(expanded) != q * lengths[i]:
             raise InternalCheckError("expansion length disagrees with the eigenvalue")
-        images.extend(tuple(expanded[j : j + q]) for j in range(0, len(expanded), q))
-        table.extend(output[c] for c in img)
+        images.extend(zip(*[iter(expanded)] * q))  # its consecutive q-slices
+    table = [output[c] for img in m.images for c in img]
 
     rep = UniformRepresentation(
         morphism=Morphism(alpha, tuple(images)),
@@ -165,20 +166,15 @@ def minimize_uniform(u: UniformRepresentation) -> UniformRepresentation:
     m, coding = u.morphism, u.coding
     order = m.closure((u.seed,))
 
-    def renumber(key_of):
+    def renumber(keys):
+        # the letter order[i] gets the first-seen rank of keys[i]
         fresh: dict = {}
-        out = {}
-        for letter in order:
-            k = key_of(letter)
-            if k not in fresh:
-                fresh[k] = len(fresh)
-            out[letter] = fresh[k]
-        return out
+        return {letter: fresh.setdefault(k, len(fresh)) for letter, k in zip(order, keys)}
 
-    classes = renumber(lambda letter: coding.table[letter])
+    classes = renumber([coding.table[letter] for letter in order])
     while True:
         refined = renumber(
-            lambda letter: (classes[letter], tuple(classes[c] for c in m.image(letter)))
+            [(classes[letter], *map(classes.__getitem__, m.images[letter])) for letter in order]
         )
         if refined == classes:
             break
@@ -190,9 +186,9 @@ def minimize_uniform(u: UniformRepresentation) -> UniformRepresentation:
         c = classes[letter]
         if reps[c] is None:
             reps[c] = letter
-    alpha = Alphabet(tuple(m.alphabet.letters[reps[c]] for c in range(count)))
-    images = tuple(tuple(classes[child] for child in m.image(reps[c])) for c in range(count))
-    table = tuple(coding.table[reps[c]] for c in range(count))
+    alpha = Alphabet(tuple(map(m.alphabet.letters.__getitem__, reps)))
+    images = tuple(tuple(map(classes.__getitem__, m.images[rep])) for rep in reps)
+    table = tuple(map(coding.table.__getitem__, reps))
     return UniformRepresentation(
         morphism=Morphism(alpha, images),
         seed=classes[u.seed],
@@ -240,7 +236,7 @@ class BlockMorphism:
 
 def _block_token(alphabet: Alphabet, block: Word) -> str:
     sep = "" if alphabet.single_char else "+"
-    return sep.join(alphabet.letters[c] for c in block)
+    return sep.join([alphabet.letters[c] for c in block])
 
 
 _MAX_BLOCKS = 20_000  # the closure bound on distinct blocks

@@ -378,16 +378,24 @@ def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions):
 
 def _evidence_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     """Factor complexity of the input and Sturmian witnesses on its
-    invariant subalphabets: the evidence of an honest Unknown."""
+    invariant subalphabets: the evidence of an honest Unknown.
+
+    A witness word is the fixed point from its seed letter, the same word
+    in whichever invariant subalphabet holds that letter (relabelled, which
+    no count sees), so each seed letter is profiled once."""
     nmax, length = opts.evidence_nmax, opts.evidence_prefix
     profile = factor_complexity(spec, nmax, length)
     witnesses = []
+    by_seed: dict[int, tuple[bool, ComplexityProfile]] = {}  # seed letter -> witness
     for sub in _invariant_subalphabets(spec.morphism):
         restricted = spec.morphism.restrict(sub)
         seeds = restricted.prolongable_letters()
         if not seeds:
             continue
-        ok, sub_profile = sturmian_witness(MorphicSpec(restricted, seeds[0]), nmax, length)
+        seed = sub[seeds[0]]
+        if seed not in by_seed:
+            by_seed[seed] = sturmian_witness(MorphicSpec(restricted, seeds[0]), nmax, length)
+        ok, sub_profile = by_seed[seed]
         letters = restricted.alphabet.letters
         witnesses.append(SubalphabetWitness(letters, letters[seeds[0]], ok, sub_profile))
     found = sum(w.sturmian for w in witnesses)

@@ -67,9 +67,14 @@ class Alphabet:
             raise ValueError("alphabet must not be empty")
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("alphabet letters must be distinct")
-        for tok in self.letters:
-            if not tok or any(ch.isspace() for ch in tok):
-                raise ValueError(f"bad letter token {tok!r}")
+        # str.split() splits exactly at the characters that str.isspace()
+        # accepts, so this is the loop's test in one pass; the loop names
+        # the first bad token
+        joined = "".join(self.letters)
+        if not (all(self.letters) and joined.split() == [joined]):
+            for tok in self.letters:
+                if not tok or any(ch.isspace() for ch in tok):
+                    raise ValueError(f"bad letter token {tok!r}")
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -105,7 +110,7 @@ class Alphabet:
 
     def render(self, word: Word) -> str:
         sep = "" if self.single_char else " "
-        return sep.join(self.letters[i] for i in word)
+        return sep.join([self.letters[i] for i in word])
 
     def tokens(self, word: Word) -> tuple[str, ...]:
         return tuple(self.letters[i] for i in word)
@@ -125,10 +130,9 @@ class Morphism:
     def __post_init__(self):
         if len(self.images) != len(self.alphabet):
             raise ValueError("one image per letter is required")
-        r = len(self.alphabet)
-        for img in self.images:
-            if any(not (0 <= c < r) for c in img):
-                raise ValueError("image letter out of range")
+        used = set(chain.from_iterable(self.images))
+        if used and (min(used) < 0 or max(used) >= len(self.alphabet)):
+            raise ValueError("image letter out of range")
 
     def __repr__(self):
         return f"Morphism({self.rules_text()})"
@@ -144,7 +148,7 @@ class Morphism:
 
     @cached_property
     def lengths(self) -> tuple[int, ...]:
-        return tuple(len(img) for img in self.images)
+        return tuple(map(len, self.images))
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -169,7 +173,7 @@ class Morphism:
 
     @property
     def is_erasing(self) -> bool:
-        return any(not img for img in self.images)
+        return not all(self.images)
 
     @cached_property
     def uniform_length(self) -> int | None:
@@ -186,6 +190,8 @@ class Morphism:
     @cached_property
     def mortal_letters(self) -> frozenset[int]:
         """Letters whose iterated image eventually becomes empty."""
+        if not self.is_erasing:
+            return frozenset()
         dead = {i for i, img in enumerate(self.images) if not img}
         changed = True
         while changed:
@@ -208,7 +214,7 @@ class Morphism:
         img = self.images[letter]
         if len(img) < 2 or img[0] != letter:
             return False
-        return any(c not in self.mortal_letters for c in img[1:])
+        return not self.mortal_letters.issuperset(img[1:])
 
     def prolongable_letters(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.alphabet)) if self.is_prolongable(i))
@@ -251,8 +257,7 @@ class Coding:
     def __post_init__(self):
         if len(self.table) != len(self.source):
             raise ValueError("coding must be total on its source alphabet")
-        t = len(self.target)
-        if any(not (0 <= c < t) for c in self.table):
+        if min(self.table) < 0 or max(self.table) >= len(self.target):
             raise ValueError("coding target letter out of range")
 
     @classmethod
@@ -433,17 +438,18 @@ class MorphicSpec:
 
 def _parse_image(rhs: str, alphabet: Alphabet, lineno: int, raw_line: str) -> Word:
     tokens = alphabet.split(rhs)
-    for tok in tokens:
-        if tok not in alphabet:
-            # its first whole-token match in rhs, as the tokens before it are
-            # declared; rhs starts after the first "->" of raw_line
-            if alphabet.single_char:
-                at = rhs.find(tok)
-            else:
-                at = re.search(rf"(?<!\S){re.escape(tok)}(?!\S)", rhs).start()
-            column = raw_line.index("->") + 3 + at
-            raise MorphParseError(f"undeclared letter {tok!r}", lineno, column)
-    return tuple(map(alphabet.index, tokens))
+    try:
+        return tuple(map(alphabet._index.__getitem__, tokens))
+    except KeyError as exc:
+        (tok,) = exc.args  # the first undeclared token
+    # its first whole-token match in rhs, as the tokens before it are
+    # declared; rhs starts after the first "->" of raw_line
+    if alphabet.single_char:
+        at = rhs.find(tok)
+    else:
+        at = re.search(rf"(?<!\S){re.escape(tok)}(?!\S)", rhs).start()
+    column = raw_line.index("->") + 3 + at
+    raise MorphParseError(f"undeclared letter {tok!r}", lineno, column)
 
 
 def parse_morphism(text: str) -> MorphicSpec:

@@ -30,6 +30,7 @@ from morphauto.constructions import (
     reshuffle_uniformize,
 )
 from morphauto.criteria import BlockCertificate, _verify_certificate
+from morphauto.sequences import sturmian_witness
 
 from family import SEEDS, coverage, family
 from oracles import anagram_decomposition, naive_iterate, radius_sign, rules_of
@@ -213,6 +214,27 @@ class TestAnalyze:
         assert report.verdict.kind == "unknown"
         witnesses = report.verdict.evidence.witnesses
         assert any(w.sturmian and set(w.letters) == {"b", "c"} for w in witnesses)
+
+    def test_each_witness_seed_letter_is_profiled_once(self, monkeypatch):
+        # {b, c} and {b, c, d} are both invariant, and both witness words are
+        # the fixed point from b
+        from morphauto import criteria
+
+        calls = []
+
+        def counting(spec, n_max, prefix_length):
+            calls.append(spec)
+            return sturmian_witness(spec, n_max, prefix_length)
+
+        monkeypatch.setattr(criteria, "sturmian_witness", counting)
+        spec = parse_morphism("letters: a b c d\na -> a d\nb -> b c\nc -> b\nd -> d b\nseed: a")
+        report = analyze(spec)
+        assert report.verdict.kind == "unknown"
+        first, second = report.verdict.evidence.witnesses
+        assert (first.letters, second.letters) == (("b", "c"), ("b", "c", "d"))
+        assert first.seed == second.seed == "b"
+        assert len(calls) == 1
+        assert first.profile == second.profile
 
     def test_grig_aca_aba_not_automatic(self, grig_aca_aba):
         report = analyze(grig_aca_aba)

@@ -88,6 +88,7 @@ class TestParse:
             pytest.param("letters: ab c\nc -> ab a", 9, id="token-inside-an-earlier-token"),
             pytest.param("letters: a b\na -> a-b", 7, id="character-of-the-arrow"),
             pytest.param("letters: ab c\n  ab  ->  ab   c  abc", 19, id="indented-and-spaced"),
+            pytest.param("letters: a b\na -> a x y", 8, id="first-of-two"),
         ],
     )
     def test_undeclared_image_letter_names_its_column(self, text, column):
@@ -425,6 +426,22 @@ class TestInputChecks:
         with pytest.raises(ValueError):
             Alphabet(letters)
 
+    @pytest.mark.parametrize(
+        "letters, bad",
+        [
+            pytest.param(("a", ""), "", id="empty"),
+            pytest.param(("a b",), "a b", id="space"),
+            pytest.param(("a\tb",), "a\tb", id="tab"),
+            pytest.param(("a\xa0b",), "a\xa0b", id="no-break-space"),
+            pytest.param(("a\u2028b",), "a\u2028b", id="line-separator"),
+            pytest.param(("a", "b c", "d\te"), "b c", id="first-of-two"),
+        ],
+    )
+    def test_bad_letter_token_is_named(self, letters, bad):
+        with pytest.raises(ValueError) as err:
+            Alphabet(letters)
+        assert str(err.value) == f"bad letter token {bad!r}"
+
     def test_unknown_letter_in_index(self):
         with pytest.raises(ValueError, match="unknown letter 'z'"):
             Alphabet(("a", "b")).index("z")
@@ -434,16 +451,18 @@ class TestInputChecks:
             Morphism(Alphabet(("a", "b")), ((0, 1),))
 
     def test_morphism_image_letter_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Morphism(Alphabet(("a", "b")), ((0, 2), (0,)))
+        for bad in (-1, 2):  # below 0, and r
+            with pytest.raises(ValueError, match="^image letter out of range$"):
+                Morphism(Alphabet(("a", "b")), ((0, 1), (bad, 0)))
 
     def test_coding_must_be_total(self):
         with pytest.raises(ValueError, match="total"):
             Coding(Alphabet(("a", "b")), Alphabet(("0",)), (0,))
 
     def test_coding_target_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            Coding(Alphabet(("a", "b")), Alphabet(("0",)), (0, 1))
+        for bad in (-1, 1):  # below 0, and t
+            with pytest.raises(ValueError, match="^coding target letter out of range$"):
+                Coding(Alphabet(("a", "b")), Alphabet(("0",)), (0, bad))
 
     def test_spec_seed_out_of_range(self, lysenok):
         with pytest.raises(ValueError, match="seed letter out of range"):
