@@ -186,9 +186,10 @@ def minimize_uniform(u: UniformRepresentation) -> UniformRepresentation:
         c = classes[letter]
         if reps[c] is None:
             reps[c] = letter
-    alpha = Alphabet(tuple(map(m.alphabet.letters.__getitem__, reps)))
+    letters = m.alphabet.letters
+    alpha = Alphabet(tuple([letters[rep] for rep in reps]))
     images = tuple(tuple(map(classes.__getitem__, m.images[rep])) for rep in reps)
-    table = tuple(map(coding.table.__getitem__, reps))
+    table = tuple([coding.table[rep] for rep in reps])
     return UniformRepresentation(
         morphism=Morphism(alpha, images),
         seed=classes[u.seed],

@@ -67,14 +67,11 @@ class Alphabet:
             raise ValueError("alphabet must not be empty")
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("alphabet letters must be distinct")
-        # str.split() splits exactly at the characters that str.isspace()
-        # accepts, so this is the loop's test in one pass; the loop names
-        # the first bad token
-        joined = "".join(self.letters)
-        if not (all(self.letters) and joined.split() == [joined]):
-            for tok in self.letters:
-                if not tok or any(ch.isspace() for ch in tok):
-                    raise ValueError(f"bad letter token {tok!r}")
+        for tok in self.letters:
+            # str.split() cuts at exactly the characters str.isspace()
+            # accepts, so this rejects an empty token or one with whitespace
+            if tok.split() != [tok]:
+                raise ValueError(f"bad letter token {tok!r}")
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -678,3 +678,23 @@ FAMILY_COUNTS = json.loads((Path(__file__).parent / "family_counts.json").read_t
 
 def test_family_coverage_is_pinned():
     assert coverage() == FAMILY_COUNTS
+
+
+def test_family_with_fixed_r_draws_over_its_letters():
+    # family(seed, count, r) skips the r draw and spells letters l0..l{r-1}
+    texts = family(1, 50, r=8)
+    assert texts == family(1, 50, r=8)
+    assert texts != family(2, 50, r=8)
+    letters = tuple(f"l{i}" for i in range(8))
+    codings = 0
+    for text in texts:
+        spec = parse_morphism(text)
+        m = spec.morphism
+        assert m.alphabet.letters == letters
+        assert spec.seed == 0 and m.images[0][0] == 0 and 2 <= len(m.images[0]) <= 4
+        assert all(1 <= len(img) <= 4 for img in m.images[1:])
+        if spec.coding is not None:
+            codings += 1
+            t = len(spec.coding.target)
+            assert 1 <= t <= 4 and set(spec.coding.table) == set(range(t))
+    assert 0 < codings < len(texts)
