@@ -1,7 +1,7 @@
 """morphauto: detect hidden automatic sequences in fixed points of word
-morphisms, certify them with explicit uniform representations, and certify
-or witness non-automaticity with exact spectral tests and factor-complexity
-profiles."""
+morphisms, certify them with explicit uniform representations, certify
+non-automaticity with exact spectral tests, and attach a factor-complexity
+profile to every input that stays undecided."""
 
 from .constructions import (
     BlockConstructionError,
@@ -34,11 +34,7 @@ from .linalg import (
     radius_bracket,
     spectral_report,
 )
-from .sequences import (
-    ComplexityProfile,
-    factor_complexity,
-    sturmian_witness,
-)
+from .sequences import ComplexityProfile, factor_complexity
 from .words import (
     Alphabet,
     Coding,
@@ -89,6 +85,5 @@ __all__ = [
     "representation_from_spec",
     "reshuffle_uniformize",
     "spectral_report",
-    "sturmian_witness",
     "verify_back",
 ]

@@ -8,7 +8,8 @@ outcome is recorded; a stage that needs a non-erasing morphism records
 itself as skipped on an erasing one.  The first claim is the verdict, and
 every later claim must agree with it in kind and q, or
 ``InternalCheckError`` names both stages.  When no stage claims, the
-complexity evidence returns an honest Unknown.  Each verdict carries its
+evidence stage returns an honest Unknown, which carries one thing: the
+factor-complexity profile of the input.  Each verdict carries its
 own one-line summary.  Every Automatic claim's q must be the uniform
 length of its certificate's morphism, or ``InternalCheckError`` names the
 stage.  The verdict's certificate is then replayed before it is returned:
@@ -35,7 +36,7 @@ from .constructions import (
     reshuffle_uniformize,
 )
 from .linalg import SpectralReport, is_primitive, spectral_report
-from .sequences import ComplexityProfile, factor_complexity, sturmian_witness
+from .sequences import ComplexityProfile, factor_complexity
 from .words import (
     Alphabet,
     Coding,
@@ -96,34 +97,6 @@ class BlockCertificate:
         return self.output_alphabet.tokens(self.coded_prefix(n))
 
 
-@dataclass(frozen=True)
-class SubalphabetWitness:
-    letters: tuple[str, ...]
-    seed: str
-    sturmian: bool
-    profile: ComplexityProfile
-
-    def to_json(self) -> dict:
-        return {
-            "letters": list(self.letters),
-            "seed": self.seed,
-            "sturmian": self.sturmian,
-            "profile": self.profile.to_json(),
-        }
-
-
-@dataclass(frozen=True)
-class UnknownEvidence:
-    complexity: ComplexityProfile
-    witnesses: tuple[SubalphabetWitness, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "complexity": self.complexity.to_json(),
-            "subalphabet_witnesses": [w.to_json() for w in self.witnesses],
-        }
-
-
 AUTOMATIC = "automatic"
 NOT_AUTOMATIC = "not_automatic"
 UNKNOWN = "unknown"
@@ -137,7 +110,7 @@ class Verdict:
     q: int | None = None
     certificate: object | None = None
     spectral: SpectralReport | None = None
-    evidence: UnknownEvidence | None = None
+    evidence: ComplexityProfile | None = None
     verified_depth: int | None = None
 
     @classmethod
@@ -155,12 +128,6 @@ class Verdict:
     @classmethod
     def unknown(cls, evidence, provenance):
         summary = "Unknown: no criterion decided; evidence attached"
-        hits = [w for w in evidence.witnesses if w.sturmian]
-        if hits:
-            summary += (
-                f" (sturmian witness on {{{', '.join(hits[0].letters)}}}:"
-                " p(n)=n+1 on the tested window)"
-            )
         return cls(UNKNOWN, provenance, summary, evidence=evidence)
 
     def to_json(self) -> dict:
@@ -172,7 +139,7 @@ class Verdict:
         if self.spectral is not None:
             out["spectral"] = self.spectral.to_json()
         if self.evidence is not None:
-            out["evidence"] = self.evidence.to_json()
+            out["evidence"] = {"complexity": self.evidence.to_json()}
         return out
 
 
@@ -280,14 +247,6 @@ def _verify_certificate(spec: MorphicSpec, certificate, depth: int) -> None:
         raise InternalCheckError("certificate disagrees with the input fixed point")
 
 
-def _invariant_subalphabets(m: Morphism) -> list[tuple[int, ...]]:
-    """Proper subalphabets closed under the morphism: the letter closures,
-    smallest first."""
-    r = len(m.alphabet)
-    found = {m.closure((a,)) for a in range(r)} - {tuple(range(r))}
-    return sorted(found, key=lambda sub: (len(sub), sub))
-
-
 # Each stage takes (spec, options) and returns its outcome and an optional
 # claim, a verdict of its own.  Every deciding stage runs on every input;
 # ``analyze`` alone picks the first claim and checks the later ones.
@@ -377,31 +336,10 @@ def _irrationality_stage(spec: MorphicSpec, opts: AnalyzeOptions):
 
 
 def _evidence_stage(spec: MorphicSpec, opts: AnalyzeOptions):
-    """Factor complexity of the input and Sturmian witnesses on its
-    invariant subalphabets: the evidence of an honest Unknown.
-
-    A witness word is the fixed point from its seed letter, the same word
-    in whichever invariant subalphabet holds that letter (relabelled, which
-    no count sees), so each seed letter is profiled once."""
-    nmax, length = opts.evidence_nmax, opts.evidence_prefix
-    profile = factor_complexity(spec, nmax, length)
-    witnesses = []
-    by_seed: dict[int, tuple[bool, ComplexityProfile]] = {}  # seed letter -> witness
-    for sub in _invariant_subalphabets(spec.morphism):
-        restricted = spec.morphism.restrict(sub)
-        seeds = restricted.prolongable_letters()
-        if not seeds:
-            continue
-        seed = sub[seeds[0]]
-        if seed not in by_seed:
-            by_seed[seed] = sturmian_witness(MorphicSpec(restricted, seeds[0]), nmax, length)
-        ok, sub_profile = by_seed[seed]
-        letters = restricted.alphabet.letters
-        witnesses.append(SubalphabetWitness(letters, letters[seeds[0]], ok, sub_profile))
-    found = sum(w.sturmian for w in witnesses)
-    detail = f"complexity profile attached; {found} sturmian subalphabet witness(es)"
-    evidence = UnknownEvidence(profile, tuple(witnesses))
-    return StageOutcome("evidence", "info", detail), Verdict.unknown(evidence, "evidence")
+    """Factor complexity of the input: the evidence of an honest Unknown."""
+    profile = factor_complexity(spec, opts.evidence_nmax, opts.evidence_prefix)
+    outcome = StageOutcome("evidence", "info", "complexity profile attached")
+    return outcome, Verdict.unknown(profile, "evidence")
 
 
 _STAGES = (_uniform_stage, _eigenvector_stage, _block_stage, _irrationality_stage)

@@ -1,16 +1,15 @@
 """Factor complexity over a finite prefix.
 
-This is the evidence layer: finite-prefix computations that attach
-empirical witnesses to otherwise undecided inputs.  ``factor_complexity``
-and ``sturmian_witness`` accept anything with ``coded_prefix(n)`` and
-``output_alphabet`` (morphic specs, uniform representations among them,
-and block certificates) and work on that word of output-letter indices,
-which comes packed, one byte per letter, over an output alphabet of at
-most 256 letters.  Factor complexity takes such a word as it is and packs
-a larger alphabet's word into fixed-width items of 2, 4 or 8 bytes, slices
-byte windows from its distinct chunks only, and takes every count from
-the longest common prefixes of the sorted distinct windows.
-Complexity counts over a finite prefix are lower bounds on the true factor
+This is the evidence layer: the one finite-prefix computation that an
+otherwise undecided input carries.  ``factor_complexity`` accepts anything
+with ``coded_prefix(n)`` and ``output_alphabet`` (morphic specs, uniform
+representations among them, and block certificates) and works on that
+word of output-letter indices, which comes packed, one byte per letter,
+over an output alphabet of at most 256 letters.  It takes such a word as
+it is and packs a larger alphabet's word into fixed-width items of 2, 4
+or 8 bytes, slices byte windows from its distinct chunks only, and takes
+every count from the longest common prefixes of the sorted distinct
+windows.  Complexity counts over a finite prefix are lower bounds on the true factor
 complexity and are labelled as such.
 """
 
@@ -108,14 +107,3 @@ def factor_complexity(spec, n_max: int, prefix_length: int) -> ComplexityProfile
         delta[len(w) // s + 1] -= 1
         previous = w
     return ComplexityProfile(n_max, tuple(accumulate(delta[1:-1])), prefix_length)
-
-
-def sturmian_witness(spec, n_max: int, prefix_length: int) -> tuple[bool, ComplexityProfile]:
-    """Evidence (not proof) of Sturmian complexity: p(n) == n + 1 up to n_max.
-
-    The profile is ``factor_complexity(spec, n_max, prefix_length)``, so the
-    witness speaks for that prefix only.
-    """
-    profile = factor_complexity(spec, n_max, prefix_length)
-    ok = all(profile.p(n) == n + 1 for n in range(1, n_max + 1))
-    return ok, profile

@@ -229,19 +229,6 @@ class Morphism:
                     frontier.append(c)
         return tuple(sorted(seen))
 
-    def restrict(self, letters: Sequence[int]) -> "Morphism":
-        """Restriction to an invariant subalphabet (original letter order)."""
-        subset = sorted(set(letters))
-        remap = {old: new for new, old in enumerate(subset)}
-        images = []
-        for old in subset:
-            img = self.images[old]
-            if any(c not in remap for c in img):
-                raise ValueError("subalphabet is not closed under the morphism")
-            images.append(tuple(remap[c] for c in img))
-        alpha = Alphabet(tuple(self.alphabet.letters[old] for old in subset))
-        return Morphism(alpha, tuple(images))
-
 
 @dataclass(frozen=True)
 class Coding:
@@ -433,6 +420,9 @@ class MorphicSpec:
         return "\n".join(lines) + "\n"
 
 
+_HEADERS = ("letters", "seed", "coding")
+
+
 def _parse_image(rhs: str, alphabet: Alphabet, lineno: int, raw_line: str) -> Word:
     tokens = alphabet.split(rhs)
     try:
@@ -474,7 +464,7 @@ def parse_morphism(text: str) -> MorphicSpec:
         if not line:
             continue
         key, _, body = line.partition(":")
-        if key in ("letters", "seed", "coding"):
+        if key in _HEADERS:
             if key in declared:
                 raise MorphParseError(f"duplicate {key} declaration", lineno)
             if key == "letters":
@@ -484,10 +474,14 @@ def parse_morphism(text: str) -> MorphicSpec:
                 if len(set(toks)) != len(toks):
                     raise MorphParseError("duplicate letter in declaration", lineno)
                 # a rule splits at its first "->" and a coding at ",", so
-                # such a letter could get neither
+                # such a letter could get neither; and the rule line of a
+                # letter "seed:a" would read as a seed header
                 for tok in toks:
                     if "->" in tok or "," in tok:
                         raise MorphParseError(f"letter {tok!r} holds '->' or ','", lineno)
+                    head, colon, _ = tok.partition(":")
+                    if colon and head in _HEADERS:
+                        raise MorphParseError(f"letter {tok!r} reads as a {head}: header", lineno)
                 value = Alphabet(tuple(toks))
             elif key == "seed":
                 if len(body.split()) != 1:

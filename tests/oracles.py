@@ -5,11 +5,12 @@ and ``dense`` convert to and from the package's sparse rows, a pair
 (j, m_ij) for every nonzero entry of row i.  Everything here is
 deliberately naive and shares no code path with the package: token-level
 string rewriting, the position-letter form of a uniform block morphism,
-composition and powers of a ``Morphism`` by concatenating its images,
-cofactor-expansion determinants, the Faddeev-LeVerrier recursion,
-primitivity from Boolean matrix powers, set-based factor counting,
-strongly connected components from set-based reachability and the
-diagonal blocks they cut out, the spectral-radius bracket on dense rows,
+composition and powers of a ``Morphism`` by concatenating its images
+and its restriction to an invariant subalphabet, cofactor-expansion
+determinants, the Faddeev-LeVerrier recursion, primitivity from Boolean
+matrix powers, set-based factor counting, strongly connected components
+from set-based reachability and the diagonal blocks they cut out, the
+spectral-radius bracket on dense rows,
 Newton's bracket started from the row and column sums with chi evaluated
 term by term, the sign of rho(B) - c from the leading principal minors
 of cI - B, dense matrix products, the left-eigenvector check in
@@ -96,6 +97,19 @@ def power(m: Morphism, k: int) -> Morphism:
     for _ in range(k - 1):
         result = compose(result, m)
     return result
+
+
+def restrict(m: Morphism, letters) -> Morphism:
+    """m on an invariant subalphabet, its letters in their order in m."""
+    subset = sorted(set(letters))
+    remap = {old: new for new, old in enumerate(subset)}
+    images = []
+    for old in subset:
+        img = m.images[old]
+        if any(c not in remap for c in img):
+            raise ValueError("subalphabet is not closed under the morphism")
+        images.append(tuple(remap[c] for c in img))
+    return Morphism(Alphabet(tuple(m.alphabet.letters[old] for old in subset)), tuple(images))
 
 
 def block_to_uniform(blk, coding: dict[str, str] | None = None):

