@@ -4,6 +4,7 @@ non-automaticity with exact spectral tests, and attach a factor-complexity
 profile to every input that stays undecided."""
 
 from .constructions import (
+    BlockCertificate,
     BlockConstructionError,
     BlockMorphism,
     CriterionNotSatisfied,
@@ -18,7 +19,6 @@ from .constructions import (
 from .criteria import (
     AnalysisReport,
     AnalyzeOptions,
-    BlockCertificate,
     Verdict,
     analyze,
     eigenvector_criterion,

@@ -6,7 +6,8 @@
   onto the spec's output alphabet).
 * minimize_uniform: merge indistinguishable letters of such a certificate.
 * block_morphism: induce a morphism on the non-overlapping k-blocks of a
-  fixed point.
+  fixed point; a BlockCertificate, the input spec plus a uniform one,
+  generates the input's word again by flattening its blocks.
 * cup_transform: rewrite a uniform representation into a deliberately
   non-uniform one by splitting one pair of letters; verify_back checks that
   the length vector of the result is still a left eigenvector.
@@ -14,7 +15,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -62,33 +63,18 @@ def representation_from_spec(spec: MorphicSpec) -> UniformRepresentation:
 # ---------------------------------------------------------------------------
 # the left-eigenvector criterion and its uniform certificate
 
-def _length_products(m: Morphism):
-    """The entries of L*M for the length vector L and incidence matrix M of
-    m, one at a time: entry j is |m(m(j))|, the sum of |m(c)| over the
-    letters c of m(j)."""
-    lengths = m.lengths
-    return (sum(map(lengths.__getitem__, img)) for img in m.images)
-
-
-def length_product(m: Morphism) -> tuple[int, ...]:
-    """L*M, read off the images."""
-    return tuple(_length_products(m))
-
-
 def verify_back(m: Morphism) -> Fraction | None:
     """lambda when the left-eigenvector identity L M = lambda L holds, with
-    L M read off the images, else None; an erasing morphism fails, as its L
-    is not positive.  The entries of L M are summed only up to the first
-    one that breaks the identity.  On the morphism of a
+    L M the morphism's ``length_product``, else None; an erasing morphism
+    fails, as its L is not positive.  On the morphism of a
     :func:`cup_transform` output, lambda is the uniform length it came
     from."""
     if m.is_erasing:
         return None
-    lengths, products = m.lengths, _length_products(m)
-    first = next(products)
-    if any(p * lengths[0] != first * n for p, n in zip(products, lengths[1:])):
+    lengths, products = m.lengths, m.length_product
+    if any(p * lengths[0] != products[0] * n for p, n in zip(products, lengths)):
         return None
-    return Fraction(first, lengths[0])
+    return Fraction(products[0], lengths[0])
 
 
 def eigenvector_criterion(m: Morphism) -> int | None:
@@ -123,7 +109,7 @@ def reshuffle_uniformize(spec: MorphicSpec) -> UniformRepresentation:
     if m.is_erasing:
         raise CriterionNotSatisfied("reshuffle requires a non-erasing morphism")
     if not m.is_prolongable(seed):
-        raise SpecError("seed is not prolongable")
+        raise SpecError(f"seed {spec.seed_token!r} is not prolongable; no fixed point to uniformize")
     q = eigenvector_criterion(m)
     if q is None:
         raise CriterionNotSatisfied("length vector is not a left eigenvector")
@@ -235,6 +221,30 @@ class BlockMorphism:
         return bytes(out) if source.packed else tuple(out)
 
 
+@dataclass(frozen=True)
+class BlockCertificate(MorphicSpec):
+    """Replayable certificate from the block stage: the input's morphism,
+    seed and coding, whose fixed point is generated a second way, by
+    flattening the fixed point of the q-uniform morphism ``block`` induces
+    on k-blocks.  Only that generation is its own: the coded word, output
+    alphabet and tokens are ``MorphicSpec``'s, and since the coding reads
+    the letters of ``block.source``, that must be ``morphism``."""
+
+    block: BlockMorphism = field(kw_only=True)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.block.source != self.morphism:
+            raise ValueError("block morphism must be induced by the certificate's morphism")
+
+    @property
+    def q(self) -> int:
+        return self.block.morphism.uniform_length
+
+    def uncoded_prefix(self, n: int) -> Word:
+        return self.block.flatten_prefix(n)
+
+
 def _block_token(alphabet: Alphabet, block: Word) -> str:
     sep = "" if alphabet.single_char else "+"
     return sep.join([alphabet.letters[c] for c in block])
@@ -333,6 +343,8 @@ def cup_transform(
     if not u.coding.is_identity:
         raise ValueError("cup transform requires an uncoded uniform representation")
     k = u.q
+    if k < 3:
+        raise ValueError(f"cup transform needs a uniform length of at least 3, got {k}")
     p, s = pair_position, split_index
     if not 1 <= p <= k - 2:
         raise ValueError(f"pair position must lie in [1, {k - 2}]")

@@ -10,13 +10,15 @@ every later claim must agree with it in kind and q, or
 ``InternalCheckError`` names both stages.  When no stage claims, the
 evidence stage returns an honest Unknown, which carries one thing: the
 factor-complexity profile of the input.  Each verdict carries its
-own one-line summary.  Every Automatic claim's q must be the uniform
-length of its certificate's morphism, or ``InternalCheckError`` names the
-stage.  The verdict's certificate is then replayed before it is returned:
-it must write over the same output alphabet as the input and produce the
-same coded letter indices up to the verification depth.  The ``uniform``
-stage's certificate is the input itself, so its replay is the alphabet
-check alone.
+own one-line summary.  Every certificate is a ``MorphicSpec``; a block
+certificate is the input spec plus the uniform block morphism whose
+flattened fixed point generates its word.  Every Automatic claim's q must
+be the uniform length of the morphism its certificate iterates, or
+``InternalCheckError`` names the stage.  The verdict's certificate is then
+replayed before it is returned: it must write over the same output
+alphabet as the input and produce the same coded letter indices up to the
+verification depth.  The ``uniform`` stage's certificate is the input
+itself, so its replay is the alphabet check alone.
 """
 
 from __future__ import annotations
@@ -25,27 +27,18 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 from .constructions import (
+    BlockCertificate,
     BlockConstructionError,
-    BlockMorphism,
     UniformRepresentation,
     block_morphism,
     eigenvector_criterion,
-    length_product,
     minimize_uniform,
     representation_from_spec,
     reshuffle_uniformize,
 )
 from .linalg import SpectralReport, is_primitive, spectral_report
 from .sequences import ComplexityProfile, factor_complexity
-from .words import (
-    Alphabet,
-    Coding,
-    InternalCheckError,
-    Morphism,
-    MorphicSpec,
-    SpecError,
-    Word,
-)
+from .words import InternalCheckError, Morphism, MorphicSpec, SpecError
 
 
 # ---------------------------------------------------------------------------
@@ -71,32 +64,6 @@ def irrationality_verdict(m: Morphism) -> SpectralReport | None:
 # ---------------------------------------------------------------------------
 # verdicts and reports
 
-@dataclass(frozen=True)
-class BlockCertificate:
-    """Replayable certificate from the block stage: flattening the induced
-    uniform block morphism reproduces the input sequence."""
-
-    block: BlockMorphism
-    coding: Coding | None
-
-    @property
-    def output_alphabet(self) -> Alphabet:
-        return self.block.source.alphabet if self.coding is None else self.coding.target
-
-    @property
-    def q(self) -> int:
-        return self.block.morphism.uniform_length
-
-    def coded_prefix(self, n: int) -> Word:
-        """First n output letters, in the output alphabet's format, as
-        ``MorphicSpec.coded_prefix`` gives them."""
-        word = self.block.flatten_prefix(n)
-        return word if self.coding is None else self.coding.apply(word)
-
-    def prefix(self, n: int) -> tuple[str, ...]:
-        return self.output_alphabet.tokens(self.coded_prefix(n))
-
-
 AUTOMATIC = "automatic"
 NOT_AUTOMATIC = "not_automatic"
 UNKNOWN = "unknown"
@@ -108,7 +75,7 @@ class Verdict:
     provenance: str
     summary: str
     q: int | None = None
-    certificate: object | None = None
+    certificate: MorphicSpec | None = None
     spectral: SpectralReport | None = None
     evidence: ComplexityProfile | None = None
     verified_depth: int | None = None
@@ -221,18 +188,17 @@ class AnalysisReport:
 # ---------------------------------------------------------------------------
 # the orchestrator
 
-def _verify_certificate(spec: MorphicSpec, certificate, depth: int) -> None:
+def _verify_certificate(spec: MorphicSpec, certificate: MorphicSpec, depth: int) -> None:
     """Replay a certificate: the same output alphabet, and the same coded
     letter indices on the first ``depth`` letters.  A certificate that is
-    the input's own representation (its morphism, seed and coding, an
-    identity coding standing for none) generates the same word by
-    construction, so it passes the alphabet check without expanding either
-    prefix.
+    the input's own ``UniformRepresentation`` (its morphism, seed and
+    coding, an identity coding standing for none) generates the same word
+    by construction, so it passes the alphabet check without expanding
+    either prefix; a block certificate, which flattens its blocks, never.
 
-    Otherwise both sides generate their coded prefix (a block certificate
-    flattens its blocks first).  The two words are over the same output
-    alphabet, so they come in the same format, packed bytes up to 256
-    letters, and are compared as they are."""
+    Otherwise both sides generate their coded prefix.  The two words are
+    over the same output alphabet, so they come in the same format, packed
+    bytes up to 256 letters, and are compared as they are."""
     if certificate.output_alphabet != spec.output_alphabet:
         raise InternalCheckError("certificate writes over another output alphabet")
     # a certificate with the spec's morphism proves that morphism uniform,
@@ -263,14 +229,14 @@ def _uniform_stage(spec: MorphicSpec, opts: AnalyzeOptions):
 
 def _eigenvector_stage(spec: MorphicSpec, opts: AnalyzeOptions):
     """The left-eigenvector criterion: L*M = qL with q >= 2, L*M read off the
-    images.  A "no" names L*M, summed once here; the criterion itself stops
-    summing at the first letter that breaks L*M = lambda*L."""
+    images once, as ``Morphism.length_product``, which the criterion and a
+    "no" detail both read."""
     m = spec.morphism
     if m.is_erasing:
         return StageOutcome("eigenvector", "skipped", "erasing morphism"), None
     q = eigenvector_criterion(m)
     if q is None:
-        detail = f"L*M = {length_product(m)} is not a rational multiple >= 2 of L = {m.lengths}"
+        detail = f"L*M = {m.length_product} is not a rational multiple >= 2 of L = {m.lengths}"
         return StageOutcome("eigenvector", "no", detail), None
     detail = f"length vector is a left eigenvector with eigenvalue {q}"
     outcome = StageOutcome("eigenvector", "success", detail, {"q": q})
@@ -309,7 +275,7 @@ def _block_stage(spec: MorphicSpec, opts: AnalyzeOptions):
             {"k": k, "uniform_length": q, "rules": rules},
         )
         how = f"{k}-block morphism {rules}"
-        cert = BlockCertificate(blk, spec.coding)
+        cert = BlockCertificate(spec.morphism, spec.seed, spec.coding, block=blk)
         return outcome, Verdict.automatic(q, cert, "block", how)
     return StageOutcome("block", "no", "; ".join(failures)), None
 

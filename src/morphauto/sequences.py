@@ -1,16 +1,16 @@
 """Factor complexity over a finite prefix.
 
 This is the evidence layer: the one finite-prefix computation that an
-otherwise undecided input carries.  ``factor_complexity`` accepts anything
-with ``coded_prefix(n)`` and ``output_alphabet`` (morphic specs, uniform
-representations among them, and block certificates) and works on that
-word of output-letter indices, which comes packed, one byte per letter,
-over an output alphabet of at most 256 letters.  It takes such a word as
-it is and packs a larger alphabet's word into fixed-width items of 2, 4
-or 8 bytes, slices byte windows from its distinct chunks only, and takes
-every count from the longest common prefixes of the sorted distinct
-windows.  Complexity counts over a finite prefix are lower bounds on the true factor
-complexity and are labelled as such.
+otherwise undecided input carries.  ``factor_complexity`` takes any
+``MorphicSpec``, every certificate included, and works on its
+``coded_prefix``, a word of output-letter indices, which comes packed,
+one byte per letter, over an output alphabet of at most 256 letters.
+It takes such a word as it is and packs a larger alphabet's word into
+fixed-width items of 2, 4 or 8 bytes, slices byte windows from its
+distinct chunks only, and takes every count from the longest common
+prefixes of the sorted distinct windows.  Complexity counts over a finite
+prefix are lower bounds on the true factor complexity and are labelled as
+such.
 """
 
 from __future__ import annotations

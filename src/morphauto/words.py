@@ -8,12 +8,12 @@ alphabet.  Both index, iterate and compare letter by letter, and two prefixes
 over the same alphabet always have the same format, so they are compared
 without conversion.  A morphism maps every letter to a word over the same
 alphabet and extends to words by concatenation.  It carries the integer
-data of the exact tests: its length vector (``Morphism.lengths``) and its
-incidence matrix (``Morphism.incidence``), as the sparse rows that
-``linalg`` takes, built from the images without an r x r table.  Fixed
-points of prolongable morphisms are generated lazily, by expanding a
-growing prefix in place, so producing ``n`` letters costs O(n) time and
-memory.
+data of the exact tests: its length vector L (``Morphism.lengths``), its
+incidence matrix M (``Morphism.incidence``), as the sparse rows that
+``linalg`` takes, built from the images without an r x r table, and L*M
+(``Morphism.length_product``).  Fixed points of prolongable morphisms are
+generated lazily, by expanding a growing prefix in place, so producing
+``n`` letters costs O(n) time and memory.
 
 Letters are whitespace-free token strings, not single characters, so
 alphabets like ``{1, 1*, 2, 2*}`` work throughout.
@@ -146,6 +146,14 @@ class Morphism:
     @cached_property
     def lengths(self) -> tuple[int, ...]:
         return tuple(map(len, self.images))
+
+    @cached_property
+    def length_product(self) -> tuple[int, ...]:
+        """L*M for the length vector L and the incidence matrix M, read off
+        the images: entry j is |m(m(j))|, the sum of |m(c)| over the letters
+        c of m(j)."""
+        lengths = self.lengths
+        return tuple([sum(map(lengths.__getitem__, img)) for img in self.images])
 
     @cached_property
     def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -113,8 +113,10 @@ class TestAnalyzeCommand:
     def test_non_prolongable_spec_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.morph"
         bad.write_text("letters: 0 1\n0 -> 10\n1 -> 0101\nseed: 0\n", encoding="utf-8")
-        assert main(["analyze", str(bad)]) == 2
-        assert "prolongable" in capsys.readouterr().err
+        # uniformize too: the criterion holds (q = 3), and the seed is named
+        for command in ("analyze", "uniformize"):
+            assert main([command, str(bad)]) == 2
+            assert "seed '0' is not prolongable" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["analyze", "/nonexistent/nowhere.morph"]) == 2
@@ -208,7 +210,7 @@ class TestUniformize:
         bad = tmp_path / "bad.morph"
         bad.write_text("letters: a b\na -> b\nb -> b\nseed: a\n", encoding="utf-8")
         assert main(["uniformize", str(bad)]) == 2
-        assert "prolongable" in capsys.readouterr().err
+        assert "seed 'a' is not prolongable" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["missing/out.morph", "."], ids=["missing directory", "a directory"])
     def test_unwritable_output_is_an_input_error(self, corpus_path, tmp_path, capsys, target):
@@ -287,6 +289,13 @@ class TestOtherCommands:
         assert main(["cup", morph(corpus_path, "tm_cube"), "--pair-pos", "3", "--split", "1"]) == 0
         out = capsys.readouterr().out
         assert "lambda = 8" in out and "0'" in out
+
+    def test_cup_needs_a_uniform_length_of_at_least_3(self, corpus_path, capsys):
+        # a 2-uniform seed image has no pair at positions p, p+1 with p >= 1
+        assert main(["cup", morph(corpus_path, "thue_morse")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cup transform needs a uniform length of at least 3, got 2\n"
 
     def test_cup_emits_reingestible_spec(self, corpus_path, capsys, thue_morse):
         assert main(["cup", morph(corpus_path, "tm_cube"), "--pair-pos", "3", "--split", "5"]) == 0

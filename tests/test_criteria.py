@@ -23,13 +23,14 @@ from morphauto import (
     parse_morphism,
 )
 from morphauto.constructions import (
+    BlockCertificate,
     BlockConstructionError,
     UniformRepresentation,
     block_morphism,
     representation_from_spec,
     reshuffle_uniformize,
 )
-from morphauto.criteria import BlockCertificate, _verify_certificate
+from morphauto.criteria import _verify_certificate
 from morphauto.sequences import factor_complexity
 
 from family import SEEDS, coverage, family
@@ -335,6 +336,24 @@ class TestAnalyze:
             morphism = cert.block.morphism if isinstance(cert, BlockCertificate) else cert.morphism
             assert verdict.q == cert.q == morphism.uniform_length
 
+    def test_every_certificate_is_a_morphic_spec_on_corpus(self, corpus_path):
+        # block certificates included: the same q and coded word as the input
+        for path in sorted(corpus_path.glob("*.morph")):
+            spec = parse_morphism(path.read_text(encoding="utf-8"))
+            verdict = analyze(spec).verdict
+            if verdict.kind == "automatic":
+                cert = verdict.certificate
+                assert isinstance(cert, MorphicSpec), path.stem
+                assert cert.q == verdict.q, path.stem
+                assert cert.coded_prefix(3000) == spec.coded_prefix(3000), path.stem
+
+    def test_block_certificate_needs_the_block_of_its_morphism(self, lysenok, thue_morse):
+        blk = block_morphism(thue_morse, 2)
+        with pytest.raises(ValueError, match="induced by the certificate's morphism"):
+            BlockCertificate(lysenok.morphism, lysenok.seed, block=blk)
+        cert = BlockCertificate(thue_morse.morphism, thue_morse.seed, block=blk)
+        assert cert.prefix(500) == thue_morse.prefix(500)
+
     def test_q_is_the_certificate_length_on_corpus(self, corpus_path):
         for path in sorted(corpus_path.glob("*.morph")):
             self.assert_q_is_the_certificate_length(
@@ -434,13 +453,18 @@ class TestAnalyze:
         self, a284878, thue_morse, monkeypatch
     ):
         # a284878 is certified with q=3 by the eigenvector stage; a patched
-        # block stage that finds a 2-uniform block morphism contradicts it
+        # block stage that finds a 2-uniform block morphism, induced (so it
+        # says) by the input, contradicts it
         from morphauto import criteria
 
         assert analyze(a284878).verdict.q == 3
         two_uniform = block_morphism(thue_morse, 2)
         assert two_uniform.morphism.uniform_length == 2
-        monkeypatch.setattr(criteria, "block_morphism", lambda spec, k, prefix: two_uniform)
+        monkeypatch.setattr(
+            criteria,
+            "block_morphism",
+            lambda spec, k, prefix: replace(two_uniform, source=spec.morphism),
+        )
         with pytest.raises(InternalCheckError, match="stage eigenvector certified.*stage block"):
             analyze(a284878)
 
@@ -626,7 +650,7 @@ class TestVerifyCertificate:
             assert len(blk.blocks) > 256
             blocks = list(blk.blocks)
             blocks[blocks.index((r - 2, r - 1))] = (r - 2, r - 2)
-            cert = BlockCertificate(replace(blk, blocks=tuple(blocks)), None)
+            cert = BlockCertificate(m, 0, block=replace(blk, blocks=tuple(blocks)))
         _verify_certificate(spec, cert, r - 1)
         with pytest.raises(InternalCheckError, match="disagrees"):
             _verify_certificate(spec, cert, r)

@@ -175,16 +175,20 @@ def test_anagram_success_implies_eigenvector_success(data):
     )
 )
 def test_length_product_agrees_with_the_incidence_matrix(morphism):
-    # the eigenvalue read off the images is the one left_eigencheck finds
-    # from the incidence matrix
+    # L*M is L times the dense incidence matrix, and the eigenvalue read off
+    # the images is the one left_eigencheck finds from that matrix
+    lengths, matrix = morphism.lengths, dense(morphism.incidence)
+    assert morphism.length_product == tuple(
+        sum(lengths[i] * row[j] for i, row in enumerate(matrix)) for j in range(len(lengths))
+    )
     if morphism.is_erasing:
         with pytest.raises(ValueError):
-            left_eigencheck(morphism.lengths, dense(morphism.incidence))
+            left_eigencheck(lengths, matrix)
         with pytest.raises(ValueError):
             eigenvector_criterion(morphism)
         assert verify_back(morphism) is None
         return
-    lam = left_eigencheck(morphism.lengths, dense(morphism.incidence))
+    lam = left_eigencheck(lengths, matrix)
     assert verify_back(morphism) == lam
     assert eigenvector_criterion(morphism) == (lam if lam is not None and lam >= 2 else None)
 
